@@ -14,7 +14,6 @@ import math
 import random
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import generators, oracle
@@ -272,12 +271,7 @@ def _bench_row(family: str, n: int, w: int, seed: int) -> dict:
 def cmd_bench(args) -> int:
     sizes = [int(x) for x in args.sizes.split(",") if x]
     wgrid = [int(x) for x in args.w_grid.split(",") if x]
-    jobs = [(args.family, n, w, args.seed) for n in sizes for w in wgrid]
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            rows = list(pool.map(lambda j: _bench_row(*j), jobs))
-    else:
-        rows = [_bench_row(*j) for j in jobs]
+    rows = [_bench_row(args.family, n, w, args.seed) for n in sizes for w in wgrid]
     out = args.csv
     if out is None or out == "-":
         writer = csv.DictWriter(sys.stdout, fieldnames=CSV_COLUMNS)
@@ -352,8 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated thresholds")
     b.add_argument("--csv", default=None)
     b.add_argument("--seed", type=int, default=0)
-    b.add_argument("--threads", type=int, default=1,
-                   help="run bench rows concurrently")
     b.set_defaults(func=cmd_bench)
     return p
 

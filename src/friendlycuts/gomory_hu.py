@@ -21,10 +21,11 @@ from .graph import (
     ContractionMap,
     Cut,
     Graph,
+    GraphParseError,
     Sparsifier,
+    component_labels,
     contract,
     cut_value,
-    degrees,
     is_friendly,
 )
 from .maxflow import max_flow
@@ -71,24 +72,9 @@ class GHTree:
         return adj
 
     def components(self) -> list[frozenset[int]]:
-        adj = self.adjacency()
-        seen = [False] * self.n
-        out = []
-        for r in range(self.n):
-            if seen[r]:
-                continue
-            comp = []
-            queue = deque([r])
-            seen[r] = True
-            while queue:
-                x = queue.popleft()
-                comp.append(x)
-                for y, _ in adj[x]:
-                    if not seen[y]:
-                        seen[y] = True
-                        queue.append(y)
-            out.append(frozenset(comp))
-        return out
+        e = np.asarray(self.edges, dtype=np.int64).reshape(-1, 3)
+        labels = component_labels(self.n, e[:, 0], e[:, 1])[1]
+        return [frozenset(c) for c in ContractionMap.from_labels(labels).classes()]
 
 
 @dataclass(frozen=True)
@@ -109,19 +95,11 @@ class PartitionTree:
             seen |= c
         if len(self.edges) != k - 1:
             raise ValueError("partition tree must have k-1 edges")
-        parent = list(range(k))
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for i, j, _ in self.edges:
-            ri, rj = find(i), find(j)
-            if ri == rj:
-                raise ValueError("partition tree edges contain a cycle")
-            parent[rj] = ri
+        e = np.asarray(self.edges, dtype=np.int64).reshape(-1, 3)
+        if e.size and (e[:, :2].min() < 0 or e[:, :2].max() >= k):
+            raise ValueError("partition tree edge endpoint out of range")
+        if component_labels(k, e[:, 0], e[:, 1])[0] != 1:
+            raise ValueError("partition tree edges contain a cycle")
 
     @property
     def n(self) -> int:
@@ -132,54 +110,28 @@ class PartitionTree:
         return len(self.classes)
 
 
-def _tree_components_without(pt_k: int, edges, removed: int) -> list[list[int]]:
+def _tree_labels_without(k: int, edges, removed: int) -> tuple[int, np.ndarray]:
+    """Component labels of the super-node tree after deleting one node, which
+    gets label -1; the others are numbered by their smallest node."""
+    e = np.asarray(edges, dtype=np.int64).reshape(-1, 3)
+    keep = (e[:, 0] != removed) & (e[:, 1] != removed)
+    count, labels = component_labels(k, e[keep, 0], e[keep, 1])
+    labels[labels > labels[removed]] -= 1
+    labels[removed] = -1
+    return count - 1, labels
+
+
+def _tree_components_without(k: int, edges, removed: int) -> list[list[int]]:
     """Connected components of the super-node tree after deleting one node."""
-    adj: list[list[int]] = [[] for _ in range(pt_k)]
-    for i, j, _ in edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    seen = [False] * pt_k
-    seen[removed] = True
-    comps = []
-    for r in range(pt_k):
-        if seen[r]:
-            continue
-        comp = []
-        queue = deque([r])
-        seen[r] = True
-        while queue:
-            x = queue.popleft()
-            comp.append(x)
-            for y in adj[x]:
-                if not seen[y]:
-                    seen[y] = True
-                    queue.append(y)
-        comps.append(comp)
+    cmap = ContractionMap.from_labels(_tree_labels_without(k, edges, removed)[1])
+    comps = cmap.classes()
+    del comps[cmap.super_of[removed]]
     return comps
 
 
 def _component_nodes(g: Graph) -> list[list[int]]:
-    adj: list[list[int]] = [[] for _ in range(g.n)]
-    for u, v, _ in g.edge_list():
-        adj[u].append(v)
-        adj[v].append(u)
-    seen = [False] * g.n
-    out = []
-    for r in range(g.n):
-        if seen[r]:
-            continue
-        comp = []
-        queue = deque([r])
-        seen[r] = True
-        while queue:
-            x = queue.popleft()
-            comp.append(x)
-            for y in adj[x]:
-                if not seen[y]:
-                    seen[y] = True
-                    queue.append(y)
-        out.append(comp)
-    return out
+    labels = component_labels(g.n, g.edges[:, 0], g.edges[:, 1])[1]
+    return ContractionMap.from_labels(labels).classes()
 
 
 def _cut_provider_maxflow(aux: Graph, s: int, t: int) -> tuple[int, frozenset[int]]:
@@ -192,69 +144,48 @@ def _gomory_hu_component(g: Graph, nodes: list[int], cut_provider) -> list[tuple
     far side of the partition tree at every refinement step."""
     if len(nodes) == 1:
         return []
-    classes: list[set[int]] = [set(nodes)]
-    tree: list[list[int]] = []  # mutable (i, j, w) rows
+    class_of = np.full(g.n, -1, dtype=np.int64)  # -1 outside this component
+    class_of[nodes] = 0
+    in_comp = class_of >= 0
+    tree = np.zeros((len(nodes) - 1, 3), dtype=np.int64)  # rows (i, j, w) over classes
+    k = 1  # classes so far; the first k-1 tree rows are filled
     pending = deque([0])
     while pending:
         i = pending.popleft()
-        cls = classes[i]
-        if len(cls) < 2:
-            continue
-        ordered = sorted(cls)
-        s, t = ordered[0], ordered[1]
-        # auxiliary graph: class i stays expanded, each tree component away
-        # from it collapses to one node; other graph components get label -1
-        comps = _tree_components_without(len(classes), tree, i)
+        members = np.flatnonzero(class_of == i)
+        # auxiliary graph: class i stays expanded (s, t are its two smallest
+        # nodes), each tree component away from it collapses to one node;
+        # other graph components get label -1
+        count, comp = _tree_labels_without(k, tree[:k - 1], i)
         labels = np.full(g.n, -1, dtype=np.int64)
-        for pos, v in enumerate(ordered):
-            labels[v] = pos
-        next_label = len(cls)
-        comp_node: dict[int, int] = {}
-        for comp in comps:
-            for ci in comp:
-                comp_node[ci] = next_label
-                for v in classes[ci]:
-                    labels[v] = next_label
-            next_label += 1
-        if g.edges.size:
-            lu = labels[g.edges[:, 0]]
-            lv = labels[g.edges[:, 1]]
-            keep = (lu >= 0) & (lv >= 0) & (lu != lv)
-            aux = Graph.build(next_label,
-                              np.column_stack([lu[keep], lv[keep], g.edges[keep, 2]]))
-        else:
-            aux = Graph.build(next_label)
-        value, side = cut_provider(aux, 0, 1)  # labels of s and t
+        labels[in_comp] = len(members) + comp[class_of[in_comp]]
+        labels[members] = np.arange(len(members))
+        lu = labels[g.edges[:, 0]]
+        lv = labels[g.edges[:, 1]]
+        keep = (lu >= 0) & (lv >= 0) & (lu != lv)
+        aux = Graph.build(len(members) + count,
+                          np.column_stack([lu[keep], lv[keep], g.edges[keep, 2]]))
+        value, side = cut_provider(aux, 0, 1)
         side_mask = np.zeros(aux.n, dtype=bool)
         side_mask[list(side)] = True
-        in_a = {v for v in cls if side_mask[labels[v]]}
-        in_b = cls - in_a
-        assert s in in_a and t in in_b
-        j = len(classes)
-        classes[i] = in_a
-        classes.append(in_b)
-        # reattach old tree neighbors of i to whichever side their component fell on
-        for row in tree:
-            a, b, _ = row
-            other = b if a == i else (a if b == i else None)
-            if other is None:
-                continue
-            if not side_mask[comp_node[other]]:
-                if a == i:
-                    row[0] = j
-                else:
-                    row[1] = j
-        tree.append([i, j, value])
-        if len(in_a) > 1:
+        assert side_mask[0] and not side_mask[1]
+        in_b = members[~side_mask[labels[members]]]
+        class_of[in_b] = k
+        # reattach old tree neighbors of i whose component fell on t's side
+        rows = tree[:k - 1]
+        far = ~side_mask[len(members) + comp[rows[:, :2]]]
+        rows[(rows[:, 0] == i) & far[:, 1], 0] = k
+        rows[(rows[:, 1] == i) & far[:, 0], 1] = k
+        tree[k - 1] = (i, k, value)
+        if len(members) - len(in_b) > 1:
             pending.append(i)
         if len(in_b) > 1:
-            pending.append(j)
-    out = []
-    for i, j, w in tree:
-        u = next(iter(classes[i]))
-        v = next(iter(classes[j]))
-        out.append((u, v, int(w)))
-    return out
+            pending.append(k)
+        k += 1
+    # every class is a single node by now
+    node_of = np.empty(k, dtype=np.int64)
+    node_of[class_of[in_comp]] = np.flatnonzero(in_comp)
+    return [(int(node_of[i]), int(node_of[j]), int(w)) for i, j, w in tree]
 
 
 def gomory_hu(g: Graph) -> GHTree:
@@ -285,11 +216,8 @@ def gh_query(t: GHTree, s: int, t2: int) -> tuple[int, Cut]:
             if y not in prev:
                 prev[y] = (x, w)
                 queue.append(y)
-    if t2 not in prev:
-        for comp in t.components():
-            if s in comp:
-                return 0, Cut(side=comp, value=0)
-        raise AssertionError("unreachable")
+    if t2 not in prev:  # the search exhausted s's component
+        return 0, Cut(side=frozenset(prev), value=0)
     path = []
     x = t2
     while x != s:
@@ -323,7 +251,8 @@ def validate_ghtree(g: Graph, t: GHTree, check_values: bool = True) -> None:
     """
     if t.n != g.n:
         raise ValueError("tree and graph disagree on node count")
-    if len(t.edges) != g.n - len(_component_nodes(g)):
+    g_count, g_labels = component_labels(g.n, g.edges[:, 0], g.edges[:, 1])
+    if len(t.edges) != g.n - g_count:
         raise ValueError("tree edge count does not match component count")
     seen_pairs = set()
     for u, v, w in t.edges:
@@ -335,10 +264,9 @@ def validate_ghtree(g: Graph, t: GHTree, check_values: bool = True) -> None:
         if key in seen_pairs:
             raise ValueError("duplicate tree edge")
         seen_pairs.add(key)
-    for gcomp, tcomp_nodes in zip(sorted(_component_nodes(g), key=min),
-                                  sorted(t.components(), key=min)):
-        if frozenset(gcomp) != tcomp_nodes:
-            raise ValueError("tree components do not match graph components")
+    t_edges = np.asarray(t.edges, dtype=np.int64).reshape(-1, 3)
+    if not np.array_equal(g_labels, component_labels(t.n, t_edges[:, 0], t_edges[:, 1])[1]):
+        raise ValueError("tree components do not match graph components")
     if check_values:
         for u, v, w in t.edges:
             _, cut = gh_query(t, u, v)
@@ -525,8 +453,6 @@ def serialize_ghtree(t: GHTree) -> str:
 
 
 def parse_ghtree(text: str) -> GHTree:
-    from .graph import GraphParseError
-
     lines = text.splitlines()
     header = None
     edges = []
@@ -549,6 +475,8 @@ def parse_ghtree(text: str) -> GHTree:
             u, v, w = (int(x) for x in parts)
         except ValueError:
             raise GraphParseError("edge fields must be integers", lineno)
+        if u == v or not (0 <= u < header[0] and 0 <= v < header[0]):
+            raise GraphParseError(f"bad tree edge endpoints in {line!r}", lineno)
         edges.append((u, v, w))
     if header is None:
         raise GraphParseError("missing header", len(lines) + 1)

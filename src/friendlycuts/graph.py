@@ -8,10 +8,12 @@ volumes but never toward degrees.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 __all__ = [
     "Graph",
@@ -27,7 +29,7 @@ __all__ = [
     "cut_value",
     "is_friendly",
     "contract",
-    "refine_to_connected",
+    "component_labels",
     "parse_graph",
     "serialize_graph",
     "parse_node_subset",
@@ -122,16 +124,6 @@ class Graph:
     def with_extra_volume(self, extra_volume) -> "Graph":
         return Graph.build(self.n, self.edges, extra_volume)
 
-    def neighbors(self, v: int) -> list[tuple[int, int]]:
-        """(neighbor, weight) pairs incident to v."""
-        out = []
-        for u, x, w in self.edge_list():
-            if u == v:
-                out.append((x, w))
-            elif x == v:
-                out.append((u, w))
-        return out
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
@@ -218,24 +210,15 @@ class ContractionMap:
 
 
 def _resolve_labels(n: int, classes: Iterable[Iterable[int]]) -> np.ndarray:
-    parent = list(range(n))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for cls in classes:
-        members = [int(v) for v in cls]
-        for v in members:
-            if not 0 <= v < n:
-                raise ValueError(f"node {v} out of range")
-        for a, b in zip(members, members[1:]):
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[rb] = ra
-    return np.asarray([find(v) for v in range(n)], dtype=np.int64)
+    chains = [np.fromiter(cls, dtype=np.int64) for cls in classes] or [np.zeros(0, dtype=np.int64)]
+    members = np.concatenate(chains)
+    bad = members[(members < 0) | (members >= n)]
+    if bad.size:
+        raise ValueError(f"node {bad[0]} out of range")
+    # each class becomes a path through its members
+    u = np.concatenate([c[:-1] for c in chains])
+    v = np.concatenate([c[1:] for c in chains])
+    return component_labels(n, u, v)[1]
 
 
 @dataclass(frozen=True)
@@ -342,29 +325,18 @@ def contract(g: Graph, cmap: ContractionMap) -> Graph:
     return Graph.build(k, mapped, xv)
 
 
-def refine_to_connected(g: Graph, cmap: ContractionMap) -> ContractionMap:
-    """Split each class into connected sub-classes so contraction yields a minor."""
-    adj: list[list[int]] = [[] for _ in range(g.n)]
-    so = cmap.super_of
-    for u, v, _ in g.edge_list():
-        if so[u] == so[v]:
-            adj[u].append(v)
-            adj[v].append(u)
-    labels = np.full(g.n, -1, dtype=np.int64)
-    next_label = 0
-    for start in range(g.n):
-        if labels[start] >= 0:
-            continue
-        stack = [start]
-        labels[start] = next_label
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if labels[y] < 0:
-                    labels[y] = next_label
-                    stack.append(y)
-        next_label += 1
-    return ContractionMap.from_labels(labels)
+def component_labels(n: int, u, v) -> tuple[int, np.ndarray]:
+    """Connected components of the graph on nodes 0..n-1 with edges (u[i], v[i]).
+
+    Returns (count, labels). Components are numbered by their smallest node,
+    so labels first appear in increasing node order.
+    """
+    if n == 0:
+        return 0, np.zeros(0, dtype=np.int64)
+    u = np.asarray(u, dtype=np.int64)
+    adj = coo_matrix((np.ones(u.shape[0]), (u, np.asarray(v, dtype=np.int64))), shape=(n, n))
+    count, labels = connected_components(adj, directed=False)
+    return int(count), labels.astype(np.int64)
 
 
 def parse_graph(text: str) -> Graph:

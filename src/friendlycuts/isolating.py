@@ -14,8 +14,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .graph import ContractionMap, Cut, Graph, contract
-from .maxflow import max_flow, min_cut_between_sets
+from .graph import Cut, Graph
+from .maxflow import min_cut_between_sets
 
 __all__ = ["IsolatingCuts", "isolating_cuts", "isolating_cuts_direct"]
 
@@ -35,22 +35,6 @@ def _check_terminals(g: Graph, r: Iterable[int]) -> list[int]:
         if not 0 <= v < g.n:
             raise ValueError(f"terminal {v} out of range")
     return terms
-
-
-def _local_min_cut(g: Graph, v: int, region: np.ndarray) -> Cut:
-    """Min cut separating v from everything outside its region, computed with
-    the outside contracted to a single node."""
-    labels = np.arange(g.n, dtype=np.int64)
-    labels[~region] = g.n  # one shared label for the outside
-    cmap = ContractionMap.from_labels(labels)
-    h = contract(g, cmap)
-    sv = int(cmap.super_of[v])
-    outside_node = int(cmap.super_of[int(np.flatnonzero(~region)[0])])
-    value, cut = max_flow(h, sv, outside_node)
-    side_mask = np.zeros(cmap.n_super, dtype=bool)
-    side_mask[list(cut.side)] = True
-    side = frozenset(int(x) for x in np.flatnonzero(side_mask[cmap.super_of]))
-    return Cut(side=side, value=value)
 
 
 def isolating_cuts(g: Graph, r: Iterable[int]) -> IsolatingCuts:
@@ -81,7 +65,8 @@ def isolating_cuts(g: Graph, r: Iterable[int]) -> IsolatingCuts:
         region[v] = True  # v always belongs to its own region
         if region.all():
             raise AssertionError("region must exclude the other terminals")
-        cuts[v] = _local_min_cut(g, v, region)
+        # min cut separating v from everything outside its region
+        cuts[v] = min_cut_between_sets(g, [v], np.flatnonzero(~region))[1]
         local_calls += 1
     return IsolatingCuts(cuts=cuts, global_flow_calls=global_calls,
                          local_flow_calls=local_calls)

@@ -61,20 +61,29 @@ def max_flow(g: Graph, s: int, t: int) -> tuple[int, Cut]:
     return int(result.flow_value), Cut(side=side, value=int(result.flow_value))
 
 
+def _node_array(nodes: Iterable[int]) -> np.ndarray:
+    # arrays pass through: iterating one element by element costs more than the
+    # rest of the set-up on the isolating-cuts path
+    return np.asarray(nodes if isinstance(nodes, np.ndarray) else list(nodes), dtype=np.int64)
+
+
 def min_cut_between_sets(g: Graph, a: Iterable[int], b: Iterable[int]) -> tuple[int, Cut]:
     """Minimum cut separating node set a from node set b; side contains a, minimal."""
-    a = frozenset(int(v) for v in a)
-    b = frozenset(int(v) for v in b)
-    if not a or not b:
+    a, b = _node_array(a), _node_array(b)
+    if not a.size or not b.size:
         raise ValueError("both sides must be non-empty")
-    if a & b:
+    both = np.concatenate([a, b])
+    if both.min() < 0 or both.max() >= g.n:
+        raise ValueError(f"node {both[(both < 0) | (both >= g.n)][0]} out of range")
+    # a and b each collapse to one node; every other node stays itself
+    labels = np.arange(g.n, dtype=np.int64)
+    labels[a] = g.n
+    labels[b] = g.n + 1
+    if (labels[a] != g.n).any():
         raise ValueError("sides must be disjoint")
-    cmap = ContractionMap.from_classes(g.n, [a, b])
-    h = contract(g, cmap)
-    sa = int(cmap.super_of[next(iter(a))])
-    sb = int(cmap.super_of[next(iter(b))])
-    value, cut = max_flow(h, sa, sb)
+    cmap = ContractionMap.from_labels(labels)
+    value, cut = max_flow(contract(g, cmap), int(cmap.super_of[a[0]]), int(cmap.super_of[b[0]]))
     in_side = np.zeros(cmap.n_super, dtype=bool)
     in_side[list(cut.side)] = True
-    side = frozenset(int(v) for v in np.flatnonzero(in_side[cmap.super_of]))
+    side = frozenset(np.flatnonzero(in_side[cmap.super_of]).tolist())
     return value, Cut(side=side, value=value)

@@ -10,7 +10,7 @@ connected component of the shaved cluster, so the output is a minor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
 
@@ -24,6 +24,7 @@ from .graph import (
     Graph,
     GraphParseError,
     Sparsifier,
+    component_labels,
     contract,
     cut_value,
     degrees,
@@ -51,14 +52,12 @@ class SparsifyConfig:
 
     ``phi`` defaults (per graph) to 1 / (100 * ceil(log2(n)^3)); the shaving
     constants are the 10*sqrt(w) low-degree threshold and the 10% outside
-    fraction. ``size_budget_factor`` only feeds the bench-report bound
-    K = size_budget_factor * B; it is never asserted.
+    fraction.
     """
 
     phi: Fraction | None = None
     low_degree_factor: int = 10
     outside_fraction: Fraction = Fraction(1, 10)
-    size_budget_factor: int = 100
     seed: int = 0
     k_exact: int = K_EXACT_DEFAULT
 
@@ -128,31 +127,19 @@ def _shave_mask(g: Graph, labels: np.ndarray, w: Fraction, sizes: np.ndarray,
     return out
 
 
-def _contract_shaved(g: Graph, clusters, shaved: np.ndarray) -> ContractionMap:
-    """Contract each cluster's surviving nodes, per connected component."""
-    labels = np.arange(g.n, dtype=np.int64)
-    cluster_of = np.full(g.n, -1, dtype=np.int64)
+def _cluster_labels(n: int, clusters) -> np.ndarray:
+    labels = np.zeros(n, dtype=np.int64)
     for i, cl in enumerate(clusters):
-        for v in cl:
-            cluster_of[v] = i
-    keep = ~shaved
-    # union-find over surviving nodes connected within the same cluster
-    parent = np.arange(g.n)
+        labels[list(cl)] = i
+    return labels
 
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
 
-    for u, v, _ in g.edge_list():
-        if keep[u] and keep[v] and cluster_of[u] == cluster_of[v]:
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[rv] = ru
-    labels = np.array([find(v) for v in range(g.n)], dtype=np.int64)
-    labels[shaved] = np.flatnonzero(shaved) + g.n  # shaved nodes stay singletons
-    return ContractionMap.from_labels(labels)
+def _contract_shaved(g: Graph, labels: np.ndarray, shaved: np.ndarray) -> ContractionMap:
+    """Contract each cluster's surviving nodes, per connected component;
+    shaved nodes keep no edge, so they stay singletons."""
+    u, v = g.edges[:, 0], g.edges[:, 1]
+    inner = ~shaved[u] & ~shaved[v] & (labels[u] == labels[v])
+    return ContractionMap.from_labels(component_labels(g.n, u[inner], v[inner])[1])
 
 
 def friendly_sparsify_oneshot(g: Graph, w: int, cfg: SparsifyConfig | None = None) -> Sparsifier:
@@ -168,12 +155,10 @@ def friendly_sparsify_oneshot(g: Graph, w: int, cfg: SparsifyConfig | None = Non
     phi = _phi_for(g.n, cfg)
     demand = [sqrt_upper(Fraction(w)) / phi] * g.n
     dec = decompose(g, phi, demand, seed=cfg.seed, k_exact=cfg.k_exact)
-    labels = np.zeros(g.n, dtype=np.int64)
-    for i, cl in enumerate(dec.clusters):
-        labels[list(cl)] = i
+    labels = _cluster_labels(g.n, dec.clusters)
     sizes = np.ones(g.n, dtype=np.int64)
     shaved = _shave_mask(g, labels, Fraction(w), sizes, cfg)
-    cmap = _contract_shaved(g, dec.clusters, shaved)
+    cmap = _contract_shaved(g, labels, shaved)
     return Sparsifier.of(g, cmap)
 
 
@@ -206,11 +191,9 @@ def friendly_sparsify(g: Graph, w: int, cfg: SparsifyConfig | None = None) -> Sp
         loops = int(math.ceil(sqrt_wj / phi))
         g_iter = cur.with_extra_volume(np.full(cur.n, loops, dtype=np.int64))
         dec = decompose(g_iter, phi, seed=cfg.seed + j, k_exact=cfg.k_exact)
-        labels = np.zeros(cur.n, dtype=np.int64)
-        for i, cl in enumerate(dec.clusters):
-            labels[list(cl)] = i
+        labels = _cluster_labels(cur.n, dec.clusters)
         shaved = _shave_mask(cur, labels, wj, cmap.size_of, cfg)
-        step = _contract_shaved(cur, dec.clusters, shaved)
+        step = _contract_shaved(cur, labels, shaved)
         if step.n_super < cur.n:
             cur = contract(cur, step)
             cmap = cmap.compose(step)
@@ -250,12 +233,10 @@ def terminal_sparsify(g: Graph, terminals: Iterable[int], w: int,
     big = Fraction(3 * w) / phi
     demand = [big if v in terms else base for v in range(g.n)]
     dec = decompose(g, phi, demand, seed=cfg.seed, k_exact=cfg.k_exact)
-    labels = np.zeros(g.n, dtype=np.int64)
-    for i, cl in enumerate(dec.clusters):
-        labels[list(cl)] = i
+    labels = _cluster_labels(g.n, dec.clusters)
     sizes = np.ones(g.n, dtype=np.int64)
     shaved = _shave_mask(g, labels, Fraction(w), sizes, cfg)
-    cmap = _contract_shaved(g, dec.clusters, shaved)
+    cmap = _contract_shaved(g, labels, shaved)
     return Sparsifier.of(g, cmap)
 
 

@@ -67,6 +67,15 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert run(["ghtree", "--in", str(tmp_path / "missing.txt")]) == EXIT_PARSE
 
 
+def test_verify_rejects_tree_with_out_of_range_endpoint(tmp_path, capsys):
+    gpath = tmp_path / "g.txt"
+    tpath = tmp_path / "t.txt"
+    gpath.write_text(serialize_graph(path(2)))
+    tpath.write_text("2 1\n0 2 5\n")
+    assert run(["verify", "--in", str(gpath), "--artifact", str(tpath)]) == EXIT_PARSE
+    assert "line 2" in capsys.readouterr().err
+
+
 def test_guard_exit_code(tmp_path, capsys):
     gpath = tmp_path / "g.txt"
     spath = tmp_path / "h.txt"
@@ -114,7 +123,7 @@ def test_bench_csv_schema_and_determinism(tmp_path):
     argv = ["bench", "--family", "gnp", "--sizes", "40,80", "--w-grid", "2,4",
             "--seed", "11"]
     assert run(argv + ["--csv", str(out1)]) == EXIT_OK
-    assert run(argv + ["--csv", str(out2), "--threads", "2"]) == EXIT_OK
+    assert run(argv + ["--csv", str(out2)]) == EXIT_OK
     rows1 = list(csv.DictReader(io.StringIO(out1.read_text())))
     rows2 = list(csv.DictReader(io.StringIO(out2.read_text())))
     assert rows1 and list(rows1[0]) == CSV_COLUMNS

@@ -112,6 +112,26 @@ def test_parse_rejects_wrong_edge_count():
         parse_ghtree("3 1\n0 1 5\n")
 
 
+@pytest.mark.parametrize("text", ["2 1\n0 2 5\n", "2 1\n-1 0 5\n", "2 1\n1 1 5\n"])
+def test_parse_rejects_bad_endpoints(text):
+    with pytest.raises(GraphParseError) as info:
+        parse_ghtree(text)
+    assert info.value.line == 2
+
+
+def test_partition_tree_rejects_out_of_range_endpoints():
+    classes = (frozenset({0}), frozenset({1}))
+    for edge in ((-1, 0, 3), (0, 2, 3)):
+        with pytest.raises(ValueError):
+            PartitionTree(classes=classes, edges=(edge,))
+
+
+def test_partition_tree_rejects_cycle():
+    classes = (frozenset({0}), frozenset({1}), frozenset({2}))
+    with pytest.raises(ValueError):
+        PartitionTree(classes=classes, edges=((0, 1, 1), (1, 0, 1)))
+
+
 def test_validate_rejects_corrupt_tree():
     g = path(4)
     good = gomory_hu(g)

@@ -8,6 +8,7 @@ from friendlycuts.graph import (
     Graph,
     GraphParseError,
     Sparsifier,
+    component_labels,
     contract,
     cut_value,
     degree,
@@ -15,7 +16,6 @@ from friendlycuts.graph import (
     is_friendly,
     parse_graph,
     parse_node_subset,
-    refine_to_connected,
     serialize_graph,
     serialize_node_subset,
     volume,
@@ -134,11 +134,73 @@ def test_contraction_map_compose():
     assert int(c.super_of[0]) == int(c.super_of[2])
 
 
-def test_refine_to_connected_splits_disconnected_class():
-    g = Graph.build(4, [(0, 1, 1), (2, 3, 1)])
-    cmap = ContractionMap.from_classes(4, [{0, 2}])
-    refined = refine_to_connected(g, cmap)
-    assert refined.n_super == 4
+def _reference_components(n, u, v):
+    """Plain BFS: one frozenset per component."""
+    adj = [[] for _ in range(n)]
+    for a, b in zip(u, v):
+        adj[a].append(b)
+        adj[b].append(a)
+    seen, comps = set(), set()
+    for r in range(n):
+        if r in seen:
+            continue
+        comp, queue = {r}, [r]
+        while queue:
+            for y in adj[queue.pop()]:
+                if y not in comp:
+                    comp.add(y)
+                    queue.append(y)
+        seen |= comp
+        comps.add(frozenset(comp))
+    return comps
+
+
+def _check_component_labels(n, u, v):
+    count, labels = component_labels(n, u, v)
+    assert labels.shape == (n,)
+    got = {frozenset(np.flatnonzero(labels == c).tolist()) for c in range(count)}
+    assert got == _reference_components(n, u, v)
+    # numbered by smallest node: labels first appear as 0, 1, 2, ... in node order
+    _, first = np.unique(labels, return_index=True)
+    assert np.all(np.diff(first) > 0) and len(first) == count
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 12).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, max(n - 1, 0))),
+             max_size=30 if n else 0))))
+def test_component_labels_match_reference_bfs(case):
+    n, pairs = case
+    u = [a for a, _ in pairs]
+    v = [b for _, b in pairs]
+    _check_component_labels(n, u, v)
+
+
+def test_component_labels_seeded_graphs():
+    rng = np.random.default_rng(5)
+    for _ in range(100):
+        n = int(rng.integers(1, 60))
+        m = int(rng.integers(0, 2 * n))
+        u, v = rng.integers(0, n, size=m), rng.integers(0, n, size=m)
+        u, v = np.concatenate([u, u[: m // 3]]), np.concatenate([v, v[: m // 3]])  # repeats
+        _check_component_labels(n, u.tolist(), v.tolist())
+
+
+def test_component_labels_edge_cases():
+    assert component_labels(0, [], [])[0] == 0
+    assert component_labels(0, [], [])[1].shape == (0,)
+    count, labels = component_labels(1, [], [])
+    assert count == 1 and labels.tolist() == [0]
+    count, labels = component_labels(5, [4, 4, 4], [1, 1, 1])  # repeats, isolated 0, 2, 3
+    assert count == 4 and labels.tolist() == [0, 1, 2, 3, 1]
+
+
+def test_from_classes_rejects_out_of_range_node():
+    with pytest.raises(ValueError):
+        ContractionMap.from_classes(3, [{0, 3}])
+    with pytest.raises(ValueError):
+        ContractionMap.from_classes(3, [{-1, 0}])
 
 
 def test_parse_serialize_roundtrip():

@@ -89,3 +89,6 @@ def test_min_cut_between_sets_rejects_overlap():
         min_cut_between_sets(g, [0, 1], [1, 2])
     with pytest.raises(ValueError):
         min_cut_between_sets(g, [], [1])
+    for a, b in (([-1], [1]), ([0], [3]), (frozenset({0}), (2, -3))):
+        with pytest.raises(ValueError):
+            min_cut_between_sets(g, a, b)

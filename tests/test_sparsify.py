@@ -2,6 +2,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from friendlycuts.graph import Graph, cut_value, is_friendly
@@ -9,6 +10,7 @@ from friendlycuts.maxflow import min_cut_between_sets
 from friendlycuts.oracle import cut_table
 from friendlycuts.sparsify import (
     SparsifyConfig,
+    _contract_shaved,
     default_phi,
     friendly_sparsify,
     friendly_sparsify_oneshot,
@@ -29,6 +31,15 @@ def random_simple(rng, n, p):
     edges = [(u, v, 1) for u, v in itertools.combinations(range(n), 2)
              if rng.random() < p]
     return Graph.build(n, edges)
+
+
+def test_contract_shaved_splits_disconnected_cluster():
+    g = Graph.build(4, [(0, 1, 1), (2, 3, 1)])
+    one_cluster = np.zeros(4, dtype=np.int64)
+    keep_all = np.zeros(4, dtype=bool)
+    assert _contract_shaved(g, one_cluster, keep_all).super_of.tolist() == [0, 0, 1, 1]
+    shaved = np.array([False, True, False, False])
+    assert _contract_shaved(g, one_cluster, shaved).super_of.tolist() == [0, 1, 2, 2]
 
 
 def test_sqrt_upper_exact_on_perfect_squares():
