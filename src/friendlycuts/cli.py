@@ -152,13 +152,16 @@ def cmd_sscut(args) -> int:
     p = args.source
     if not 0 <= p < g.n:
         raise CliError(f"source {p} out of range", EXIT_PARSE)
-    if args.mode == "exact":
-        table = approx_single_source(g, p)
-    elif args.mode == "unfriendly":
-        table = single_source_unfriendly(g, p)
-    else:
-        from .gomory_hu import accelerated_single_source
-        table = accelerated_single_source(g, p, SparsifyConfig(seed=args.seed))
+    try:
+        if args.mode == "exact":
+            table = approx_single_source(g, p)
+        elif args.mode == "unfriendly":
+            table = single_source_unfriendly(g, p)
+        else:
+            from .gomory_hu import accelerated_single_source
+            table = accelerated_single_source(g, p, SparsifyConfig(seed=args.seed))
+    except ValueError as e:
+        raise CliError(str(e), EXIT_PARSE)
     lines = [f"{v} {table.estimate(v)}" for v in range(g.n) if v != p]
     _write_output("\n".join(lines) + "\n", args.out)
     return EXIT_OK
@@ -235,7 +238,10 @@ def cmd_verify(args) -> int:
             break
     if first.startswith("sparsifier"):
         return _verify_sparsifier(g, text, args.w)
-    return _verify_ghtree(g, text, args.seed)
+    try:
+        return _verify_ghtree(g, text, args.seed)
+    except ValueError as e:  # a reference flow the input's capacities do not fit
+        raise CliError(str(e), EXIT_PARSE)
 
 
 def _bench_row(family: str, n: int, w: int, seed: int) -> dict:

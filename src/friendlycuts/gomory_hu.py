@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -64,12 +65,19 @@ class GHTree:
     def component_count(self) -> int:
         return self.n - len(self.edges)
 
-    def adjacency(self) -> list[list[tuple[int, int]]]:
+    @cached_property
+    def adjacency(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per node, its (neighbour, weight) pairs in edge order; built once."""
         adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
         for u, v, w in self.edges:
             adj[u].append((v, w))
             adj[v].append((u, w))
-        return adj
+        return tuple(tuple(a) for a in adj)
+
+    @cached_property
+    def _sides(self) -> dict[tuple[int, int], frozenset[int]]:
+        """gh_query's memo: (u, v) -> u's side after deleting tree edge (u, v)."""
+        return {}
 
     def components(self) -> list[frozenset[int]]:
         e = np.asarray(self.edges, dtype=np.int64).reshape(-1, 3)
@@ -207,7 +215,7 @@ def gh_query(t: GHTree, s: int, t2: int) -> tuple[int, Cut]:
     for v in (s, t2):
         if not 0 <= v < t.n:
             raise ValueError(f"node {v} out of range")
-    adj = t.adjacency()
+    adj = t.adjacency
     prev: dict[int, tuple[int, int]] = {s: (-1, 0)}
     queue = deque([s])
     while queue and t2 not in prev:
@@ -230,17 +238,19 @@ def gh_query(t: GHTree, s: int, t2: int) -> tuple[int, Cut]:
         if w < path[best_idx][2]:
             best_idx = idx
     bu, bv, bw = path[best_idx]
-    # side of s after removing the bottleneck edge
-    side = set()
-    queue = deque([s])
-    side.add(s)
-    while queue:
-        x = queue.popleft()
-        for y, _ in adj[x]:
-            if y not in side and not ({x, y} == {bu, bv}):
-                side.add(y)
-                queue.append(y)
-    return bw, Cut(side=frozenset(side), value=bw)
+    side = t._sides.get((bu, bv))
+    if side is None:
+        # s is on bu's side; search it without crossing the bottleneck edge
+        reached = {bu}
+        queue = deque([bu])
+        while queue:
+            x = queue.popleft()
+            for y, _ in adj[x]:
+                if y not in reached and y != bv:
+                    reached.add(y)
+                    queue.append(y)
+        side = t._sides[bu, bv] = frozenset(reached)
+    return bw, Cut(side=side, value=bw)
 
 
 def validate_ghtree(g: Graph, t: GHTree, check_values: bool = True) -> None:
@@ -277,7 +287,7 @@ def validate_ghtree(g: Graph, t: GHTree, check_values: bool = True) -> None:
 def _tree_edge_sides(t: GHTree) -> list[tuple[tuple[int, int, int], np.ndarray]]:
     """For each tree edge, the boolean side mask of the subtree below it,
     from one rooted DFS per component (entry/exit interval containment)."""
-    adj = t.adjacency()
+    adj = t.adjacency
     tin = np.zeros(t.n, dtype=np.int64)
     tout = np.zeros(t.n, dtype=np.int64)
     parent = np.full(t.n, -1, dtype=np.int64)

@@ -1,54 +1,73 @@
 """Exact max-flow / min-cut with minimal source-side extraction.
 
-The flow engine is scipy's blocking-flow (Dinitz) implementation; the cut
-side is recovered by residual reachability from the source, which yields the
-unique inclusion-minimal source side of a minimum cut.
+The flow engine is scipy's blocking-flow (Dinitz) implementation, which
+computes in int32: every capacity, after parallel edges are merged, must be
+at most 2**31 - 1, and a flow call on a graph with a larger one raises
+``ValueError``. The cut side is the set of nodes a scipy csgraph
+breadth-first search reaches from the source over the arcs with positive
+residual capacity, which is the unique inclusion-minimal source side of a
+minimum cut.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Iterable
 
 import numpy as np
 from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import breadth_first_order
 from scipy.sparse.csgraph import maximum_flow as _scipy_maximum_flow
 
 from .graph import ContractionMap, Cut, Graph, contract
 
-__all__ = ["max_flow", "min_cut_between_sets"]
+__all__ = ["max_flow", "min_cut_between_sets", "MAX_CAPACITY"]
+
+MAX_CAPACITY = int(np.iinfo(np.int32).max)
 
 
 def _capacity_matrix(g: Graph) -> csr_matrix:
-    if g.edges.size:
-        u, v, w = g.edges[:, 0], g.edges[:, 1], g.edges[:, 2]
-        rows = np.concatenate([u, v])
-        cols = np.concatenate([v, u])
-        data = np.concatenate([w, w])
-    else:
-        rows = cols = data = np.zeros(0, dtype=np.int64)
-    return csr_matrix((data, (rows, cols)), shape=(g.n, g.n), dtype=np.int64)
+    """Symmetric int32 capacity matrix of g, built from its canonical edge
+    array (sorted by (u, v), u < v)."""
+    if g.edge_count and int(g.edges[:, 2].max()) > MAX_CAPACITY:
+        raise ValueError(f"edge capacity {int(g.edges[:, 2].max())} exceeds the int32 "
+                         f"flow limit {MAX_CAPACITY}")
+    u, v, w = g.edges.astype(np.int32).T
+    rows = np.concatenate([v, u])
+    # reversed pairs first: a row's smaller neighbours (ascending) precede its
+    # larger ones (ascending), so a stable bucketing by row sorts every row;
+    # on a row type of 16 bits or less (n <= 2**16) numpy's stable argsort is
+    # a linear radix sort
+    order = np.argsort(rows.astype(np.min_scalar_type(g.n)), kind="stable")
+    indptr = np.zeros(g.n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=g.n), out=indptr[1:])
+    cap = csr_matrix((np.concatenate([w, w])[order], np.concatenate([u, v])[order], indptr),
+                     shape=(g.n, g.n))
+    cap.has_sorted_indices = True
+    return cap
 
 
-def _residual_reachable(cap: csr_matrix, flow: csr_matrix, s: int) -> np.ndarray:
-    residual = cap - flow
-    residual.eliminate_zeros()
+def _residual_reachable(cap: csr_matrix, flow, s: int) -> np.ndarray:
+    """Nodes reachable from s over arcs with positive residual capacity."""
+    if not (np.array_equal(flow.indptr, cap.indptr) and np.array_equal(flow.indices, cap.indices)):
+        raise RuntimeError("scipy returned the flow on a different sparsity structure")
     n = cap.shape[0]
+    open_arc = cap.data > flow.data
+    # open arcs before each entry; read at the row starts, this is the
+    # residual graph's indptr, empty rows included
+    before = np.zeros(open_arc.size + 1, dtype=np.int32)
+    np.cumsum(open_arc, out=before[1:])
+    residual = csr_matrix((np.ones(before[-1]), cap.indices[open_arc], before[cap.indptr]),
+                          shape=(n, n))
     seen = np.zeros(n, dtype=bool)
-    seen[s] = True
-    queue = deque([s])
-    indptr, indices, data = residual.indptr, residual.indices, residual.data
-    while queue:
-        x = queue.popleft()
-        for k in range(indptr[x], indptr[x + 1]):
-            if data[k] > 0 and not seen[indices[k]]:
-                seen[indices[k]] = True
-                queue.append(indices[k])
+    seen[breadth_first_order(residual, s, directed=True, return_predecessors=False)] = True
     return seen
 
 
 def max_flow(g: Graph, s: int, t: int) -> tuple[int, Cut]:
-    """Max s,t-flow value and the inclusion-minimal source side of a min cut."""
+    """Max s,t-flow value and the inclusion-minimal source side of a min cut.
+
+    Raises ValueError when an edge capacity exceeds ``MAX_CAPACITY``.
+    """
     if s == t:
         raise ValueError("source and sink must differ")
     for v in (s, t):
@@ -57,7 +76,7 @@ def max_flow(g: Graph, s: int, t: int) -> tuple[int, Cut]:
     cap = _capacity_matrix(g)
     result = _scipy_maximum_flow(cap, s, t)
     seen = _residual_reachable(cap, result.flow, s)
-    side = frozenset(int(v) for v in np.flatnonzero(seen))
+    side = frozenset(np.flatnonzero(seen).tolist())
     return int(result.flow_value), Cut(side=side, value=int(result.flow_value))
 
 

@@ -96,6 +96,24 @@ def test_sscut_modes(tmp_path, capsys):
         assert lines == [f"{v} 4" for v in range(1, 5)]
 
 
+def test_sscut_and_flow_guards_exit_code(tmp_path, capsys):
+    small = tmp_path / "g.txt"
+    small.write_text("3 2\n0 1 100\n1 2 100\n")
+    # weights above n^4 trip the unfriendly routine's guard
+    assert run(["sscut", "--in", str(small), "--source", "0", "--mode", "unfriendly"]) == EXIT_PARSE
+    assert "n^4" in capsys.readouterr().err
+    big = tmp_path / "big.txt"
+    big.write_text(f"3 2\n0 1 {2**31}\n1 2 {2**31}\n")
+    tree = tmp_path / "t.txt"
+    tree.write_text(f"3 1\n0 1 {2**31}\n1 2 {2**31}\n")
+    for args in (["sscut", "--in", str(big), "--source", "0", "--mode", "exact"],
+                 ["ghtree", "--in", str(big)],
+                 ["verify", "--in", str(big), "--artifact", str(tree)]):
+        assert run(args) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == "" and "int32" in captured.err
+
+
 def test_sscut_source_range(tmp_path):
     gpath = tmp_path / "g.txt"
     gpath.write_text(serialize_graph(path(4)))

@@ -95,6 +95,35 @@ def test_query_tiebreak_is_nearest_source():
     assert cut.side == frozenset({3})
 
 
+def test_adjacency_is_built_once():
+    t = GHTree(n=4, edges=((0, 1, 1), (1, 2, 5), (2, 3, 1)))
+    assert t.adjacency is t.adjacency
+    assert t.adjacency == (((1, 1),), ((0, 1), (2, 5)), ((1, 5), (3, 1)), ((2, 1),))
+    assert t == GHTree(n=4, edges=t.edges)
+
+
+def test_query_sides_do_not_depend_on_earlier_queries():
+    # gh_query keeps each bottleneck side it builds on the tree and hands the
+    # same set to later queries
+    rng = random.Random(41)
+    for _ in range(20):
+        n = rng.randint(2, 10)
+        g = random_graph(rng, n, 0.35)
+        t = gomory_hu(g)
+        for s, t2 in itertools.permutations(range(n), 2):
+            val, cut = gh_query(t, s, t2)
+            assert (val, cut) == gh_query(GHTree(n=t.n, edges=t.edges), s, t2)
+            assert s in cut.side and t2 not in cut.side
+            assert cut_value(g, cut.side) == val
+
+
+def test_capacity_over_int32_rejected():
+    # used to die on a bare AssertionError after the flow wrapped to 0
+    g = Graph.build(3, [(0, 1, 2**31), (1, 2, 2**31)])
+    with pytest.raises(ValueError, match="int32"):
+        gomory_hu(g)
+
+
 def test_query_rejects_equal_endpoints():
     t = GHTree(n=2, edges=((0, 1, 1),))
     with pytest.raises(ValueError):

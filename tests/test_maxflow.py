@@ -1,10 +1,11 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from friendlycuts.graph import Graph, cut_value
-from friendlycuts.maxflow import max_flow, min_cut_between_sets
+from friendlycuts.maxflow import MAX_CAPACITY, max_flow, min_cut_between_sets
 from friendlycuts.oracle import cut_table
 
 
@@ -14,8 +15,19 @@ def brute_min_cut(g, s, t):
     return int(values[sep].min())
 
 
-def random_graph(rng, n, p, wmax=6):
-    edges = [(u, v, rng.randint(1, wmax))
+def assert_minimal_min_cut(g, a, b, value, cut):
+    """value is the minimum (a, b)-cut value and cut.side the intersection of
+    the source sides of all minimum (a, b)-cuts, by enumeration."""
+    members, values, _ = cut_table(g, with_friendliness=False)
+    sides = np.where(members[:, [a[0]]], members, ~members)
+    sep = sides[:, a].all(axis=1) & ~sides[:, b].any(axis=1)
+    best = values[sep].min()
+    assert value == best
+    assert cut.side == frozenset(np.flatnonzero(sides[sep & (values == best)].all(axis=0)).tolist())
+
+
+def random_graph(rng, n, p, wmax=6, wmin=1):
+    edges = [(u, v, rng.randint(wmin, wmax))
              for u, v in itertools.combinations(range(n), 2) if rng.random() < p]
     return Graph.build(n, edges)
 
@@ -92,3 +104,54 @@ def test_min_cut_between_sets_rejects_overlap():
     for a, b in (([-1], [1]), ([0], [3]), (frozenset({0}), (2, -3))):
         with pytest.raises(ValueError):
             min_cut_between_sets(g, a, b)
+
+
+def test_side_is_intersection_of_all_min_cut_sides():
+    # the guarantee GH trees and single-source witnesses rely on: the side is
+    # the inclusion-minimal source side, i.e. contained in every minimum one;
+    # sparse draws give disconnected graphs and isolated nodes
+    rng = random.Random(29)
+    for _ in range(150):
+        n = rng.randint(2, 9)
+        g = random_graph(rng, n, rng.choice([0.15, 0.4, 0.8]))
+        s, t = rng.sample(range(n), 2)
+        assert_minimal_min_cut(g, [s], [t], *max_flow(g, s, t))
+
+
+def test_min_cut_between_sets_side_is_intersection_of_all_min_cut_sides():
+    rng = random.Random(31)
+    for _ in range(150):
+        n = rng.randint(2, 9)
+        g = random_graph(rng, n, rng.choice([0.15, 0.4, 0.8]))
+        nodes = rng.sample(range(n), rng.randint(2, n))
+        k = rng.randint(1, len(nodes) - 1)
+        a, b = nodes[:k], nodes[k:]
+        assert_minimal_min_cut(g, a, b, *min_cut_between_sets(g, a, b))
+
+
+def test_capacity_over_int32_rejected():
+    # scipy's engine computes in int32: 2**31 used to wrap to a flow of 0
+    # with a "side" holding the sink
+    g = Graph.build(3, [(0, 1, 2**31), (1, 2, 2**31)])
+    with pytest.raises(ValueError, match="int32"):
+        max_flow(g, 0, 2)
+
+
+def test_merged_capacity_over_int32_rejected():
+    # each input edge fits; contracting b = {1, 2} merges them past the limit
+    g = Graph.build(3, [(0, 1, 2**30 + 1), (0, 2, 2**30 + 1)])
+    with pytest.raises(ValueError, match="int32"):
+        min_cut_between_sets(g, [0], [1, 2])
+
+
+def test_capacities_up_to_int32_max_are_exact():
+    assert MAX_CAPACITY == 2**31 - 1
+    g = Graph.build(3, [(0, 1, MAX_CAPACITY), (1, 2, MAX_CAPACITY), (0, 2, MAX_CAPACITY)])
+    value, cut = max_flow(g, 0, 2)
+    assert value == 2 * MAX_CAPACITY and cut.side == frozenset({0})
+    rng = random.Random(37)
+    for _ in range(60):
+        n = rng.randint(3, 8)
+        g = random_graph(rng, n, 0.6, wmin=2**30, wmax=MAX_CAPACITY)
+        s, t = rng.sample(range(n), 2)
+        assert_minimal_min_cut(g, [s], [t], *max_flow(g, s, t))
