@@ -26,7 +26,14 @@ from .gomory_hu import (
     serialize_ghtree,
     validate_ghtree,
 )
-from .graph import Graph, GraphParseError, parse_graph, parse_node_subset, serialize_graph
+from .graph import (
+    Graph,
+    GraphParseError,
+    UnsupportedInput,
+    parse_graph,
+    parse_node_subset,
+    serialize_graph,
+)
 from .maxflow import max_flow
 from .sparsify import (
     SparsifyConfig,
@@ -160,7 +167,7 @@ def cmd_sscut(args) -> int:
         else:
             from .gomory_hu import accelerated_single_source
             table = accelerated_single_source(g, p, SparsifyConfig(seed=args.seed))
-    except ValueError as e:
+    except UnsupportedInput as e:
         raise CliError(str(e), EXIT_PARSE)
     lines = [f"{v} {table.estimate(v)}" for v in range(g.n) if v != p]
     _write_output("\n".join(lines) + "\n", args.out)
@@ -240,7 +247,7 @@ def cmd_verify(args) -> int:
         return _verify_sparsifier(g, text, args.w)
     try:
         return _verify_ghtree(g, text, args.seed)
-    except ValueError as e:  # a reference flow the input's capacities do not fit
+    except UnsupportedInput as e:  # a reference flow the input's capacities do not fit
         raise CliError(str(e), EXIT_PARSE)
 
 

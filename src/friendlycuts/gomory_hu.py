@@ -24,6 +24,7 @@ from .graph import (
     Graph,
     GraphParseError,
     Sparsifier,
+    UnsupportedInput,
     component_labels,
     contract,
     cut_value,
@@ -73,11 +74,6 @@ class GHTree:
             adj[u].append((v, w))
             adj[v].append((u, w))
         return tuple(tuple(a) for a in adj)
-
-    @cached_property
-    def _sides(self) -> dict[tuple[int, int], frozenset[int]]:
-        """gh_query's memo: (u, v) -> u's side after deleting tree edge (u, v)."""
-        return {}
 
     def components(self) -> list[frozenset[int]]:
         e = np.asarray(self.edges, dtype=np.int64).reshape(-1, 3)
@@ -238,19 +234,16 @@ def gh_query(t: GHTree, s: int, t2: int) -> tuple[int, Cut]:
         if w < path[best_idx][2]:
             best_idx = idx
     bu, bv, bw = path[best_idx]
-    side = t._sides.get((bu, bv))
-    if side is None:
-        # s is on bu's side; search it without crossing the bottleneck edge
-        reached = {bu}
-        queue = deque([bu])
-        while queue:
-            x = queue.popleft()
-            for y, _ in adj[x]:
-                if y not in reached and y != bv:
-                    reached.add(y)
-                    queue.append(y)
-        side = t._sides[bu, bv] = frozenset(reached)
-    return bw, Cut(side=side, value=bw)
+    # side of s after removing the bottleneck edge: bv lies only across it
+    side = {s}
+    queue = deque([s])
+    while queue:
+        x = queue.popleft()
+        for y, _ in adj[x]:
+            if y not in side and y != bv:
+                side.add(y)
+                queue.append(y)
+    return bw, Cut(side=frozenset(side), value=bw)
 
 
 def validate_ghtree(g: Graph, t: GHTree, check_values: bool = True) -> None:
@@ -411,7 +404,7 @@ def accelerated_single_source(g: Graph, p: int, cfg: SparsifyConfig | None = Non
     if not 0 <= p < g.n:
         raise ValueError(f"pivot {p} out of range")
     if g.edges.size and int(g.edges[:, 2].max()) > 1:
-        raise ValueError("accelerated pipeline requires a simple graph")
+        raise UnsupportedInput("accelerated pipeline requires a simple graph")
     table = single_source_unfriendly(g, p)
     h = friendly_sparsify(g, w=g.n, cfg=cfg)
     ght = gomory_hu(h.graph)
@@ -438,7 +431,7 @@ def accelerated_gomory_hu(g: Graph, cfg: SparsifyConfig | None = None) -> GHTree
     single-source routine whenever the auxiliary graph is simple, and from a
     plain max-flow otherwise."""
     if g.edges.size and int(g.edges[:, 2].max()) > 1:
-        raise ValueError("accelerated pipeline requires a simple graph")
+        raise UnsupportedInput("accelerated pipeline requires a simple graph")
 
     def provider(aux: Graph, s: int, t: int) -> tuple[int, frozenset[int]]:
         simple = (not aux.edges.size) or int(aux.edges[:, 2].max()) == 1

@@ -21,6 +21,7 @@ __all__ = [
     "ContractionMap",
     "Sparsifier",
     "GraphParseError",
+    "UnsupportedInput",
     "CROSS_NUM",
     "CROSS_DEN",
     "degree",
@@ -48,6 +49,12 @@ class GraphParseError(ValueError):
     def __init__(self, message: str, line: int):
         super().__init__(f"line {line}: {message}")
         self.line = line
+
+
+class UnsupportedInput(ValueError):
+    """Raised when an input lies outside a routine's stated limits (a flow
+    capacity above int32, weights above n^4, a weighted graph given to a
+    simple-graph pipeline), as opposed to a failed internal check."""
 
 
 def _as_edge_array(edges) -> np.ndarray:

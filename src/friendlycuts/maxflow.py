@@ -3,10 +3,10 @@
 The flow engine is scipy's blocking-flow (Dinitz) implementation, which
 computes in int32: every capacity, after parallel edges are merged, must be
 at most 2**31 - 1, and a flow call on a graph with a larger one raises
-``ValueError``. The cut side is the set of nodes a scipy csgraph
-breadth-first search reaches from the source over the arcs with positive
-residual capacity, which is the unique inclusion-minimal source side of a
-minimum cut.
+``UnsupportedInput`` (a ``ValueError``). The cut side is the set of nodes a
+scipy csgraph breadth-first search reaches from the source over the arcs
+with positive residual capacity, which is the unique inclusion-minimal
+source side of a minimum cut.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order
 from scipy.sparse.csgraph import maximum_flow as _scipy_maximum_flow
 
-from .graph import ContractionMap, Cut, Graph, contract
+from .graph import ContractionMap, Cut, Graph, UnsupportedInput, contract
 
 __all__ = ["max_flow", "min_cut_between_sets", "MAX_CAPACITY"]
 
@@ -29,8 +29,8 @@ def _capacity_matrix(g: Graph) -> csr_matrix:
     """Symmetric int32 capacity matrix of g, built from its canonical edge
     array (sorted by (u, v), u < v)."""
     if g.edge_count and int(g.edges[:, 2].max()) > MAX_CAPACITY:
-        raise ValueError(f"edge capacity {int(g.edges[:, 2].max())} exceeds the int32 "
-                         f"flow limit {MAX_CAPACITY}")
+        raise UnsupportedInput(f"edge capacity {int(g.edges[:, 2].max())} exceeds the "
+                               f"int32 flow limit {MAX_CAPACITY}")
     u, v, w = g.edges.astype(np.int32).T
     rows = np.concatenate([v, u])
     # reversed pairs first: a row's smaller neighbours (ascending) precede its
@@ -66,7 +66,7 @@ def _residual_reachable(cap: csr_matrix, flow, s: int) -> np.ndarray:
 def max_flow(g: Graph, s: int, t: int) -> tuple[int, Cut]:
     """Max s,t-flow value and the inclusion-minimal source side of a min cut.
 
-    Raises ValueError when an edge capacity exceeds ``MAX_CAPACITY``.
+    Raises UnsupportedInput when an edge capacity exceeds ``MAX_CAPACITY``.
     """
     if s == t:
         raise ValueError("source and sink must differ")

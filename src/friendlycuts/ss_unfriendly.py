@@ -17,7 +17,16 @@ from typing import Callable
 
 import numpy as np
 
-from .graph import CROSS_DEN, CROSS_NUM, Cut, Graph, crossing_weights, cut_value, degrees
+from .graph import (
+    CROSS_DEN,
+    CROSS_NUM,
+    Cut,
+    Graph,
+    UnsupportedInput,
+    crossing_weights,
+    cut_value,
+    degrees,
+)
 from .isolating import isolating_cuts
 from .maxflow import max_flow
 
@@ -123,7 +132,7 @@ def single_source_unfriendly(g: Graph, p: int, *, eps: Fraction = EPS_DEFAULT,
     if not 0 <= p < g.n:
         raise ValueError(f"pivot {p} out of range")
     if g.edges.size and int(g.edges[:, 2].max()) > g.n ** 4:
-        raise ValueError("edge weights must be at most n^4")
+        raise UnsupportedInput("edge weights must be at most n^4")
     if estimator is not None:
         table = approx_single_source(g, p, eps, mode="plugin", estimator=estimator)
     else:

@@ -3,6 +3,7 @@ import io
 
 import pytest
 
+from friendlycuts import cli
 from friendlycuts.cli import (
     CSV_COLUMNS,
     EXIT_GUARD,
@@ -112,6 +113,23 @@ def test_sscut_and_flow_guards_exit_code(tmp_path, capsys):
         assert run(args) == EXIT_PARSE
         captured = capsys.readouterr()
         assert captured.out == "" and "int32" in captured.err
+    # the accelerated pipeline takes simple graphs only
+    assert run(["sscut", "--in", str(small), "--source", "0", "--mode", "accelerated"]) == EXIT_PARSE
+    assert "simple graph" in capsys.readouterr().err
+
+
+def test_sscut_internal_check_failure_is_not_an_input_error(tmp_path, monkeypatch):
+    # only inputs outside a routine's limits map to exit 3; a failed
+    # self-check surfaces as the error it is
+    gpath = tmp_path / "g.txt"
+    gpath.write_text(serialize_graph(path(4)))
+
+    def broken(g, p):
+        raise ValueError("witness value must equal the estimate")
+
+    monkeypatch.setattr(cli, "approx_single_source", broken)
+    with pytest.raises(ValueError, match="witness"):
+        run(["sscut", "--in", str(gpath), "--source", "0", "--mode", "exact"])
 
 
 def test_sscut_source_range(tmp_path):

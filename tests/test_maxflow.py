@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from friendlycuts.graph import Graph, cut_value
+from friendlycuts.graph import Graph, UnsupportedInput, cut_value
 from friendlycuts.maxflow import MAX_CAPACITY, max_flow, min_cut_between_sets
 from friendlycuts.oracle import cut_table
 
@@ -133,14 +133,14 @@ def test_capacity_over_int32_rejected():
     # scipy's engine computes in int32: 2**31 used to wrap to a flow of 0
     # with a "side" holding the sink
     g = Graph.build(3, [(0, 1, 2**31), (1, 2, 2**31)])
-    with pytest.raises(ValueError, match="int32"):
+    with pytest.raises(UnsupportedInput, match="int32"):
         max_flow(g, 0, 2)
 
 
 def test_merged_capacity_over_int32_rejected():
     # each input edge fits; contracting b = {1, 2} merges them past the limit
     g = Graph.build(3, [(0, 1, 2**30 + 1), (0, 2, 2**30 + 1)])
-    with pytest.raises(ValueError, match="int32"):
+    with pytest.raises(UnsupportedInput, match="int32"):
         min_cut_between_sets(g, [0], [1, 2])
 
 
