@@ -204,7 +204,7 @@ def _verify_ghtree(g: Graph, text: str, seed: int) -> int:
     except GraphParseError as e:
         raise CliError(str(e), EXIT_PARSE)
     try:
-        validate_ghtree(g, t, check_values=True)
+        validate_ghtree(g, t)
     except ValueError as e:
         print(f"verification failed: {e}")
         return EXIT_VERIFY

@@ -46,7 +46,7 @@ class Decomposition:
     clusters: list[frozenset[int]]
     phi: Fraction
     outer_edges: int
-    certified: list[bool]
+    certified: list[bool]  # per cluster: a single node, or enumerated exactly
 
 
 @dataclass(frozen=True)
@@ -365,7 +365,7 @@ class _ClusterSplitter:
                                                   self._cluster_rng(nodes))
         if self._below_phi(*score):
             return self.split(nodes[side]) + self.split(nodes[~side])
-        return [(nodes, True)]
+        return [(nodes, exact)]  # a sweep that found no cut certifies nothing
 
 
 def decompose(g: Graph, phi, d: DemandVector | None = None, *,
@@ -373,7 +373,8 @@ def decompose(g: Graph, phi, d: DemandVector | None = None, *,
     """Partition V into clusters with no internal cut of conductance < phi.
 
     Clusters of at most ``k_exact`` nodes are certified exactly by enumeration;
-    larger ones by the randomized sweep certifier. Demands, when given, are
+    larger ones only pass the randomized sweep search, which proves nothing,
+    so their ``certified`` entry is False. Demands, when given, are
     boundary-augmented per cluster; otherwise volumes (with the boundary
     self-loop convention) are used.
     """

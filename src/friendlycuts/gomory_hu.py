@@ -1,13 +1,13 @@
 """Gomory-Hu (cut-equivalent) trees and artifacts built on top of them.
 
-Included here: the classical construction via partition-tree refinement with
-genuine contraction of the far side (so every induced tree cut is a real
-minimum cut in the input), path-minimum queries, the friendly minimum-cut
-sparsifier obtained by contracting unfriendly-only tree components,
-capacitated auxiliary graphs of a partition tree and their sparsified
-variant, and an accelerated single-source / tree pipeline that merges a
-Gomory-Hu tree of a friendly cut sparsifier with the unfriendly-exact
-single-source routine.
+Included here: the classical construction by Gusfield's contraction-free
+method (every cut it takes is a minimum cut of the input graph itself, so
+every induced tree cut is a real minimum cut in the input), path-minimum
+queries, the friendly minimum-cut sparsifier obtained by contracting
+unfriendly-only tree components, capacitated auxiliary graphs of a
+partition tree and their sparsified variant, and an accelerated
+single-source / tree pipeline that merges a Gomory-Hu tree of a friendly
+cut sparsifier with the unfriendly-exact single-source routine.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterator
 
 import numpy as np
 
@@ -27,7 +28,6 @@ from .graph import (
     UnsupportedInput,
     component_labels,
     contract,
-    cut_value,
     is_friendly,
 )
 from .maxflow import max_flow
@@ -114,90 +114,54 @@ class PartitionTree:
         return len(self.classes)
 
 
-def _tree_labels_without(k: int, edges, removed: int) -> tuple[int, np.ndarray]:
-    """Component labels of the super-node tree after deleting one node, which
-    gets label -1; the others are numbered by their smallest node."""
-    e = np.asarray(edges, dtype=np.int64).reshape(-1, 3)
-    keep = (e[:, 0] != removed) & (e[:, 1] != removed)
-    count, labels = component_labels(k, e[keep, 0], e[keep, 1])
-    labels[labels > labels[removed]] -= 1
-    labels[removed] = -1
-    return count - 1, labels
-
-
 def _tree_components_without(k: int, edges, removed: int) -> list[list[int]]:
     """Connected components of the super-node tree after deleting one node."""
-    cmap = ContractionMap.from_labels(_tree_labels_without(k, edges, removed)[1])
+    e = np.asarray(edges, dtype=np.int64).reshape(-1, 3)
+    keep = (e[:, 0] != removed) & (e[:, 1] != removed)
+    cmap = ContractionMap.from_labels(component_labels(k, e[keep, 0], e[keep, 1])[1])
     comps = cmap.classes()
     del comps[cmap.super_of[removed]]
     return comps
 
 
-def _component_nodes(g: Graph) -> list[list[int]]:
-    labels = component_labels(g.n, g.edges[:, 0], g.edges[:, 1])[1]
-    return ContractionMap.from_labels(labels).classes()
-
-
-def _cut_provider_maxflow(aux: Graph, s: int, t: int) -> tuple[int, frozenset[int]]:
-    value, cut = max_flow(aux, s, t)
+def _cut_provider_maxflow(g: Graph, s: int, t: int) -> tuple[int, frozenset[int]]:
+    value, cut = max_flow(g, s, t)
     return value, cut.side
 
 
-def _gomory_hu_component(g: Graph, nodes: list[int], cut_provider) -> list[tuple[int, int, int]]:
-    """Gomory-Hu over one connected component, with real contraction of the
-    far side of the partition tree at every refinement step."""
-    if len(nodes) == 1:
-        return []
-    class_of = np.full(g.n, -1, dtype=np.int64)  # -1 outside this component
-    class_of[nodes] = 0
-    in_comp = class_of >= 0
-    tree = np.zeros((len(nodes) - 1, 3), dtype=np.int64)  # rows (i, j, w) over classes
-    k = 1  # classes so far; the first k-1 tree rows are filled
-    pending = deque([0])
-    while pending:
-        i = pending.popleft()
-        members = np.flatnonzero(class_of == i)
-        # auxiliary graph: class i stays expanded (s, t are its two smallest
-        # nodes), each tree component away from it collapses to one node;
-        # other graph components get label -1
-        count, comp = _tree_labels_without(k, tree[:k - 1], i)
-        labels = np.full(g.n, -1, dtype=np.int64)
-        labels[in_comp] = len(members) + comp[class_of[in_comp]]
-        labels[members] = np.arange(len(members))
-        lu = labels[g.edges[:, 0]]
-        lv = labels[g.edges[:, 1]]
-        keep = (lu >= 0) & (lv >= 0) & (lu != lv)
-        aux = Graph.build(len(members) + count,
-                          np.column_stack([lu[keep], lv[keep], g.edges[keep, 2]]))
-        value, side = cut_provider(aux, 0, 1)
-        side_mask = np.zeros(aux.n, dtype=bool)
-        side_mask[list(side)] = True
-        assert side_mask[0] and not side_mask[1]
-        in_b = members[~side_mask[labels[members]]]
-        class_of[in_b] = k
-        # reattach old tree neighbors of i whose component fell on t's side
-        rows = tree[:k - 1]
-        far = ~side_mask[len(members) + comp[rows[:, :2]]]
-        rows[(rows[:, 0] == i) & far[:, 1], 0] = k
-        rows[(rows[:, 1] == i) & far[:, 0], 1] = k
-        tree[k - 1] = (i, k, value)
-        if len(members) - len(in_b) > 1:
-            pending.append(i)
-        if len(in_b) > 1:
-            pending.append(k)
-        k += 1
-    # every class is a single node by now
-    node_of = np.empty(k, dtype=np.int64)
-    node_of[class_of[in_comp]] = np.flatnonzero(in_comp)
-    return [(int(node_of[i]), int(node_of[j]), int(w)) for i, j, w in tree]
+def _gusfield_edges(g: Graph, cut_provider) -> list[tuple[int, int, int]]:
+    """Gomory-Hu tree edges by Gusfield's contraction-free method (1990).
+
+    Every node starts hung from the first node of its connected component.
+    Each other node s, in order, takes one minimum (s, t)-cut of g itself
+    against its current parent t; the nodes on s's side that hang from t
+    move to s, and when t's own parent lies on s's side too, s takes t's
+    place in the tree.
+    """
+    labels = component_labels(g.n, g.edges[:, 0], g.edges[:, 1])[1]
+    parent = np.unique(labels, return_index=True)[1][labels]
+    fl = np.zeros(g.n, dtype=np.int64)
+    for s in range(g.n):
+        t = int(parent[s])
+        if t == s:
+            continue  # the root of its component
+        value, side = cut_provider(g, s, t)
+        on_side = np.zeros(g.n, dtype=bool)
+        on_side[list(side)] = True
+        assert on_side[s] and not on_side[t]
+        parent[on_side & (parent == t)] = s
+        parent[s] = t
+        fl[s] = value
+        # a root is its own parent, so this never fires for t a root
+        if on_side[parent[t]]:
+            parent[s], parent[t] = parent[t], s
+            fl[s], fl[t] = fl[t], value
+    return [(s, int(parent[s]), int(fl[s])) for s in range(g.n) if parent[s] != s]
 
 
 def gomory_hu(g: Graph) -> GHTree:
-    """Cut-equivalent tree via n-1 max-flows with far-side contraction."""
-    edges: list[tuple[int, int, int]] = []
-    for comp in _component_nodes(g):
-        edges.extend(_gomory_hu_component(g, comp, _cut_provider_maxflow))
-    return GHTree(n=g.n, edges=tuple(edges))
+    """Cut-equivalent tree via Gusfield's method: n - c max-flows, all in g."""
+    return GHTree(n=g.n, edges=tuple(_gusfield_edges(g, _cut_provider_maxflow)))
 
 
 def gh_query(t: GHTree, s: int, t2: int) -> tuple[int, Cut]:
@@ -246,8 +210,8 @@ def gh_query(t: GHTree, s: int, t2: int) -> tuple[int, Cut]:
     return bw, Cut(side=frozenset(side), value=bw)
 
 
-def validate_ghtree(g: Graph, t: GHTree, check_values: bool = True) -> None:
-    """Structural validation plus (optionally) induced cut values in g.
+def validate_ghtree(g: Graph, t: GHTree) -> None:
+    """Structural validation plus every tree edge's induced cut value in g.
 
     Raises ValueError on any violation. Minimality of the induced cuts is
     not checked here; the enumeration oracle covers that in tests.
@@ -270,16 +234,16 @@ def validate_ghtree(g: Graph, t: GHTree, check_values: bool = True) -> None:
     t_edges = np.asarray(t.edges, dtype=np.int64).reshape(-1, 3)
     if not np.array_equal(g_labels, component_labels(t.n, t_edges[:, 0], t_edges[:, 1])[1]):
         raise ValueError("tree components do not match graph components")
-    if check_values:
-        for u, v, w in t.edges:
-            _, cut = gh_query(t, u, v)
-            if cut_value(g, cut.side) != w:
-                raise ValueError(f"tree edge ({u},{v},{w}) cut has wrong value in g")
+    gu, gv, gw = g.edges.T
+    for (u, v, w), mask in _tree_edge_sides(t):
+        if int(gw[mask[gu] != mask[gv]].sum()) != w:
+            raise ValueError(f"tree edge ({u},{v},{w}) cut has wrong value in g")
 
 
-def _tree_edge_sides(t: GHTree) -> list[tuple[tuple[int, int, int], np.ndarray]]:
+def _tree_edge_sides(t: GHTree) -> Iterator[tuple[tuple[int, int, int], np.ndarray]]:
     """For each tree edge, the boolean side mask of the subtree below it,
-    from one rooted DFS per component (entry/exit interval containment)."""
+    from one rooted DFS per component (entry/exit interval containment);
+    the masks are yielded one at a time."""
     adj = t.adjacency
     tin = np.zeros(t.n, dtype=np.int64)
     tout = np.zeros(t.n, dtype=np.int64)
@@ -311,14 +275,12 @@ def _tree_edge_sides(t: GHTree) -> list[tuple[tuple[int, int, int], np.ndarray]]
             if not advanced:
                 tout[x] = clock
                 stack.pop()
-    out = []
     for u, v, w in t.edges:
         child = v if parent[v] == u else u
         assert parent[child] in (u, v)
         mask = np.zeros(t.n, dtype=bool)
         mask[order[tin[child]:tout[child]]] = True
-        out.append(((u, v, w), mask))
-    return out
+        yield (u, v, w), mask
 
 
 def friendly_mincut_sparsifier_from_gh(g: Graph, t: GHTree) -> Sparsifier:
@@ -327,7 +289,7 @@ def friendly_mincut_sparsifier_from_gh(g: Graph, t: GHTree) -> Sparsifier:
     The result preserves at least one minimum s,t-cut for every pair whose
     minimum cuts are all friendly.
     """
-    validate_ghtree(g, t, check_values=g.n <= 64)
+    validate_ghtree(g, t)
     unfriendly_classes = []
     for (u, v, _), mask in _tree_edge_sides(t):
         if not is_friendly(g, np.flatnonzero(mask)):
@@ -427,25 +389,16 @@ def accelerated_single_source(g: Graph, p: int, cfg: SparsifyConfig | None = Non
 
 
 def accelerated_gomory_hu(g: Graph, cfg: SparsifyConfig | None = None) -> GHTree:
-    """Gomory-Hu recursion whose pair cuts come from the accelerated
-    single-source routine whenever the auxiliary graph is simple, and from a
-    plain max-flow otherwise."""
+    """Gusfield's construction with every pair cut read from the accelerated
+    single-source routine on g, pivoted at the cut's source."""
     if g.edges.size and int(g.edges[:, 2].max()) > 1:
         raise UnsupportedInput("accelerated pipeline requires a simple graph")
 
-    def provider(aux: Graph, s: int, t: int) -> tuple[int, frozenset[int]]:
-        simple = (not aux.edges.size) or int(aux.edges[:, 2].max()) == 1
-        if simple and aux.n >= 3:
-            table = accelerated_single_source(aux, s, cfg)
-            w = table.witnesses[t]
-            side = frozenset(range(aux.n)) - w.side  # orient toward s
-            return w.value, side
-        return _cut_provider_maxflow(aux, s, t)
+    def provider(g: Graph, s: int, t: int) -> tuple[int, frozenset[int]]:
+        w = accelerated_single_source(g, s, cfg).witnesses[t]
+        return w.value, frozenset(range(g.n)) - w.side  # orient toward s
 
-    edges: list[tuple[int, int, int]] = []
-    for comp in _component_nodes(g):
-        edges.extend(_gomory_hu_component(g, comp, provider))
-    return GHTree(n=g.n, edges=tuple(edges))
+    return GHTree(n=g.n, edges=tuple(_gusfield_edges(g, provider)))
 
 
 def serialize_ghtree(t: GHTree) -> str:

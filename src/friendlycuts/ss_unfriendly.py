@@ -73,23 +73,18 @@ class EstimateTable:
             self.witnesses[v] = witness
 
 
-def approx_single_source(g: Graph, p: int, eps: Fraction = EPS_DEFAULT,
-                         mode: str = "exact",
+def approx_single_source(g: Graph, p: int, eps: Fraction = EPS_DEFAULT, *,
                          estimator: Callable[[Graph, int, Fraction], "EstimateTable"] | None = None,
                          ) -> EstimateTable:
     """(1+eps)-approximate min-cut values from p to every other node.
 
-    The default mode runs n-1 exact max-flows, which is trivially within any
-    eps. ``mode="plugin"`` delegates to a caller-supplied estimator.
+    By default this runs n-1 exact max-flows, which is trivially within any
+    eps; a caller-supplied ``estimator(g, p, eps)`` replaces them.
     """
     if not 0 <= p < g.n:
         raise ValueError(f"pivot {p} out of range")
-    if mode == "plugin":
-        if estimator is None:
-            raise NotImplementedError("plugin mode requires an estimator callable")
+    if estimator is not None:
         return estimator(g, p, eps)
-    if mode != "exact":
-        raise ValueError(f"unknown mode {mode!r}")
     estimates = np.zeros(g.n, dtype=np.int64)
     witnesses: dict[int, Cut] = {}
     for v in range(g.n):
@@ -133,10 +128,7 @@ def single_source_unfriendly(g: Graph, p: int, *, eps: Fraction = EPS_DEFAULT,
         raise ValueError(f"pivot {p} out of range")
     if g.edges.size and int(g.edges[:, 2].max()) > g.n ** 4:
         raise UnsupportedInput("edge weights must be at most n^4")
-    if estimator is not None:
-        table = approx_single_source(g, p, eps, mode="plugin", estimator=estimator)
-    else:
-        table = approx_single_source(g, p, eps)
+    table = approx_single_source(g, p, eps, estimator=estimator)
     levels = _level_sets(table, g, delta)
     all_nodes = frozenset(range(g.n))
     for terms in levels:

@@ -64,6 +64,14 @@ def test_decompose_keeps_expander_whole():
     assert all(dec.certified)
 
 
+def test_decompose_certifies_only_enumerated_clusters():
+    # the sweep finds no sparse cut in K_8, but with k_exact=4 no cut was
+    # enumerated, so the cluster it keeps whole is not certified
+    dec = decompose(complete(8), Fraction(1, 10), k_exact=4)
+    assert dec.clusters == [frozenset(range(8))]
+    assert dec.certified == [False]
+
+
 def test_decompose_splits_bridge():
     g = two_cliques_bridge(6)
     dec = decompose(g, Fraction(1, 10))

@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+import friendlycuts.gomory_hu as gomory_hu_module
 from friendlycuts.generators import alt_cycle, clique, dumbbell, path
 from friendlycuts.gomory_hu import (
     GHTree,
@@ -27,6 +28,7 @@ from friendlycuts.graph import (
     GraphParseError,
     Sparsifier,
     UnsupportedInput,
+    component_labels,
     cut_value,
 )
 from friendlycuts.maxflow import max_flow
@@ -89,6 +91,61 @@ def test_random_trees_match_oracle():
         n = rng.randint(3, 11)
         g = random_graph(rng, n, rng.choice([0.3, 0.5, 0.8]))
         assert_valid_gh(g, gomory_hu(g))
+
+
+def test_every_flow_runs_on_the_input_graph(monkeypatch):
+    calls = []
+
+    def counting_max_flow(g, s, t):
+        calls.append(g)
+        return max_flow(g, s, t)
+
+    monkeypatch.setattr(gomory_hu_module, "max_flow", counting_max_flow)
+    rng = random.Random(3)
+    for g in (dumbbell(5), Graph.build(7, [(0, 1, 2), (1, 2, 3), (4, 5, 1)]),
+              random_graph(rng, 12, 0.4)):
+        calls.clear()
+        gomory_hu(g)
+        c = component_labels(g.n, g.edges[:, 0], g.edges[:, 1])[0]
+        assert len(calls) == g.n - c
+        assert all(h is g for h in calls)
+
+
+def test_gusfield_swap_fixture():
+    # path 0 -1- 2 -2- 1, root 0. Step s=1, t=0: value 1, minimal side
+    # {1, 2}, so 2 is re-hung onto 1. Step s=2, t=1: value 2, minimal side
+    # {0, 2} holds parent[1] = 0, so 2 takes 1's place: parent[2] = 0 with
+    # weight 1 and parent[1] = 2 with weight 2. Without the swap the tree
+    # would be 0 -1- 1 -2- 2, whose edge (1, 2) cuts weight 3 in g.
+    g = Graph.build(3, [(0, 2, 1), (1, 2, 2)])
+    t = gomory_hu(g)
+    assert t.edges == ((1, 2, 2), (2, 0, 1))
+    assert_valid_gh(g, t)
+
+
+def test_weighted_disconnected_beyond_oracle():
+    # n = 21..60, past the enumeration oracle: two weighted random pieces
+    # plus isolated nodes, checked against max_flow directly
+    rng = random.Random(21)
+    for _ in range(8):
+        a, b, iso = rng.randint(10, 30), rng.randint(5, 25), rng.randint(0, 5)
+        n = max(21, a + b + iso)
+        edges = random_graph(rng, a, 0.3, wmax=9).edge_list()
+        edges += [(u + a, v + a, w) for u, v, w in random_graph(rng, b, 0.4, wmax=9).edge_list()]
+        g = Graph.build(n, edges)
+        t = gomory_hu(g)
+        validate_ghtree(g, t)
+        for u, v, w in t.edges:
+            assert max_flow(g, u, v)[0] == w
+            _, cut = gh_query(t, u, v)
+            assert cut_value(g, cut.side) == w
+        for _ in range(40):
+            s, t2 = rng.sample(range(n), 2)
+            val, cut = gh_query(t, s, t2)
+            assert val == max_flow(g, s, t2)[0], (s, t2)
+            if val:
+                assert cut_value(g, cut.side) == val
+                assert s in cut.side and t2 not in cut.side
 
 
 def test_query_tiebreak_is_nearest_source():
@@ -295,7 +352,9 @@ def test_accelerated_requires_simple():
 
 
 def test_accelerated_gomory_hu_matches_oracle():
-    for g in (clique(4), path(5), dumbbell(4)):
+    # n = 2 and 3 too: the provider takes even these cuts from the
+    # accelerated routine, with no max-flow fallback
+    for g in (path(2), path(3), clique(3), clique(4), path(5), dumbbell(4)):
         assert_valid_gh(g, accelerated_gomory_hu(g))
     rng = random.Random(71)
     for _ in range(10):

@@ -67,9 +67,18 @@ def test_exact_estimates_on_dumbbell():
         assert table.estimate(v) == lam[0, v]
 
 
-def test_plugin_mode_requires_estimator():
-    with pytest.raises(NotImplementedError):
-        approx_single_source(complete(3), 0, mode="plugin")
+def test_estimator_replaces_exact_flows():
+    g = dumbbell()
+    table = approx_single_source(g, 0)
+    assert approx_single_source(g, 0, estimator=lambda h, p, eps: table) is table
+    calls = []
+
+    def estimator(h, p, eps):
+        calls.append((h, p))
+        return approx_single_source(h, p, eps)
+
+    check_soundness(g, single_source_unfriendly(g, 0, estimator=estimator))
+    assert calls == [(g, 0)]
 
 
 def test_unfriendly_clique_all_exact():
