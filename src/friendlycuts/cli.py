@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands: gen, sparsify, ghtree, sscut, verify, bench. Exit codes are
-0 (ok), 2 (verification failure), 3 (parse error), 4 (guard exceeded).
+0 (ok), 2 (verification failure), 3 (parse or usage error), 4 (guard exceeded).
 All randomness flows from --seed; reruns with the same arguments reproduce
 byte-identical outputs.
 """
@@ -18,7 +18,6 @@ from pathlib import Path
 
 from . import generators, oracle
 from .gomory_hu import (
-    accelerated_gomory_hu,
     friendly_mincut_sparsifier_from_gh,
     gh_query,
     gomory_hu,
@@ -147,8 +146,8 @@ def cmd_sparsify(args) -> int:
 def cmd_ghtree(args) -> int:
     g = _load_graph(args.infile)
     try:
-        t = gomory_hu(g) if args.algo == "classical" else accelerated_gomory_hu(g)
-    except ValueError as e:
+        t = gomory_hu(g)
+    except UnsupportedInput as e:
         raise CliError(str(e), EXIT_PARSE)
     _write_output(serialize_ghtree(t), args.out)
     return EXIT_OK
@@ -331,8 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     t = sub.add_parser("ghtree", help="compute a Gomory-Hu tree")
     t.add_argument("--in", dest="infile", required=True)
-    t.add_argument("--algo", default="classical", choices=["classical", "accelerated"])
-    t.add_argument("--seed", type=int, default=0)
     t.add_argument("--out", default=None)
     t.set_defaults(func=cmd_ghtree)
 
@@ -365,7 +362,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as e:  # argparse exits 0 after --help, 2 on a usage error
+        if e.code:
+            return EXIT_PARSE
+        raise
     try:
         return args.func(args)
     except CliError as e:

@@ -6,8 +6,10 @@ every induced tree cut is a real minimum cut in the input), path-minimum
 queries, the friendly minimum-cut sparsifier obtained by contracting
 unfriendly-only tree components, capacitated auxiliary graphs of a
 partition tree and their sparsified variant, and an accelerated
-single-source / tree pipeline that merges a Gomory-Hu tree of a friendly
-cut sparsifier with the unfriendly-exact single-source routine.
+single-source routine that merges a Gomory-Hu tree of a friendly cut
+sparsifier with the unfriendly-exact single-source routine. There is no
+accelerated tree: Gusfield's n - 1 steps would each pay for a whole
+single-source call, itself n - 1 exact max-flows.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ from typing import Iterator
 import numpy as np
 
 from .graph import (
+    CROSS_DEN,
+    CROSS_NUM,
     ContractionMap,
     Cut,
     Graph,
@@ -28,7 +32,8 @@ from .graph import (
     UnsupportedInput,
     component_labels,
     contract,
-    is_friendly,
+    crossing_weights,
+    degrees,
 )
 from .maxflow import max_flow
 from .sparsify import SparsifyConfig, friendly_sparsify
@@ -45,7 +50,6 @@ __all__ = [
     "build_sparsified_cag",
     "cag_totals",
     "accelerated_single_source",
-    "accelerated_gomory_hu",
     "serialize_ghtree",
     "parse_ghtree",
 ]
@@ -124,13 +128,9 @@ def _tree_components_without(k: int, edges, removed: int) -> list[list[int]]:
     return comps
 
 
-def _cut_provider_maxflow(g: Graph, s: int, t: int) -> tuple[int, frozenset[int]]:
-    value, cut = max_flow(g, s, t)
-    return value, cut.side
-
-
-def _gusfield_edges(g: Graph, cut_provider) -> list[tuple[int, int, int]]:
-    """Gomory-Hu tree edges by Gusfield's contraction-free method (1990).
+def gomory_hu(g: Graph) -> GHTree:
+    """Cut-equivalent tree by Gusfield's contraction-free method (1990):
+    n - c max-flows, all in g.
 
     Every node starts hung from the first node of its connected component.
     Each other node s, in order, takes one minimum (s, t)-cut of g itself
@@ -145,9 +145,9 @@ def _gusfield_edges(g: Graph, cut_provider) -> list[tuple[int, int, int]]:
         t = int(parent[s])
         if t == s:
             continue  # the root of its component
-        value, side = cut_provider(g, s, t)
+        value, cut = max_flow(g, s, t)
         on_side = np.zeros(g.n, dtype=bool)
-        on_side[list(side)] = True
+        on_side[list(cut.side)] = True
         assert on_side[s] and not on_side[t]
         parent[on_side & (parent == t)] = s
         parent[s] = t
@@ -156,12 +156,8 @@ def _gusfield_edges(g: Graph, cut_provider) -> list[tuple[int, int, int]]:
         if on_side[parent[t]]:
             parent[s], parent[t] = parent[t], s
             fl[s], fl[t] = fl[t], value
-    return [(s, int(parent[s]), int(fl[s])) for s in range(g.n) if parent[s] != s]
-
-
-def gomory_hu(g: Graph) -> GHTree:
-    """Cut-equivalent tree via Gusfield's method: n - c max-flows, all in g."""
-    return GHTree(n=g.n, edges=tuple(_gusfield_edges(g, _cut_provider_maxflow)))
+    edges = tuple((s, int(parent[s]), int(fl[s])) for s in range(g.n) if parent[s] != s)
+    return GHTree(n=g.n, edges=edges)
 
 
 def gh_query(t: GHTree, s: int, t2: int) -> tuple[int, Cut]:
@@ -216,6 +212,16 @@ def validate_ghtree(g: Graph, t: GHTree) -> None:
     Raises ValueError on any violation. Minimality of the induced cuts is
     not checked here; the enumeration oracle covers that in tests.
     """
+    for _ in _checked_edge_sides(g, t):
+        pass
+
+
+def _checked_edge_sides(g: Graph, t: GHTree) -> Iterator[tuple[tuple[int, int, int], np.ndarray]]:
+    """Check t's structure against g, then yield each tree edge with its side
+    mask once the cut that mask induces in g has the edge's weight.
+
+    Raises ValueError on the first violation.
+    """
     if t.n != g.n:
         raise ValueError("tree and graph disagree on node count")
     g_count, g_labels = component_labels(g.n, g.edges[:, 0], g.edges[:, 1])
@@ -238,6 +244,7 @@ def validate_ghtree(g: Graph, t: GHTree) -> None:
     for (u, v, w), mask in _tree_edge_sides(t):
         if int(gw[mask[gu] != mask[gv]].sum()) != w:
             raise ValueError(f"tree edge ({u},{v},{w}) cut has wrong value in g")
+        yield (u, v, w), mask
 
 
 def _tree_edge_sides(t: GHTree) -> Iterator[tuple[tuple[int, int, int], np.ndarray]]:
@@ -287,12 +294,13 @@ def friendly_mincut_sparsifier_from_gh(g: Graph, t: GHTree) -> Sparsifier:
     """Contract the components of the tree spanned by unfriendly-only edges.
 
     The result preserves at least one minimum s,t-cut for every pair whose
-    minimum cuts are all friendly.
+    minimum cuts are all friendly. Raises ValueError on a tree that
+    ``validate_ghtree`` rejects.
     """
-    validate_ghtree(g, t)
+    deg = degrees(g)
     unfriendly_classes = []
-    for (u, v, _), mask in _tree_edge_sides(t):
-        if not is_friendly(g, np.flatnonzero(mask)):
+    for (u, v, _), mask in _checked_edge_sides(g, t):
+        if (CROSS_DEN * crossing_weights(g, mask) > CROSS_NUM * deg).any():
             unfriendly_classes.append((u, v))
     cmap = ContractionMap.from_classes(g.n, unfriendly_classes)
     return Sparsifier.of(g, cmap)
@@ -386,19 +394,6 @@ def accelerated_single_source(g: Graph, p: int, cfg: SparsifyConfig | None = Non
             side = all_nodes - side
         table.update(v, value, Cut(side=side, value=value))
     return table
-
-
-def accelerated_gomory_hu(g: Graph, cfg: SparsifyConfig | None = None) -> GHTree:
-    """Gusfield's construction with every pair cut read from the accelerated
-    single-source routine on g, pivoted at the cut's source."""
-    if g.edges.size and int(g.edges[:, 2].max()) > 1:
-        raise UnsupportedInput("accelerated pipeline requires a simple graph")
-
-    def provider(g: Graph, s: int, t: int) -> tuple[int, frozenset[int]]:
-        w = accelerated_single_source(g, s, cfg).witnesses[t]
-        return w.value, frozenset(range(g.n)) - w.side  # orient toward s
-
-    return GHTree(n=g.n, edges=tuple(_gusfield_edges(g, provider)))
 
 
 def serialize_ghtree(t: GHTree) -> str:

@@ -17,7 +17,6 @@ import pytest
 from friendlycuts.cli import _bench_row
 from friendlycuts.generators import alt_cycle, clique, clique_of_cliques, dumbbell, gnp, path, star
 from friendlycuts.gomory_hu import (
-    accelerated_gomory_hu,
     cag_totals,
     friendly_mincut_sparsifier_from_gh,
     gh_query,
@@ -128,14 +127,13 @@ def test_criterion_2_gomory_hu_correctness(capsys):
             for s in range(g.n):
                 for t in range(s + 1, g.n):
                     lam[s, t] = lam[t, s] = values[members[:, s] != members[:, t]].min()
-        for algo in (gomory_hu, accelerated_gomory_hu):
-            err = _tree_matches(g, algo(g), lam)
-            pairs += g.n * (g.n - 1) // 2
-            if err:
-                bad += 1
-                first = first or (i, algo.__name__, err)
+        err = _tree_matches(g, gomory_hu(g), lam)
+        pairs += g.n * (g.n - 1) // 2
+        if err:
+            bad += 1
+            first = first or (i, err)
     report(capsys, 2, bad == 0,
-           f"{pairs} pair values checked for both algorithms on "
+           f"{pairs} pair values checked for gomory_hu on "
            f"{CORPUS_SIZE} corpus graphs + 4 fixtures, {bad} mismatches"
            + (f"; first {first}" if first else ""))
 

@@ -30,16 +30,6 @@ def test_gen_ghtree_verify_roundtrip(tmp_path, capsys):
     assert "ok" in out
 
 
-def test_accelerated_ghtree_cli(tmp_path, capsys):
-    gpath = tmp_path / "g.txt"
-    tpath = tmp_path / "t.txt"
-    assert run(["gen", "--family", "gnp", "--n", "8", "--p", "0.6",
-                "--seed", "3", "--out", str(gpath)]) == EXIT_OK
-    assert run(["ghtree", "--in", str(gpath), "--algo", "accelerated",
-                "--out", str(tpath)]) == EXIT_OK
-    assert run(["verify", "--in", str(gpath), "--artifact", str(tpath)]) == EXIT_OK
-
-
 def test_sparsify_and_verify(tmp_path, capsys):
     gpath = tmp_path / "g.txt"
     spath = tmp_path / "h.txt"
@@ -66,6 +56,14 @@ def test_parse_error_exit_code(tmp_path, capsys):
     bad.write_text("this is not a graph\n")
     assert run(["ghtree", "--in", str(bad)]) == EXIT_PARSE
     assert run(["ghtree", "--in", str(tmp_path / "missing.txt")]) == EXIT_PARSE
+    # usage errors are input errors too, not verification failures
+    assert run(["ghtree", "--in", str(bad), "--algo", "accelerated"]) == EXIT_PARSE
+    assert run(["sscut", "--in", str(bad)]) == EXIT_PARSE
+    assert run(["no-such-command"]) == EXIT_PARSE
+    assert "usage:" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as info:
+        run(["ghtree", "--help"])
+    assert info.value.code == 0
 
 
 def test_verify_rejects_tree_with_out_of_range_endpoint(tmp_path, capsys):
@@ -130,6 +128,18 @@ def test_sscut_internal_check_failure_is_not_an_input_error(tmp_path, monkeypatc
     monkeypatch.setattr(cli, "approx_single_source", broken)
     with pytest.raises(ValueError, match="witness"):
         run(["sscut", "--in", str(gpath), "--source", "0", "--mode", "exact"])
+
+
+def test_ghtree_internal_check_failure_is_not_an_input_error(tmp_path, monkeypatch):
+    gpath = tmp_path / "g.txt"
+    gpath.write_text(serialize_graph(path(4)))
+
+    def broken(g):
+        raise ValueError("tree edge cut has wrong value")
+
+    monkeypatch.setattr(cli, "gomory_hu", broken)
+    with pytest.raises(ValueError, match="wrong value"):
+        run(["ghtree", "--in", str(gpath)])
 
 
 def test_sscut_source_range(tmp_path):

@@ -5,11 +5,10 @@ import numpy as np
 import pytest
 
 import friendlycuts.gomory_hu as gomory_hu_module
-from friendlycuts.generators import alt_cycle, clique, dumbbell, path
+from friendlycuts.generators import alt_cycle, clique, dumbbell, path, star
 from friendlycuts.gomory_hu import (
     GHTree,
     PartitionTree,
-    accelerated_gomory_hu,
     accelerated_single_source,
     build_cag,
     build_sparsified_cag,
@@ -216,6 +215,8 @@ def test_validate_rejects_corrupt_tree():
     bad = GHTree(n=4, edges=tuple((u, v, w + 1) for u, v, w in good.edges))
     with pytest.raises(ValueError):
         validate_ghtree(g, bad)
+    with pytest.raises(ValueError, match="wrong value"):
+        friendly_mincut_sparsifier_from_gh(g, bad)
 
 
 def test_friendly_sparsifier_clique_collapses():
@@ -331,36 +332,29 @@ def test_accelerated_single_source_clique():
 
 
 def test_accelerated_single_source_exact_everywhere():
+    # the fixed graphs, n = 2 and 3 among them, are checked at every pivot
+    fixed = (path(2), path(3), clique(3), clique(4), path(5), dumbbell(4),
+             path(6), star(7), clique(6), dumbbell(5))
+    cases = [(g, range(g.n)) for g in fixed]
     rng = random.Random(61)
     for _ in range(15):
         n = rng.randint(5, 11)
         g = random_graph(rng, n, 0.4, wmax=1)
-        p = rng.randrange(n)
+        cases.append((g, [rng.randrange(n)]))
+    for g, pivots in cases:
         lam = all_pairs_min_cut(g)
-        table = accelerated_single_source(g, p)
-        for v in range(n):
-            if v != p:
-                assert table.estimate(v) == lam[p, v], (n, p, v)
+        for p in pivots:
+            table = accelerated_single_source(g, p)
+            for v in range(g.n):
+                if v != p:
+                    assert table.estimate(v) == lam[p, v], (g.n, p, v)
+                    assert cut_value(g, table.witnesses[v].side) == lam[p, v], (g.n, p, v)
 
 
 def test_accelerated_requires_simple():
     g = Graph.build(3, [(0, 1, 2), (1, 2, 1)])
     with pytest.raises(UnsupportedInput):
         accelerated_single_source(g, 0)
-    with pytest.raises(UnsupportedInput):
-        accelerated_gomory_hu(g)
-
-
-def test_accelerated_gomory_hu_matches_oracle():
-    # n = 2 and 3 too: the provider takes even these cuts from the
-    # accelerated routine, with no max-flow fallback
-    for g in (path(2), path(3), clique(3), clique(4), path(5), dumbbell(4)):
-        assert_valid_gh(g, accelerated_gomory_hu(g))
-    rng = random.Random(71)
-    for _ in range(10):
-        n = rng.randint(4, 9)
-        g = random_graph(rng, n, 0.5, wmax=1)
-        assert_valid_gh(g, accelerated_gomory_hu(g))
 
 
 def test_weighted_tree_edges_on_multigraph():
