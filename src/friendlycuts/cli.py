@@ -41,7 +41,6 @@ from .sparsify import (
     friendly_sparsify_oneshot,
     parse_sparsifier,
     serialize_sparsifier,
-    sparsifier_size_report,
     terminal_sparsify,
     verify_friendly_preservation,
 )
@@ -134,12 +133,12 @@ def cmd_sparsify(args) -> int:
             h = terminal_sparsify(g, terms, args.w, cfg)
         else:  # gh-based
             h = friendly_mincut_sparsifier_from_gh(g, gomory_hu(g))
-    except ValueError as e:
+    except UnsupportedInput as e:
         raise CliError(str(e), EXIT_PARSE)
     _write_output(serialize_sparsifier(h), args.out)
     if args.report:
-        n_super, weight = sparsifier_size_report(h)
-        print(f"super-nodes {n_super} weighted-edges {weight}", file=sys.stderr)
+        print(f"super-nodes {h.graph.n} weighted-edges {h.graph.total_weight}",
+              file=sys.stderr)
     return EXIT_OK
 
 

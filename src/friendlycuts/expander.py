@@ -73,24 +73,13 @@ def _proper_mask(g: Graph, s: Iterable[int]) -> np.ndarray:
 
 def conductance(g: Graph, s: Iterable[int]):
     """delta(S) / min(vol(S), vol(V-S)) as an exact Fraction (inf on zero volume)."""
-    if g.n == 1:
-        return Fraction(1)  # singleton-graph convention
-    mask = _proper_mask(g, s)
-    vols = degrees(g) + g.extra_volume
-    num = 0
-    if g.edges.size:
-        crossing = mask[g.edges[:, 0]] != mask[g.edges[:, 1]]
-        num = int(g.edges[crossing, 2].sum())
-    den = min(int(vols[mask].sum()), int(vols[~mask].sum()))
-    if den == 0:
-        return INFINITE_CONDUCTANCE
-    return Fraction(num, den)
+    return demand_conductance(g, degrees(g) + g.extra_volume, s)
 
 
 def demand_conductance(g: Graph, d: DemandVector, s: Iterable[int]):
     """Conductance with a node demand vector in place of volumes."""
     if g.n == 1:
-        return Fraction(1)
+        return Fraction(1)  # singleton-graph convention
     mask = _proper_mask(g, s)
     if len(d) != g.n:
         raise ValueError("demand vector must have one entry per node")
@@ -138,7 +127,6 @@ class _ClusterSplitter:
         self.scale = scale
         self.k_exact = k_exact
         self.seed = seed
-        # adjacency in CSR-ish arrays for induced-subgraph extraction
         self.edges = g.edges
 
     def _induced(self, nodes: np.ndarray):
@@ -157,9 +145,6 @@ class _ClusterSplitter:
         np.add.at(boundary, pu[one_u], self.edges[one_u, 2])
         np.add.at(boundary, pv[one_v], self.edges[one_v, 2])
         return local, boundary
-
-    def effective_demand(self, nodes: np.ndarray, boundary: np.ndarray) -> np.ndarray:
-        return self.base_dem[nodes] + boundary * self.scale
 
     def _below_phi(self, delta: int, den: int) -> bool:
         # conductance delta/den < phi, exact; den is in scaled demand units
@@ -344,28 +329,35 @@ class _ClusterSplitter:
                        int(nodes.sum())))
         return np.random.default_rng(digest & 0xFFFFFFFF)
 
-    def split(self, nodes: np.ndarray) -> list[tuple[np.ndarray, bool]]:
-        """Recursively partition; returns (cluster nodes, certified) leaves."""
+    def parts(self, nodes: np.ndarray, exact: bool) -> list[np.ndarray]:
+        """The per-cluster search. Returns masks over ``nodes``: one per
+        connected component if the cluster is disconnected, else the two
+        sides of the best internal cut found (by enumeration if ``exact``,
+        else by the sampled search) when its conductance is below phi, else
+        none."""
         size = len(nodes)
-        if size == 1:
-            return [(nodes, True)]
         local_edges, boundary = self._induced(nodes)
         comp = self._components(size, local_edges)
-        if len(np.unique(comp)) > 1:
-            out = []
-            for label in np.unique(comp):
-                out.extend(self.split(nodes[comp == label]))
-            return out
-        eff = self.effective_demand(nodes, boundary)
-        exact = size <= self.k_exact
+        labels = np.unique(comp)
+        if len(labels) > 1:
+            return [comp == label for label in labels]
+        eff = self.base_dem[nodes] + boundary * self.scale
         if exact:
             side, score = self._exact_candidate(size, local_edges, eff)
         else:
             side, score = self._sampled_candidate(size, local_edges, eff,
                                                   self._cluster_rng(nodes))
-        if self._below_phi(*score):
-            return self.split(nodes[side]) + self.split(nodes[~side])
-        return [(nodes, exact)]  # a sweep that found no cut certifies nothing
+        return [side, ~side] if self._below_phi(*score) else []
+
+    def split(self, nodes: np.ndarray) -> list[tuple[np.ndarray, bool]]:
+        """Recursively partition; returns (cluster nodes, certified) leaves."""
+        if len(nodes) == 1:
+            return [(nodes, True)]
+        exact = len(nodes) <= self.k_exact
+        parts = self.parts(nodes, exact)
+        if not parts:
+            return [(nodes, exact)]  # a sweep that found no cut certifies nothing
+        return [leaf for part in parts for leaf in self.split(nodes[part])]
 
 
 def decompose(g: Graph, phi, d: DemandVector | None = None, *,
@@ -422,19 +414,7 @@ def certify_cluster(g: Graph, cluster: Iterable[int], phi, d: DemandVector | Non
         raise ValueError(f"exact certification limited to {k_exact} nodes")
     base_dem, scale = _integerize_demands(g, d)
     splitter = _ClusterSplitter(g, phi, base_dem, scale, k_exact, seed)
-    local_edges, boundary = splitter._induced(nodes)
-    eff = splitter.effective_demand(nodes, boundary)
-    comp = splitter._components(len(nodes), local_edges)
-    if len(np.unique(comp)) > 1:
-        side = comp == comp[0]
-        witness = frozenset(int(v) for v in nodes[side])
-        return CertificateResult(ok=False, witness=witness)
-    if mode == "exact":
-        side, score = splitter._exact_candidate(len(nodes), local_edges, eff)
-    else:
-        side, score = splitter._sampled_candidate(len(nodes), local_edges, eff,
-                                                  splitter._cluster_rng(nodes))
-    if splitter._below_phi(*score):
-        witness = frozenset(int(v) for v in nodes[side])
-        return CertificateResult(ok=False, witness=witness)
+    parts = splitter.parts(nodes, mode == "exact")
+    if parts:
+        return CertificateResult(ok=False, witness=frozenset(int(v) for v in nodes[parts[0]]))
     return CertificateResult(ok=True)

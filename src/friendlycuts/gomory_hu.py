@@ -320,19 +320,7 @@ def partition_tree_from_gh(t: GHTree, cmap: ContractionMap) -> PartitionTree:
 def build_cag(g: Graph, pt: PartitionTree, i: int) -> Graph:
     """Capacitated auxiliary graph of super-node i: contract every connected
     component of the tree minus i, merge parallel edges into weights."""
-    if not 0 <= i < pt.k:
-        raise ValueError(f"super-node index {i} out of range")
-    if pt.n != g.n:
-        raise ValueError("partition tree does not cover this graph")
-    comps = _tree_components_without(pt.k, pt.edges, i)
-    groups = [[v] for v in sorted(pt.classes[i])]
-    for comp in comps:
-        groups.append([v for j in comp for v in pt.classes[j]])
-    labels = np.zeros(g.n, dtype=np.int64)
-    for lab, grp in enumerate(groups):
-        for v in grp:
-            labels[v] = lab
-    return contract(g, ContractionMap.from_labels(labels))
+    return build_sparsified_cag(Sparsifier.identity(g), pt, i)
 
 
 def build_sparsified_cag(h: Sparsifier, pt: PartitionTree, i: int) -> Graph:
@@ -355,13 +343,11 @@ def build_sparsified_cag(h: Sparsifier, pt: PartitionTree, i: int) -> Graph:
 
 def cag_totals(source: Graph | Sparsifier, pt: PartitionTree) -> tuple[int, int]:
     """(sum of node counts, sum of weighted-edge counts) over all CAGs."""
+    h = source if isinstance(source, Sparsifier) else Sparsifier.identity(source)
     total_nodes = 0
     total_edges = 0
     for i in range(pt.k):
-        if isinstance(source, Sparsifier):
-            cag = build_sparsified_cag(source, pt, i)
-        else:
-            cag = build_cag(source, pt, i)
+        cag = build_sparsified_cag(h, pt, i)
         total_nodes += cag.n
         total_edges += cag.edge_count
     return total_nodes, total_edges

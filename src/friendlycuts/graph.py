@@ -54,7 +54,8 @@ class GraphParseError(ValueError):
 class UnsupportedInput(ValueError):
     """Raised when an input lies outside a routine's stated limits (a flow
     capacity above int32, weights above n^4, a weighted graph given to a
-    simple-graph pipeline), as opposed to a failed internal check."""
+    simple-graph pipeline, an empty or out-of-range terminal set), as opposed
+    to a failed internal check."""
 
 
 def _as_edge_array(edges) -> np.ndarray:
@@ -127,9 +128,6 @@ class Graph:
 
     def edge_list(self) -> list[tuple[int, int, int]]:
         return [tuple(int(x) for x in row) for row in self.edges]
-
-    def with_extra_volume(self, extra_volume) -> "Graph":
-        return Graph.build(self.n, self.edges, extra_volume)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):

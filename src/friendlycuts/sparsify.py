@@ -1,10 +1,14 @@
 """Friendly w-cut sparsifiers and terminal min-cut sparsifiers.
 
-Both variants share the expander decomposition engine: decompose, shave each
-cluster (drop low-degree nodes and nodes sending more than 10% of their
-degree outside the cluster, evaluated simultaneously against the pre-shave
-graph), then contract what remains of each cluster. Contraction happens per
-connected component of the shaved cluster, so the output is a minor.
+Every sparsifier is built from one round (``_round``): decompose the graph
+under node demands, shave each cluster, then contract what remains of each
+cluster. Shaving drops, simultaneously against the pre-shave graph, every
+node whose degree is below ``LOW_DEGREE_FACTOR`` (10) times sqrt(w) times
+the number of original nodes it stands for, and every node sending more
+than ``OUTSIDE_FRACTION`` (1/10) of its degree outside its cluster.
+Contraction happens per connected component of the shaved cluster, so the
+output is a minor. The one-shot, terminal and iterative sparsifiers differ
+only in the demands and thresholds of their rounds.
 """
 
 from __future__ import annotations
@@ -17,13 +21,14 @@ from typing import Iterable
 import numpy as np
 
 from . import oracle
-from .expander import K_EXACT_DEFAULT, decompose
+from .expander import Decomposition, decompose
 from .graph import (
     ContractionMap,
     Cut,
     Graph,
     GraphParseError,
     Sparsifier,
+    UnsupportedInput,
     component_labels,
     contract,
     cut_value,
@@ -39,27 +44,22 @@ __all__ = [
     "friendly_sparsify",
     "terminal_sparsify",
     "verify_friendly_preservation",
-    "sparsifier_size_report",
     "serialize_sparsifier",
     "parse_sparsifier",
     "default_phi",
 ]
 
 
+LOW_DEGREE_FACTOR = 10
+OUTSIDE_FRACTION = Fraction(1, 10)
+
+
 @dataclass(frozen=True)
 class SparsifyConfig:
-    """Tunables for the sparsifier family.
+    """Seed for the sparsifiers' randomized decompositions. phi is
+    ``default_phi(n)``; the shaving constants are module constants."""
 
-    ``phi`` defaults (per graph) to 1 / (100 * ceil(log2(n)^3)); the shaving
-    constants are the 10*sqrt(w) low-degree threshold and the 10% outside
-    fraction.
-    """
-
-    phi: Fraction | None = None
-    low_degree_factor: int = 10
-    outside_fraction: Fraction = Fraction(1, 10)
     seed: int = 0
-    k_exact: int = K_EXACT_DEFAULT
 
 
 @dataclass(frozen=True)
@@ -74,15 +74,11 @@ def default_phi(n: int) -> Fraction:
     return Fraction(1, 100 * b)
 
 
-def _phi_for(n: int, cfg: SparsifyConfig) -> Fraction:
-    return Fraction(cfg.phi) if cfg.phi is not None else default_phi(n)
-
-
 def _require_simple(g: Graph, who: str) -> None:
     if g.edges.size and (g.edges[:, 2] != 1).any():
-        raise ValueError(f"{who} requires a simple graph (all weights 1)")
+        raise UnsupportedInput(f"{who} requires a simple graph (all weights 1)")
     if g.extra_volume.size and g.extra_volume.any():
-        raise ValueError(f"{who} requires a simple graph (no self-loop volume)")
+        raise UnsupportedInput(f"{who} requires a simple graph (no self-loop volume)")
 
 
 def sqrt_upper(w: Fraction, prec: int = 1 << 10) -> Fraction:
@@ -110,13 +106,12 @@ def _boundary_weights(g: Graph, labels: np.ndarray) -> np.ndarray:
     return out
 
 
-def _shave_mask(g: Graph, labels: np.ndarray, w: Fraction, sizes: np.ndarray,
-                cfg: SparsifyConfig) -> np.ndarray:
+def _shave_mask(g: Graph, labels: np.ndarray, w: Fraction, sizes: np.ndarray) -> np.ndarray:
     """True for nodes removed by the simultaneous shaving rules."""
     deg = degrees(g)
     boundary = _boundary_weights(g, labels)
-    f = cfg.low_degree_factor
-    ofr = cfg.outside_fraction
+    f = LOW_DEGREE_FACTOR
+    ofr = OUTSIDE_FRACTION
     out = np.zeros(g.n, dtype=bool)
     for v in range(g.n):
         d, b, s = int(deg[v]), int(boundary[v]), int(sizes[v])
@@ -142,6 +137,19 @@ def _contract_shaved(g: Graph, labels: np.ndarray, shaved: np.ndarray) -> Contra
     return ContractionMap.from_labels(component_labels(g.n, u[inner], v[inner])[1])
 
 
+def _round(g: Graph, demand, w: Fraction, phi: Fraction, seed: int,
+           sizes: np.ndarray | None = None) -> tuple[ContractionMap, Decomposition]:
+    """One decompose-shave-contract round at threshold w: decompose g under
+    the node demands, shave each cluster (``sizes`` counts the original nodes
+    behind each node of g, one each by default), and contract what survives."""
+    dec = decompose(g, phi, demand, seed=seed)
+    labels = _cluster_labels(g.n, dec.clusters)
+    if sizes is None:
+        sizes = np.ones(g.n, dtype=np.int64)
+    shaved = _shave_mask(g, labels, w, sizes)
+    return _contract_shaved(g, labels, shaved), dec
+
+
 def friendly_sparsify_oneshot(g: Graph, w: int, cfg: SparsifyConfig | None = None) -> Sparsifier:
     """One-shot sparsifier: demand-driven decomposition, shave, contract.
 
@@ -150,33 +158,27 @@ def friendly_sparsify_oneshot(g: Graph, w: int, cfg: SparsifyConfig | None = Non
     cfg = cfg or SparsifyConfig()
     _require_simple(g, "friendly_sparsify_oneshot")
     w = max(1, int(w))
-    if g.n == 0:
-        return Sparsifier.identity(g)
-    phi = _phi_for(g.n, cfg)
+    phi = default_phi(g.n)
     demand = [sqrt_upper(Fraction(w)) / phi] * g.n
-    dec = decompose(g, phi, demand, seed=cfg.seed, k_exact=cfg.k_exact)
-    labels = _cluster_labels(g.n, dec.clusters)
-    sizes = np.ones(g.n, dtype=np.int64)
-    shaved = _shave_mask(g, labels, Fraction(w), sizes, cfg)
-    cmap = _contract_shaved(g, labels, shaved)
+    cmap, _ = _round(g, demand, Fraction(w), phi, cfg.seed)
     return Sparsifier.of(g, cmap)
 
 
 def friendly_sparsify(g: Graph, w: int, cfg: SparsifyConfig | None = None) -> Sparsifier:
     """Iterative sparsifier: thresholds w_j = 4^{-j} (m/n)^2 down to w.
 
-    Each round adds self-loop volume phi^{-1} sqrt(w_j) per node, decomposes
-    under those volumes, shaves against the current contracted graph, and
-    contracts. Returns the input unchanged when (m/n)^2 < w.
+    Each round gives every node demand deg(v) + phi^{-1} sqrt(w_j) (its degree
+    plus that much self-loop volume), decomposes the current contracted graph
+    under those demands, shaves, and contracts. Returns the input unchanged
+    when (m/n)^2 < w.
     """
     cfg = cfg or SparsifyConfig()
     _require_simple(g, "friendly_sparsify")
     w = max(1, int(w))
     if g.n == 0 or not g.edges.size:
         return Sparsifier.identity(g)
-    phi = _phi_for(g.n, cfg)
-    m = g.total_weight
-    wj = Fraction(m, g.n) ** 2
+    phi = default_phi(g.n)
+    wj = Fraction(g.total_weight, g.n) ** 2
     if wj < w:
         return Sparsifier.identity(g)
     cur = g
@@ -187,13 +189,8 @@ def friendly_sparsify(g: Graph, w: int, cfg: SparsifyConfig | None = None) -> Sp
         wj = wj / 4
         if wj < w:
             break
-        sqrt_wj = sqrt_upper(wj)
-        loops = int(math.ceil(sqrt_wj / phi))
-        g_iter = cur.with_extra_volume(np.full(cur.n, loops, dtype=np.int64))
-        dec = decompose(g_iter, phi, seed=cfg.seed + j, k_exact=cfg.k_exact)
-        labels = _cluster_labels(cur.n, dec.clusters)
-        shaved = _shave_mask(cur, labels, wj, cmap.size_of, cfg)
-        step = _contract_shaved(cur, labels, shaved)
+        loops = int(math.ceil(sqrt_upper(wj) / phi))
+        step, _ = _round(cur, degrees(cur) + loops, wj, phi, cfg.seed + j, cmap.size_of)
         if step.n_super < cur.n:
             cur = contract(cur, step)
             cmap = cmap.compose(step)
@@ -206,12 +203,10 @@ def decomposition_outer_edges(g: Graph, w: int, cfg: SparsifyConfig | None = Non
     cfg = cfg or SparsifyConfig()
     _require_simple(g, "decomposition_outer_edges")
     w = max(1, int(w))
-    if g.n == 0:
-        return 0
-    phi = _phi_for(g.n, cfg)
+    phi = default_phi(g.n)
     demand = [sqrt_upper(Fraction(w)) / phi] * g.n
-    dec = decompose(g, phi, demand, seed=cfg.seed, k_exact=cfg.k_exact)
-    return int(dec.outer_edges)
+    _, dec = _round(g, demand, Fraction(w), phi, cfg.seed)
+    return dec.outer_edges
 
 
 def terminal_sparsify(g: Graph, terminals: Iterable[int], w: int,
@@ -223,20 +218,16 @@ def terminal_sparsify(g: Graph, terminals: Iterable[int], w: int,
     _require_simple(g, "terminal_sparsify")
     terms = frozenset(int(v) for v in terminals)
     if not terms:
-        raise ValueError("terminal set must be non-empty")
+        raise UnsupportedInput("terminal set must be non-empty")
     for v in terms:
         if not 0 <= v < g.n:
-            raise ValueError(f"terminal {v} out of range")
+            raise UnsupportedInput(f"terminal {v} out of range")
     w = max(1, int(w))
-    phi = _phi_for(g.n, cfg)
+    phi = default_phi(g.n)
     base = sqrt_upper(Fraction(w)) / phi
     big = Fraction(3 * w) / phi
     demand = [big if v in terms else base for v in range(g.n)]
-    dec = decompose(g, phi, demand, seed=cfg.seed, k_exact=cfg.k_exact)
-    labels = _cluster_labels(g.n, dec.clusters)
-    sizes = np.ones(g.n, dtype=np.int64)
-    shaved = _shave_mask(g, labels, Fraction(w), sizes, cfg)
-    cmap = _contract_shaved(g, labels, shaved)
+    cmap, _ = _round(g, demand, Fraction(w), phi, cfg.seed)
     return Sparsifier.of(g, cmap)
 
 
@@ -264,11 +255,6 @@ def verify_friendly_preservation(g: Graph, h: Sparsifier, w: int) -> Preservatio
             witnesses.append(cut)
     return PreservationReport(passed=not witnesses, cuts_checked=len(cuts),
                               witnesses=witnesses)
-
-
-def sparsifier_size_report(h: Sparsifier) -> tuple[int, int]:
-    """(node count, weighted edge count) of the contracted graph."""
-    return h.graph.n, h.graph.total_weight
 
 
 def serialize_sparsifier(h: Sparsifier) -> str:

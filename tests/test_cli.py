@@ -12,8 +12,9 @@ from friendlycuts.cli import (
     EXIT_VERIFY,
     main,
 )
+from friendlycuts.gomory_hu import GHTree
 from friendlycuts.graph import parse_graph, serialize_graph
-from friendlycuts.generators import clique, path
+from friendlycuts.generators import clique, clique_of_cliques, path
 
 
 def run(args):
@@ -140,6 +141,45 @@ def test_ghtree_internal_check_failure_is_not_an_input_error(tmp_path, monkeypat
     monkeypatch.setattr(cli, "gomory_hu", broken)
     with pytest.raises(ValueError, match="wrong value"):
         run(["ghtree", "--in", str(gpath)])
+
+
+def test_sparsify_internal_check_failure_is_not_an_input_error(tmp_path, monkeypatch):
+    gpath = tmp_path / "g.txt"
+    gpath.write_text(serialize_graph(path(4)))
+
+    def wrong_tree(g):  # the path's tree with edge (0,1) at the wrong weight
+        return GHTree(n=4, edges=((0, 1, 2), (1, 2, 1), (2, 3, 1)))
+
+    monkeypatch.setattr(cli, "gomory_hu", wrong_tree)
+    with pytest.raises(ValueError, match="wrong value"):
+        run(["sparsify", "--in", str(gpath), "--mode", "gh-based"])
+
+
+def test_sparsify_input_errors_exit_code(tmp_path, capsys):
+    weighted = tmp_path / "w.txt"
+    weighted.write_text("3 2\n0 1 2\n1 2 1\n")
+    for mode in ("oneshot", "iterative"):
+        assert run(["sparsify", "--in", str(weighted), "--mode", mode]) == EXIT_PARSE
+        assert "simple graph" in capsys.readouterr().err
+    gpath = tmp_path / "g.txt"
+    gpath.write_text(serialize_graph(clique(6)))
+    empty = tmp_path / "empty.txt"
+    empty.write_text("# no terminals\n")
+    outside = tmp_path / "outside.txt"
+    outside.write_text("0\n6\n")
+    for terms, message in ((empty, "non-empty"), (outside, "terminal 6 out of range")):
+        assert run(["sparsify", "--in", str(gpath), "--mode", "terminal",
+                    "--terminals", str(terms)]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
+
+
+def test_sparsify_report_line(tmp_path, capsys):
+    gpath = tmp_path / "g.txt"
+    gpath.write_text(serialize_graph(clique_of_cliques(4)))
+    assert run(["sparsify", "--in", str(gpath), "--w", "4", "--mode", "oneshot",
+                "--seed", "1", "--report", "--out", str(tmp_path / "h.txt")]) == EXIT_OK
+    assert capsys.readouterr().err == "super-nodes 72 weighted-edges 754\n"
 
 
 def test_sscut_source_range(tmp_path):

@@ -3,16 +3,18 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from friendlycuts.expander import (
     INFINITE_CONDUCTANCE,
+    K_EXACT_DEFAULT,
     certify_cluster,
     conductance,
     decompose,
     demand_conductance,
 )
-from friendlycuts.graph import Graph
+from friendlycuts.graph import Graph, degrees
 
 
 def complete(n):
@@ -142,6 +144,29 @@ def test_decompose_with_uniform_demands_matches_spec_guarantee():
         dec = decompose(g, phi, d)
         for cl in dec.clusters:
             assert certify_cluster(g, cl, phi, d, mode="exact").ok
+
+
+def test_extra_volume_decomposes_like_degree_plus_volume_demand():
+    # the iterative sparsifier decomposes under demand deg(v) + x(v) rather
+    # than giving the graph self-loop volume x; both must split the same way
+    rng = random.Random(12)
+    large = splits = 0
+    for trial in range(12):
+        n = rng.randint(20, 48)
+        p = rng.choice([0.15, 0.3, 0.6])
+        edges = [(u, v, rng.randint(1, 3) if trial % 2 else 1)
+                 for u, v in itertools.combinations(range(n), 2) if rng.random() < p]
+        x = np.array([rng.randint(0, 30) for _ in range(n)], dtype=np.int64)
+        phi = Fraction(1, rng.choice([4, 10, 40]))
+        plain = Graph.build(n, edges)
+        a = decompose(Graph.build(n, edges, extra_volume=x), phi, seed=trial)
+        b = decompose(plain, phi, degrees(plain) + x, seed=trial)
+        assert a.clusters == b.clusters
+        assert a.certified == b.certified
+        assert a.outer_edges == b.outer_edges
+        large += sum(len(c) > K_EXACT_DEFAULT for c in a.clusters)
+        splits += len(a.clusters) > 1
+    assert large and splits  # both the sampled search and real splits ran
 
 
 def test_decompose_rejects_bad_phi():

@@ -16,7 +16,6 @@ from friendlycuts.sparsify import (
     friendly_sparsify_oneshot,
     parse_sparsifier,
     serialize_sparsifier,
-    sparsifier_size_report,
     sqrt_upper,
     terminal_sparsify,
     verify_friendly_preservation,
@@ -139,14 +138,6 @@ def test_terminal_sparsifier_preserves_terminal_min_cuts():
             assert ss != tt, (s, t)
             val, _ = min_cut_between_sets(h.graph, [ss], [tt])
             assert val == lam, (s, t, val, lam)
-
-
-def test_sparsifier_size_report():
-    g = complete(5)
-    from friendlycuts.graph import Sparsifier
-
-    h = Sparsifier.identity(g)
-    assert sparsifier_size_report(h) == (5, 10)
 
 
 def test_serialization_roundtrip():
