@@ -177,9 +177,6 @@ def _verify_sparsifier(g: Graph, text: str, w: int | None) -> int:
         h = parse_sparsifier(text, g)
     except GraphParseError as e:
         raise CliError(str(e), EXIT_PARSE)
-    except ValueError as e:
-        print(f"verification failed: {e}")
-        return EXIT_VERIFY
     if w is None:
         raise CliError("sparsifier verification needs --w", EXIT_PARSE)
     if g.n > oracle.MAX_ENUM_NODES:

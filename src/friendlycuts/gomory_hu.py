@@ -3,23 +3,25 @@
 Included here: the classical construction by Gusfield's contraction-free
 method (every cut it takes is a minimum cut of the input graph itself, so
 every induced tree cut is a real minimum cut in the input), path-minimum
-queries, the friendly minimum-cut sparsifier obtained by contracting
-unfriendly-only tree components, capacitated auxiliary graphs of a
-partition tree and their sparsified variant, and an accelerated
-single-source routine that merges a Gomory-Hu tree of a friendly cut
-sparsifier with the unfriendly-exact single-source routine. There is no
-accelerated tree: Gusfield's n - 1 steps would each pay for a whole
-single-source call, itself n - 1 exact max-flows.
+queries and tree-edge sides (both read one cached rooted preorder of the
+tree, in which every subtree is a slice), the friendly minimum-cut
+sparsifier obtained by contracting unfriendly-only tree components,
+capacitated auxiliary graphs of a partition tree and their sparsified
+variant, and an accelerated single-source routine that merges a Gomory-Hu
+tree of a friendly cut sparsifier with the unfriendly-exact single-source
+routine. There is no accelerated tree: Gusfield's n - 1 steps would each
+pay for a whole single-source call, itself n - 1 exact max-flows.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import depth_first_order
 
 from .graph import (
     CROSS_DEN,
@@ -55,6 +57,22 @@ __all__ = [
 ]
 
 
+class _Rooted(NamedTuple):
+    """A forest rooted at each component's smallest node, whose parent is
+    the virtual root n. Node x's subtree is ``order[tin[x]:tout[x]]`` in the
+    preorder; ``order_list`` holds it as Python ints, so a query side is a
+    list slice that allocates no int objects. ``up`` is the weight of the
+    edge to the parent and ``root`` labels each node's component."""
+
+    order: np.ndarray
+    order_list: list[int]
+    parent: list[int]
+    up: list[int]
+    tin: list[int]
+    tout: list[int]
+    root: list[int]
+
+
 @dataclass(frozen=True)
 class GHTree:
     """Cut-equivalent tree: one weighted tree per connected component.
@@ -70,19 +88,37 @@ class GHTree:
     def component_count(self) -> int:
         return self.n - len(self.edges)
 
-    @cached_property
-    def adjacency(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Per node, its (neighbour, weight) pairs in edge order; built once."""
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
-        for u, v, w in self.edges:
-            adj[u].append((v, w))
-            adj[v].append((u, w))
-        return tuple(tuple(a) for a in adj)
-
     def components(self) -> list[frozenset[int]]:
         e = np.asarray(self.edges, dtype=np.int64).reshape(-1, 3)
         labels = component_labels(self.n, e[:, 0], e[:, 1])[1]
         return [frozenset(c) for c in ContractionMap.from_labels(labels).classes()]
+
+    @cached_property
+    def _rooted(self) -> _Rooted:
+        """Built once. Raises ValueError when the edges are not a forest: a
+        DFS tree would silently drop the extra edges."""
+        n = self.n
+        e = np.asarray(self.edges, dtype=np.int64).reshape(-1, 3)
+        count, labels = component_labels(n, e[:, 0], e[:, 1])
+        if len(e) != n - count:
+            raise ValueError("tree edges do not form a forest")
+        roots = np.unique(labels, return_index=True)[1]
+        # a virtual root n joined to every component root: one DFS covers the forest
+        u = np.concatenate([e[:, 0], np.full(roots.size, n)])
+        v = np.concatenate([e[:, 1], roots])
+        adj = coo_matrix((np.ones(u.size), (u, v)), shape=(n + 1, n + 1)).tocsr()
+        order, parent = depth_first_order(adj, n, directed=False)
+        order = order[1:]
+        up = np.zeros(n, dtype=np.int64)
+        up[np.where(parent[e[:, 0]] == e[:, 1], e[:, 0], e[:, 1])] = e[:, 2]
+        tin = np.empty(n, dtype=np.int64)
+        tin[order] = np.arange(n)
+        order_list, parent_list = order.tolist(), parent[:n].tolist()
+        size = [1] * (n + 1)
+        for x in reversed(order_list):  # children come after their parent
+            size[parent_list[x]] += size[x]
+        return _Rooted(order, order_list, parent_list, up.tolist(), tin.tolist(),
+                       (tin + size[:n]).tolist(), roots[labels].tolist())
 
 
 @dataclass(frozen=True)
@@ -171,39 +207,24 @@ def gh_query(t: GHTree, s: int, t2: int) -> tuple[int, Cut]:
     for v in (s, t2):
         if not 0 <= v < t.n:
             raise ValueError(f"node {v} out of range")
-    adj = t.adjacency
-    prev: dict[int, tuple[int, int]] = {s: (-1, 0)}
-    queue = deque([s])
-    while queue and t2 not in prev:
-        x = queue.popleft()
-        for y, w in adj[x]:
-            if y not in prev:
-                prev[y] = (x, w)
-                queue.append(y)
-    if t2 not in prev:  # the search exhausted s's component
-        return 0, Cut(side=frozenset(prev), value=0)
-    path = []
-    x = t2
-    while x != s:
-        px, w = prev[x]
-        path.append((px, x, w))
-        x = px
-    path.reverse()
-    best_idx = 0
-    for idx, (_, _, w) in enumerate(path):
-        if w < path[best_idx][2]:
-            best_idx = idx
-    bu, bv, bw = path[best_idx]
-    # side of s after removing the bottleneck edge: bv lies only across it
-    side = {s}
-    queue = deque([s])
-    while queue:
-        x = queue.popleft()
-        for y, _ in adj[x]:
-            if y not in side and y != bv:
-                side.add(y)
-                queue.append(y)
-    return bw, Cut(side=frozenset(side), value=bw)
+    r = t._rooted
+    order, parent, up, tin, tout = r.order_list, r.parent, r.up, r.tin, r.tout
+    root = r.root[s]
+    if r.root[t2] != root:
+        return 0, Cut(side=frozenset(order[tin[root]:tout[root]]), value=0)
+    climb, x = [], s
+    while not tin[x] <= tin[t2] < tout[x]:  # x is not yet an ancestor of t2
+        climb.append(x)
+        x = parent[x]
+    descent, y = [], t2
+    while y != x:
+        descent.append(y)
+        y = parent[y]
+    path = climb + descent[::-1]  # the child end of each path edge, in s -> t2 order
+    below = min(path, key=up.__getitem__)  # min keeps the first of tied edges
+    lo, hi = tin[below], tout[below]
+    side = order[lo:hi] if lo <= tin[s] < hi else order[tin[root]:lo] + order[hi:tout[root]]
+    return up[below], Cut(side=frozenset(side), value=up[below])
 
 
 def validate_ghtree(g: Graph, t: GHTree) -> None:
@@ -248,45 +269,13 @@ def _checked_edge_sides(g: Graph, t: GHTree) -> Iterator[tuple[tuple[int, int, i
 
 
 def _tree_edge_sides(t: GHTree) -> Iterator[tuple[tuple[int, int, int], np.ndarray]]:
-    """For each tree edge, the boolean side mask of the subtree below it,
-    from one rooted DFS per component (entry/exit interval containment);
-    the masks are yielded one at a time."""
-    adj = t.adjacency
-    tin = np.zeros(t.n, dtype=np.int64)
-    tout = np.zeros(t.n, dtype=np.int64)
-    parent = np.full(t.n, -1, dtype=np.int64)
-    order = np.zeros(t.n, dtype=np.int64)
-    clock = 0
-    seen = [False] * t.n
-    for r in range(t.n):
-        if seen[r]:
-            continue
-        stack = [(r, iter(adj[r]))]
-        seen[r] = True
-        tin[r] = clock
-        order[clock] = r
-        clock += 1
-        while stack:
-            x, it = stack[-1]
-            advanced = False
-            for y, _ in it:
-                if not seen[y]:
-                    seen[y] = True
-                    parent[y] = x
-                    tin[y] = clock
-                    order[clock] = y
-                    clock += 1
-                    stack.append((y, iter(adj[y])))
-                    advanced = True
-                    break
-            if not advanced:
-                tout[x] = clock
-                stack.pop()
+    """For each tree edge, the boolean side mask of the subtree below it in
+    t's rooted form; the masks are yielded one at a time."""
+    r = t._rooted
     for u, v, w in t.edges:
-        child = v if parent[v] == u else u
-        assert parent[child] in (u, v)
+        child = v if r.parent[v] == u else u
         mask = np.zeros(t.n, dtype=bool)
-        mask[order[tin[child]:tout[child]]] = True
+        mask[r.order[r.tin[child]:r.tout[child]]] = True
         yield (u, v, w), mask
 
 
@@ -365,7 +354,6 @@ def accelerated_single_source(g: Graph, p: int, cfg: SparsifyConfig | None = Non
     h = friendly_sparsify(g, w=g.n, cfg=cfg)
     ght = gomory_hu(h.graph)
     sp = int(h.map.super_of[p])
-    all_nodes = frozenset(range(g.n))
     for v in range(g.n):
         if v == p:
             continue
@@ -376,8 +364,6 @@ def accelerated_single_source(g: Graph, p: int, cfg: SparsifyConfig | None = Non
         side_mask = np.zeros(h.graph.n, dtype=bool)
         side_mask[list(cut.side)] = True
         side = frozenset(int(x) for x in np.flatnonzero(side_mask[h.map.super_of]))
-        if p in side:
-            side = all_nodes - side
         table.update(v, value, Cut(side=side, value=value))
     return table
 
@@ -405,6 +391,8 @@ def parse_ghtree(text: str) -> GHTree:
                 header = (int(parts[0]), int(parts[1]))
             except ValueError:
                 raise GraphParseError("header fields must be integers", lineno)
+            if header[0] < 0 or not 0 <= header[1] <= header[0]:
+                raise GraphParseError("header needs n >= 0 and 0 <= components <= n", lineno)
             continue
         if len(parts) != 3:
             raise GraphParseError("expected 'u v weight'", lineno)

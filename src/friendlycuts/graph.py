@@ -232,15 +232,14 @@ class Sparsifier:
 
     graph: Graph
     map: ContractionMap
-    base_degrees: np.ndarray  # per original node, degrees in the base graph
 
     @staticmethod
     def identity(g: Graph) -> "Sparsifier":
-        return Sparsifier(graph=g, map=ContractionMap.identity(g.n), base_degrees=degrees(g))
+        return Sparsifier(graph=g, map=ContractionMap.identity(g.n))
 
     @staticmethod
     def of(g: Graph, cmap: ContractionMap) -> "Sparsifier":
-        return Sparsifier(graph=contract(g, cmap), map=cmap, base_degrees=degrees(g))
+        return Sparsifier(graph=contract(g, cmap), map=cmap)
 
 
 def degrees(g: Graph) -> np.ndarray:
@@ -297,20 +296,15 @@ def crossing_weights(g: Graph, mask: np.ndarray) -> np.ndarray:
     return cross
 
 
-def is_friendly(g: Graph, s: Iterable[int], base_degrees=None) -> bool:
-    """True iff no node on either side sends > 0.6 of its degree across.
-
-    For contracted graphs, pass ``base_degrees`` to evaluate the threshold
-    against degrees of the base graph instead of this graph's degrees.
-    """
+def is_friendly(g: Graph, s: Iterable[int]) -> bool:
+    """True iff no node on either side sends > 0.6 of its degree across."""
     mask = _side_mask(g, s)
     k = int(mask.sum())
     if k == 0 or k == g.n:
         raise ValueError("cut side must be a proper non-empty subset")
-    deg = degrees(g) if base_degrees is None else np.asarray(base_degrees, dtype=np.int64)
     cross = crossing_weights(g, mask)
     # strict inequality: cross > (CROSS_NUM/CROSS_DEN) * deg makes the cut unfriendly
-    return not bool((CROSS_DEN * cross > CROSS_NUM * deg).any())
+    return not bool((CROSS_DEN * cross > CROSS_NUM * degrees(g)).any())
 
 
 def contract(g: Graph, cmap: ContractionMap) -> Graph:

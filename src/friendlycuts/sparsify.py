@@ -194,7 +194,7 @@ def friendly_sparsify(g: Graph, w: int, cfg: SparsifyConfig | None = None) -> Sp
         if step.n_super < cur.n:
             cur = contract(cur, step)
             cmap = cmap.compose(step)
-    return Sparsifier(graph=cur, map=cmap, base_degrees=degrees(g))
+    return Sparsifier(graph=cur, map=cmap)
 
 
 def decomposition_outer_edges(g: Graph, w: int, cfg: SparsifyConfig | None = None) -> int:
@@ -271,7 +271,10 @@ def parse_sparsifier(text: str, base: Graph) -> Sparsifier:
     parts = lines[0].split()
     if len(parts) != 3:
         raise GraphParseError("header must be 'sparsifier n_orig n_super'", 1)
-    n_orig, n_super = int(parts[1]), int(parts[2])
+    try:
+        n_orig, n_super = int(parts[1]), int(parts[2])
+    except ValueError:
+        raise GraphParseError("header fields must be integers", 1) from None
     if n_orig != base.n:
         raise GraphParseError(
             f"sparsifier is for a {n_orig}-node graph, base has {base.n}", 1)
@@ -285,4 +288,7 @@ def parse_sparsifier(text: str, base: Graph) -> Sparsifier:
     if cmap.n_super != n_super:
         raise GraphParseError("contraction map does not match header", 1)
     graph = parse_graph("\n".join(lines[1 + n_orig:]))
-    return Sparsifier(graph=graph, map=cmap, base_degrees=degrees(base))
+    if graph.n != n_super:
+        raise GraphParseError(f"sparsifier graph has {graph.n} nodes, header says {n_super}",
+                              2 + n_orig)
+    return Sparsifier(graph=graph, map=cmap)

@@ -71,9 +71,27 @@ def test_verify_rejects_tree_with_out_of_range_endpoint(tmp_path, capsys):
     gpath = tmp_path / "g.txt"
     tpath = tmp_path / "t.txt"
     gpath.write_text(serialize_graph(path(2)))
-    tpath.write_text("2 1\n0 2 5\n")
-    assert run(["verify", "--in", str(gpath), "--artifact", str(tpath)]) == EXIT_PARSE
-    assert "line 2" in capsys.readouterr().err
+    # header counts out of range are rejected on their line, before scipy sees them
+    for text, line in (("2 1\n0 2 5\n", 2), ("-2 -2\n", 1), ("2 3\n", 1), ("2 -1\n", 1)):
+        tpath.write_text(text)
+        assert run(["verify", "--in", str(gpath), "--artifact", str(tpath)]) == EXIT_PARSE
+        assert f"line {line}" in capsys.readouterr().err
+
+
+def test_verify_sparsifier_input_errors_exit_code(tmp_path, capsys):
+    # a bad header or a graph of the wrong size is an input error, not a failed check
+    cycle = tmp_path / "c4.txt"
+    apath = tmp_path / "h.txt"
+    cycle.write_text("4 4\n0 1 1\n1 2 1\n2 3 1\n3 0 1\n")
+    for text, code in (("sparsifier x 3\n0\n1\n2\n3\n4 0\n", EXIT_PARSE),
+                       ("sparsifier 4 4\n0\n1\n2\n3\n2 0\n", EXIT_PARSE),
+                       # class {0, 2} crosses the friendly cut {0, 1}
+                       ("sparsifier 4 3\n0\n1\n0\n2\n3 0\n", EXIT_VERIFY)):
+        apath.write_text(text)
+        assert run(["verify", "--in", str(cycle), "--artifact", str(apath),
+                    "--w", "2"]) == code
+        out = capsys.readouterr().out
+        assert ("verification failed" in out) == (code == EXIT_VERIFY)
 
 
 def test_guard_exit_code(tmp_path, capsys):

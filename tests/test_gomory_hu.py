@@ -158,11 +158,60 @@ def test_query_tiebreak_is_nearest_source():
     assert cut.side == frozenset({3})
 
 
-def test_adjacency_is_built_once():
-    t = GHTree(n=4, edges=((0, 1, 1), (1, 2, 5), (2, 3, 1)))
-    assert t.adjacency is t.adjacency
-    assert t.adjacency == (((1, 1),), ((0, 1), (2, 5)), ((1, 5), (3, 1)), ((2, 1),))
-    assert t == GHTree(n=4, edges=t.edges)
+def _reference_query(t, s, t2):
+    """gh_query from component labels alone: the s,t path edges are the tree
+    edges whose removal separates s from t2, ordered from s by the size of
+    s's side, which grows along the path."""
+    e = np.asarray(t.edges, dtype=np.int64).reshape(-1, 3)
+    labels = component_labels(t.n, e[:, 0], e[:, 1])[1]
+    if labels[s] != labels[t2]:
+        return 0, frozenset(np.flatnonzero(labels == labels[s]).tolist())
+    cuts = []
+    for i, w in enumerate(e[:, 2].tolist()):
+        rest = np.delete(e, i, axis=0)
+        lab = component_labels(t.n, rest[:, 0], rest[:, 1])[1]
+        if lab[s] != lab[t2]:
+            side = frozenset(np.flatnonzero(lab == lab[s]).tolist())
+            cuts.append((w, len(side), side))
+    w, _, side = min(cuts, key=lambda c: c[:2])
+    return w, side
+
+
+def test_query_matches_reference_on_random_forests():
+    # tied weights, several components and isolated nodes; every ordered pair
+    rng = random.Random(80)
+    for _ in range(40):
+        n = rng.randint(2, 16)
+        nodes = list(range(n))
+        rng.shuffle(nodes)
+        edges = [(nodes[i], nodes[rng.randrange(i)], rng.randint(1, 3))
+                 for i in range(1, n) if rng.random() < 0.8]
+        rng.shuffle(edges)
+        t = GHTree(n=n, edges=tuple(edges))
+        for s, t2 in itertools.permutations(range(n), 2):
+            val, cut = gh_query(t, s, t2)
+            assert (val, cut.side) == _reference_query(t, s, t2), (t, s, t2)
+            assert cut.value == val
+
+
+def test_query_rejects_edges_that_are_not_a_forest():
+    for n in (3, 4):  # with n = 4, node 3 is isolated and the edge count is n - 1
+        t = GHTree(n=n, edges=((0, 1, 1), (1, 2, 1), (2, 0, 1)))
+        with pytest.raises(ValueError, match="forest"):
+            gh_query(t, 0, 1)
+
+
+def test_rooted_form_is_built_once():
+    t = GHTree(n=6, edges=((3, 1, 2), (1, 0, 4), (5, 1, 4)))
+    r = t._rooted
+    assert r is t._rooted
+    assert r.order_list == [0, 1, 3, 5, 2, 4] == r.order.tolist()
+    assert r.parent == [6, 0, 6, 1, 6, 1]
+    assert r.up == [0, 4, 0, 2, 0, 4]
+    assert [r.order_list[r.tin[x]:r.tout[x]] for x in range(6)] == [
+        [0, 1, 3, 5], [1, 3, 5], [2], [3], [4], [5]]
+    assert r.root == [0, 0, 2, 0, 4, 0]
+    assert t == GHTree(n=6, edges=t.edges)
 
 
 def test_capacity_over_int32_rejected():
@@ -189,11 +238,12 @@ def test_parse_rejects_wrong_edge_count():
         parse_ghtree("3 1\n0 1 5\n")
 
 
-@pytest.mark.parametrize("text", ["2 1\n0 2 5\n", "2 1\n-1 0 5\n", "2 1\n1 1 5\n"])
+@pytest.mark.parametrize("text", ["2 1\n0 2 5\n", "2 1\n-1 0 5\n", "2 1\n1 1 5\n",
+                                  "-2 -2\n", "2 3\n", "2 -1\n"])
 def test_parse_rejects_bad_endpoints(text):
     with pytest.raises(GraphParseError) as info:
         parse_ghtree(text)
-    assert info.value.line == 2
+    assert info.value.line == len(text.splitlines())  # each input's last line is the bad one
 
 
 def test_partition_tree_rejects_out_of_range_endpoints():
