@@ -29,6 +29,7 @@ from .graph import (
     Graph,
     GraphParseError,
     UnsupportedInput,
+    content_lines,
     parse_graph,
     parse_node_subset,
     serialize_graph,
@@ -77,9 +78,9 @@ def _write_output(text: str, out: str | None) -> None:
         Path(out).write_text(text)
 
 
-def _load_graph(path: str) -> Graph:
+def _load(path: str, parse):
     try:
-        return parse_graph(_read_text(path))
+        return parse(_read_text(path))
     except GraphParseError as e:
         raise CliError(f"{path}: {e}", EXIT_PARSE)
 
@@ -116,25 +117,19 @@ def cmd_gen(args) -> int:
 
 
 def cmd_sparsify(args) -> int:
-    g = _load_graph(args.infile)
+    g = _load(args.infile, parse_graph)
     cfg = SparsifyConfig(seed=args.seed)
-    try:
-        if args.mode == "oneshot":
-            h = friendly_sparsify_oneshot(g, args.w, cfg)
-        elif args.mode == "iterative":
-            h = friendly_sparsify(g, args.w, cfg)
-        elif args.mode == "terminal":
-            if not args.terminals:
-                raise CliError("terminal mode needs --terminals", EXIT_PARSE)
-            try:
-                terms = parse_node_subset(_read_text(args.terminals))
-            except GraphParseError as e:
-                raise CliError(f"{args.terminals}: {e}", EXIT_PARSE)
-            h = terminal_sparsify(g, terms, args.w, cfg)
-        else:  # gh-based
-            h = friendly_mincut_sparsifier_from_gh(g, gomory_hu(g))
-    except UnsupportedInput as e:
-        raise CliError(str(e), EXIT_PARSE)
+    if args.mode == "oneshot":
+        h = friendly_sparsify_oneshot(g, args.w, cfg)
+    elif args.mode == "iterative":
+        h = friendly_sparsify(g, args.w, cfg)
+    elif args.mode == "terminal":
+        if not args.terminals:
+            raise CliError("terminal mode needs --terminals", EXIT_PARSE)
+        terms = _load(args.terminals, parse_node_subset)
+        h = terminal_sparsify(g, terms, args.w, cfg)
+    else:  # gh-based
+        h = friendly_mincut_sparsifier_from_gh(g, gomory_hu(g))
     _write_output(serialize_sparsifier(h), args.out)
     if args.report:
         print(f"super-nodes {h.graph.n} weighted-edges {h.graph.total_weight}",
@@ -143,40 +138,30 @@ def cmd_sparsify(args) -> int:
 
 
 def cmd_ghtree(args) -> int:
-    g = _load_graph(args.infile)
-    try:
-        t = gomory_hu(g)
-    except UnsupportedInput as e:
-        raise CliError(str(e), EXIT_PARSE)
-    _write_output(serialize_ghtree(t), args.out)
+    g = _load(args.infile, parse_graph)
+    _write_output(serialize_ghtree(gomory_hu(g)), args.out)
     return EXIT_OK
 
 
 def cmd_sscut(args) -> int:
-    g = _load_graph(args.infile)
+    g = _load(args.infile, parse_graph)
     p = args.source
     if not 0 <= p < g.n:
         raise CliError(f"source {p} out of range", EXIT_PARSE)
-    try:
-        if args.mode == "exact":
-            table = approx_single_source(g, p)
-        elif args.mode == "unfriendly":
-            table = single_source_unfriendly(g, p)
-        else:
-            from .gomory_hu import accelerated_single_source
-            table = accelerated_single_source(g, p, SparsifyConfig(seed=args.seed))
-    except UnsupportedInput as e:
-        raise CliError(str(e), EXIT_PARSE)
+    if args.mode == "exact":
+        table = approx_single_source(g, p)
+    elif args.mode == "unfriendly":
+        table = single_source_unfriendly(g, p)
+    else:
+        from .gomory_hu import accelerated_single_source
+        table = accelerated_single_source(g, p, SparsifyConfig(seed=args.seed))
     lines = [f"{v} {table.estimate(v)}" for v in range(g.n) if v != p]
     _write_output("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
 
 def _verify_sparsifier(g: Graph, text: str, w: int | None) -> int:
-    try:
-        h = parse_sparsifier(text, g)
-    except GraphParseError as e:
-        raise CliError(str(e), EXIT_PARSE)
+    h = parse_sparsifier(text, g)
     if w is None:
         raise CliError("sparsifier verification needs --w", EXIT_PARSE)
     if g.n > oracle.MAX_ENUM_NODES:
@@ -194,10 +179,7 @@ def _verify_sparsifier(g: Graph, text: str, w: int | None) -> int:
 
 
 def _verify_ghtree(g: Graph, text: str, seed: int) -> int:
-    try:
-        t = parse_ghtree(text)
-    except GraphParseError as e:
-        raise CliError(str(e), EXIT_PARSE)
+    t = parse_ghtree(text)
     try:
         validate_ghtree(g, t)
     except ValueError as e:
@@ -230,20 +212,12 @@ def _verify_ghtree(g: Graph, text: str, seed: int) -> int:
 
 
 def cmd_verify(args) -> int:
-    g = _load_graph(args.infile)
+    g = _load(args.infile, parse_graph)
     text = _read_text(args.artifact)
-    first = ""
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            first = line
-            break
-    if first.startswith("sparsifier"):
+    lines, _ = content_lines(text)
+    if lines and lines[0][1].startswith("sparsifier"):
         return _verify_sparsifier(g, text, args.w)
-    try:
-        return _verify_ghtree(g, text, args.seed)
-    except UnsupportedInput as e:  # a reference flow the input's capacities do not fit
-        raise CliError(str(e), EXIT_PARSE)
+    return _verify_ghtree(g, text, args.seed)
 
 
 def _bench_row(family: str, n: int, w: int, seed: int) -> dict:
@@ -369,6 +343,9 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as e:
         print(str(e), file=sys.stderr)
         return e.code
+    except (GraphParseError, UnsupportedInput) as e:  # input a parser or routine rejects
+        print(str(e), file=sys.stderr)
+        return EXIT_PARSE
 
 
 if __name__ == "__main__":

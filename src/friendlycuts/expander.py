@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .graph import Graph, degrees
+from .graph import Graph, degrees, proper_side_mask
 
 __all__ = [
     "K_EXACT_DEFAULT",
@@ -58,19 +58,6 @@ class CertificateResult:
         return self.ok
 
 
-def _proper_mask(g: Graph, s: Iterable[int]) -> np.ndarray:
-    mask = np.zeros(g.n, dtype=bool)
-    for v in s:
-        v = int(v)
-        if not 0 <= v < g.n:
-            raise ValueError(f"node {v} out of range")
-        mask[v] = True
-    k = int(mask.sum())
-    if k == 0 or k == g.n:
-        raise ValueError("cut side must be a proper non-empty subset")
-    return mask
-
-
 def conductance(g: Graph, s: Iterable[int]):
     """delta(S) / min(vol(S), vol(V-S)) as an exact Fraction (inf on zero volume)."""
     return demand_conductance(g, degrees(g) + g.extra_volume, s)
@@ -80,7 +67,7 @@ def demand_conductance(g: Graph, d: DemandVector, s: Iterable[int]):
     """Conductance with a node demand vector in place of volumes."""
     if g.n == 1:
         return Fraction(1)  # singleton-graph convention
-    mask = _proper_mask(g, s)
+    mask = proper_side_mask(g, s)
     if len(d) != g.n:
         raise ValueError("demand vector must have one entry per node")
     num = 0

@@ -33,6 +33,7 @@ from .graph import (
     Sparsifier,
     UnsupportedInput,
     component_labels,
+    content_lines,
     contract,
     crossing_weights,
     degrees,
@@ -87,11 +88,6 @@ class GHTree:
     @property
     def component_count(self) -> int:
         return self.n - len(self.edges)
-
-    def components(self) -> list[frozenset[int]]:
-        e = np.asarray(self.edges, dtype=np.int64).reshape(-1, 3)
-        labels = component_labels(self.n, e[:, 0], e[:, 1])[1]
-        return [frozenset(c) for c in ContractionMap.from_labels(labels).classes()]
 
     @cached_property
     def _rooted(self) -> _Rooted:
@@ -152,16 +148,6 @@ class PartitionTree:
     @property
     def k(self) -> int:
         return len(self.classes)
-
-
-def _tree_components_without(k: int, edges, removed: int) -> list[list[int]]:
-    """Connected components of the super-node tree after deleting one node."""
-    e = np.asarray(edges, dtype=np.int64).reshape(-1, 3)
-    keep = (e[:, 0] != removed) & (e[:, 1] != removed)
-    cmap = ContractionMap.from_labels(component_labels(k, e[keep, 0], e[keep, 1])[1])
-    comps = cmap.classes()
-    del comps[cmap.super_of[removed]]
-    return comps
 
 
 def gomory_hu(g: Graph) -> GHTree:
@@ -320,14 +306,20 @@ def build_sparsified_cag(h: Sparsifier, pt: PartitionTree, i: int) -> Graph:
         raise ValueError(f"super-node index {i} out of range")
     if pt.n != h.map.n_original:
         raise ValueError("partition tree does not cover the sparsifier's base graph")
-    comps = _tree_components_without(pt.k, pt.edges, i)
-    # group h's super-nodes: all super-nodes touching one tree component merge
-    classes = []
-    for comp in comps:
-        members = {int(h.map.super_of[v]) for j in comp for v in pt.classes[j]}
-        classes.append(members)
-    cmap = ContractionMap.from_classes(h.graph.n, classes)
-    return contract(h.graph, cmap)
+    # one labelling over h's super-nodes 0..hn-1 and the tree's super-nodes
+    # hn..hn+k-1: each base node outside class i links its h super-node to
+    # its tree super-node, and the tree edges away from i link tree super-nodes
+    hn = h.graph.n
+    tree_of = np.empty(pt.n, dtype=np.int64)
+    for j, cls in enumerate(pt.classes):
+        tree_of[list(cls)] = j
+    e = np.asarray(pt.edges, dtype=np.int64).reshape(-1, 3)
+    e = e[(e[:, 0] != i) & (e[:, 1] != i)]
+    outside = np.flatnonzero(tree_of != i)
+    u = np.concatenate([h.map.super_of[outside], hn + e[:, 0]])
+    v = np.concatenate([hn + tree_of[outside], hn + e[:, 1]])
+    labels = component_labels(hn + pt.k, u, v)[1]
+    return contract(h.graph, ContractionMap.from_labels(labels[:hn]))
 
 
 def cag_totals(source: Graph | Sparsifier, pt: PartitionTree) -> tuple[int, int]:
@@ -376,42 +368,36 @@ def serialize_ghtree(t: GHTree) -> str:
 
 
 def parse_ghtree(text: str) -> GHTree:
-    lines = text.splitlines()
-    header = None
+    lines, last = content_lines(text)
+    if not lines:
+        raise GraphParseError("missing header", last + 1)
+    (hline, head), body = lines[0], lines[1:]
+    parts = head.split()
+    if len(parts) != 2:
+        raise GraphParseError("expected header 'n components'", hline)
+    try:
+        n, c = int(parts[0]), int(parts[1])
+    except ValueError:
+        raise GraphParseError("header fields must be integers", hline)
+    if n < 0 or not 0 <= c <= n:
+        raise GraphParseError("header needs n >= 0 and 0 <= components <= n", hline)
     edges = []
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in body:
         parts = line.split()
-        if header is None:
-            if len(parts) != 2:
-                raise GraphParseError("expected header 'n components'", lineno)
-            try:
-                header = (int(parts[0]), int(parts[1]))
-            except ValueError:
-                raise GraphParseError("header fields must be integers", lineno)
-            if header[0] < 0 or not 0 <= header[1] <= header[0]:
-                raise GraphParseError("header needs n >= 0 and 0 <= components <= n", lineno)
-            continue
         if len(parts) != 3:
             raise GraphParseError("expected 'u v weight'", lineno)
         try:
             u, v, w = (int(x) for x in parts)
         except ValueError:
             raise GraphParseError("edge fields must be integers", lineno)
-        if u == v or not (0 <= u < header[0] and 0 <= v < header[0]):
+        if u == v or not (0 <= u < n and 0 <= v < n):
             raise GraphParseError(f"bad tree edge endpoints in {line!r}", lineno)
         edges.append((u, v, w))
-    if header is None:
-        raise GraphParseError("missing header", len(lines) + 1)
-    n, c = header
     if len(edges) != n - c:
         raise GraphParseError(
             f"expected {n - c} edges for {n} nodes in {c} components, got {len(edges)}",
-            len(lines) + 1)
-    t = GHTree(n=n, edges=tuple(edges))
-    if len(t.components()) != c:
-        raise GraphParseError("edge list does not form the declared components",
-                              len(lines) + 1)
-    return t
+            last + 1)
+    e = np.asarray(edges, dtype=np.int64).reshape(-1, 3)
+    if component_labels(n, e[:, 0], e[:, 1])[0] != c:
+        raise GraphParseError("edge list does not form the declared components", last + 1)
+    return GHTree(n=n, edges=tuple(edges))

@@ -31,7 +31,9 @@ __all__ = [
     "is_friendly",
     "contract",
     "component_labels",
+    "content_lines",
     "parse_graph",
+    "graph_from_lines",
     "serialize_graph",
     "parse_node_subset",
     "serialize_node_subset",
@@ -268,6 +270,15 @@ def _side_mask(g: Graph, s: Iterable[int]) -> np.ndarray:
     return mask
 
 
+def proper_side_mask(g: Graph, s: Iterable[int]) -> np.ndarray:
+    """Boolean mask of a cut side, which must be a proper non-empty subset."""
+    mask = _side_mask(g, s)
+    k = int(mask.sum())
+    if k == 0 or k == g.n:
+        raise ValueError("cut side must be a proper non-empty subset")
+    return mask
+
+
 def volume(g: Graph, s: Iterable[int]) -> int:
     """Sum of degrees plus extra self-loop volume over the subset."""
     mask = _side_mask(g, s)
@@ -276,10 +287,7 @@ def volume(g: Graph, s: Iterable[int]) -> int:
 
 def cut_value(g: Graph, s: Iterable[int]) -> int:
     """Total weight crossing the bipartition (s, V minus s)."""
-    mask = _side_mask(g, s)
-    k = int(mask.sum())
-    if k == 0 or k == g.n:
-        raise ValueError("cut side must be a proper non-empty subset")
+    mask = proper_side_mask(g, s)
     if not g.edges.size:
         return 0
     crossing = mask[g.edges[:, 0]] != mask[g.edges[:, 1]]
@@ -298,10 +306,7 @@ def crossing_weights(g: Graph, mask: np.ndarray) -> np.ndarray:
 
 def is_friendly(g: Graph, s: Iterable[int]) -> bool:
     """True iff no node on either side sends > 0.6 of its degree across."""
-    mask = _side_mask(g, s)
-    k = int(mask.sum())
-    if k == 0 or k == g.n:
-        raise ValueError("cut side must be a proper non-empty subset")
+    mask = proper_side_mask(g, s)
     cross = crossing_weights(g, mask)
     # strict inequality: cross > (CROSS_NUM/CROSS_DEN) * deg makes the cut unfriendly
     return not bool((CROSS_DEN * cross > CROSS_NUM * degrees(g)).any())
@@ -338,49 +343,63 @@ def component_labels(n: int, u, v) -> tuple[int, np.ndarray]:
     return int(count), labels.astype(np.int64)
 
 
+def content_lines(text: str) -> tuple[list[tuple[int, str]], int]:
+    """The one line rule of every artifact format: a line's content ends at
+    its first '#' and is stripped, and lines with no content are skipped.
+
+    Returns the (1-based line number, content) pairs and the file's line
+    count, so parsers name the file's own lines in their errors.
+    """
+    lines = text.splitlines()
+    out = []
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            out.append((lineno, line))
+    return out, len(lines)
+
+
 def parse_graph(text: str) -> Graph:
     """Parse the edge-list format: header "n m", then m lines "u v [w]"."""
-    lines = text.splitlines()
-    idx = 0
-    header = None
-    for idx, raw in enumerate(lines):
-        if raw.strip() and not raw.lstrip().startswith("#"):
-            header = raw.split()
-            break
-    if header is None:
-        raise GraphParseError("missing header", 1)
+    lines, last = content_lines(text)
+    return graph_from_lines(lines, 1, last)
+
+
+def graph_from_lines(lines: Sequence[tuple[int, str]], first: int, last: int) -> Graph:
+    """The edge-list format over content lines. A missing header is reported
+    on line ``first``, where the section starts, and a short edge list on
+    line ``last``, where the input ends."""
+    if not lines:
+        raise GraphParseError("missing header", first)
+    (hline, raw), body = lines[0], lines[1:]
+    header = raw.split()
     if len(header) != 2:
-        raise GraphParseError("header must be 'n m'", idx + 1)
+        raise GraphParseError("header must be 'n m'", hline)
     try:
         n, m = int(header[0]), int(header[1])
     except ValueError:
-        raise GraphParseError("header must contain two integers", idx + 1) from None
+        raise GraphParseError("header must contain two integers", hline) from None
     if n < 0 or m < 0:
-        raise GraphParseError("header counts must be non-negative", idx + 1)
+        raise GraphParseError("header counts must be non-negative", hline)
     edges = []
-    seen = 0
-    for lineno in range(idx + 1, len(lines)):
-        raw = lines[lineno].strip()
-        if not raw or raw.startswith("#"):
-            continue
+    for lineno, raw in body:
         parts = raw.split()
         if len(parts) not in (2, 3):
-            raise GraphParseError(f"malformed edge line {raw!r}", lineno + 1)
+            raise GraphParseError(f"malformed edge line {raw!r}", lineno)
         try:
             u, v = int(parts[0]), int(parts[1])
             w = int(parts[2]) if len(parts) == 3 else 1
         except ValueError:
-            raise GraphParseError(f"malformed edge line {raw!r}", lineno + 1) from None
+            raise GraphParseError(f"malformed edge line {raw!r}", lineno) from None
         if u == v:
-            raise GraphParseError(f"self-loop at node {u}", lineno + 1)
+            raise GraphParseError(f"self-loop at node {u}", lineno)
         if w <= 0:
-            raise GraphParseError(f"non-positive weight {w}", lineno + 1)
+            raise GraphParseError(f"non-positive weight {w}", lineno)
         if not (0 <= u < n and 0 <= v < n):
-            raise GraphParseError(f"node id out of range in {raw!r}", lineno + 1)
+            raise GraphParseError(f"node id out of range in {raw!r}", lineno)
         edges.append((u, v, w))
-        seen += 1
-    if seen != m:
-        raise GraphParseError(f"expected {m} edges, found {seen}", len(lines))
+    if len(edges) != m:
+        raise GraphParseError(f"expected {m} edges, found {len(edges)}", last)
     return Graph.build(n, edges)
 
 
@@ -393,10 +412,7 @@ def serialize_graph(g: Graph) -> str:
 def parse_node_subset(text: str) -> frozenset[int]:
     """Node-subset file: one id per line."""
     out = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        raw = raw.strip()
-        if not raw or raw.startswith("#"):
-            continue
+    for lineno, raw in content_lines(text)[0]:
         try:
             out.add(int(raw))
         except ValueError:

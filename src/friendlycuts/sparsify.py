@@ -32,8 +32,9 @@ from .graph import (
     component_labels,
     contract,
     cut_value,
+    content_lines,
     degrees,
-    parse_graph,
+    graph_from_lines,
     serialize_graph,
 )
 
@@ -265,30 +266,42 @@ def serialize_sparsifier(h: Sparsifier) -> str:
 
 
 def parse_sparsifier(text: str, base: Graph) -> Sparsifier:
-    lines = text.splitlines()
-    if not lines or not lines[0].startswith("sparsifier"):
-        raise GraphParseError("missing 'sparsifier' header", 1)
-    parts = lines[0].split()
+    """Sparsifier text over ``base``. Map ids must number the super-nodes
+    0, 1, ... in order of first appearance, as ``serialize_sparsifier``
+    writes them, since the graph section is read in those ids."""
+    lines, last = content_lines(text)
+    hline, head = lines[0] if lines else (1, "")
+    if not head.startswith("sparsifier"):
+        raise GraphParseError("missing 'sparsifier' header", hline)
+    parts = head.split()
     if len(parts) != 3:
-        raise GraphParseError("header must be 'sparsifier n_orig n_super'", 1)
+        raise GraphParseError("header must be 'sparsifier n_orig n_super'", hline)
     try:
         n_orig, n_super = int(parts[1]), int(parts[2])
     except ValueError:
-        raise GraphParseError("header fields must be integers", 1) from None
+        raise GraphParseError("header fields must be integers", hline) from None
     if n_orig != base.n:
         raise GraphParseError(
-            f"sparsifier is for a {n_orig}-node graph, base has {base.n}", 1)
+            f"sparsifier is for a {n_orig}-node graph, base has {base.n}", hline)
     if len(lines) < 1 + n_orig:
-        raise GraphParseError("truncated contraction map", len(lines))
-    try:
-        labels = [int(lines[1 + i]) for i in range(n_orig)]
-    except ValueError as exc:
-        raise GraphParseError(f"bad map entry: {exc}", 2) from None
+        raise GraphParseError("truncated contraction map", last)
+    labels, next_id = [], 0
+    for lineno, raw in lines[1:1 + n_orig]:
+        try:
+            label = int(raw)
+        except ValueError as exc:
+            raise GraphParseError(f"bad map entry: {exc}", lineno) from None
+        if not 0 <= label <= next_id:
+            raise GraphParseError(
+                f"map id {label} out of order: ids must number super-nodes "
+                f"0, 1, ... in order of first appearance", lineno)
+        labels.append(label)
+        next_id = max(next_id, label + 1)
     cmap = ContractionMap.from_labels(labels)
     if cmap.n_super != n_super:
-        raise GraphParseError("contraction map does not match header", 1)
-    graph = parse_graph("\n".join(lines[1 + n_orig:]))
+        raise GraphParseError("contraction map does not match header", hline)
+    graph = graph_from_lines(lines[1 + n_orig:], lines[n_orig][0] + 1, last)
     if graph.n != n_super:
         raise GraphParseError(f"sparsifier graph has {graph.n} nodes, header says {n_super}",
-                              2 + n_orig)
+                              lines[1 + n_orig][0])
     return Sparsifier(graph=graph, map=cmap)

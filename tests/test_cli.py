@@ -94,6 +94,38 @@ def test_verify_sparsifier_input_errors_exit_code(tmp_path, capsys):
         assert ("verification failed" in out) == (code == EXIT_VERIFY)
 
 
+def test_verify_reads_past_leading_comments(tmp_path, capsys):
+    gpath = tmp_path / "g.txt"
+    plain = tmp_path / "h.txt"
+    commented = tmp_path / "commented.txt"
+    assert run(["gen", "--family", "gnp", "--n", "18", "--p", "0.3", "--seed", "1",
+                "--out", str(gpath)]) == EXIT_OK
+    assert run(["sparsify", "--in", str(gpath), "--mode", "gh-based", "--w", "16",
+                "--out", str(plain)]) == EXIT_OK
+    commented.write_text("# made by hand\n" + plain.read_text())
+    results = []
+    for artifact in (plain, commented):
+        code = run(["verify", "--in", str(gpath), "--artifact", str(artifact), "--w", "16"])
+        results.append((code, capsys.readouterr().out))
+    assert results[0] == results[1]
+
+
+def test_verify_rejects_map_ids_out_of_order(tmp_path, capsys):
+    # triangles A={0,1,2}, B={3,4,5}, C={6,7,8}; A-B weight 1, B-C weight 2
+    triangles = [(a + x, a + y) for a in (0, 3, 6) for x, y in ((0, 1), (1, 2), (0, 2))]
+    edges = triangles + [(2, 3), (4, 6), (5, 7)]
+    gpath = tmp_path / "g.txt"
+    gpath.write_text(f"9 {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges))
+    apath = tmp_path / "h.txt"
+    # map C, B, A -> 0, 1, 2; only the second graph is right in those ids
+    for graph in ("3 2\n0 1 1\n1 2 2\n", "3 2\n1 2 1\n0 1 2\n"):
+        apath.write_text("sparsifier 9 3\n2\n2\n2\n1\n1\n1\n0\n0\n0\n" + graph)
+        assert run(["verify", "--in", str(gpath), "--artifact", str(apath),
+                    "--w", "4"]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == "" and "line 2: map id 2 out of order" in captured.err
+
+
 def test_guard_exit_code(tmp_path, capsys):
     gpath = tmp_path / "g.txt"
     spath = tmp_path / "h.txt"

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from friendlycuts.gomory_hu import GHTree, parse_ghtree, serialize_ghtree
+from friendlycuts.sparsify import parse_sparsifier, serialize_sparsifier
 from friendlycuts.graph import (
     ContractionMap,
     Cut,
@@ -217,6 +219,22 @@ def test_parse_reports_line_numbers():
     with pytest.raises(GraphParseError) as exc:
         parse_graph("3 1\n0 1 1\n0 2 x\n")
     assert "line 3" in str(exc.value)
+
+
+_BASE = Graph.build(4, [(0, 1, 2), (1, 2, 1), (2, 3, 1)])
+_SPARSIFIER = Sparsifier.of(_BASE, ContractionMap.from_labels([0, 0, 1, 1]))
+
+
+@pytest.mark.parametrize("parse, text", [
+    (parse_graph, serialize_graph(_BASE)),
+    (parse_node_subset, serialize_node_subset({1, 4, 7})),
+    (parse_ghtree, serialize_ghtree(GHTree(n=4, edges=((0, 1, 3), (1, 2, 2), (2, 3, 1))))),
+    (lambda text: parse_sparsifier(text, _BASE), serialize_sparsifier(_SPARSIFIER)),
+], ids=["graph", "subset", "ghtree", "sparsifier"])
+def test_every_parser_reads_one_comment_rule(parse, text):
+    # a leading comment line, an inline comment on every line, blank lines between
+    commented = "# made by hand\n" + "".join(f"  {line}  # note\n\n" for line in text.splitlines())
+    assert parse(commented) == parse(text)
 
 
 def test_node_subset_roundtrip():

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from friendlycuts.graph import Graph, cut_value, is_friendly
+from friendlycuts.graph import Graph, GraphParseError, cut_value, is_friendly
 from friendlycuts.maxflow import min_cut_between_sets
 from friendlycuts.oracle import cut_table
 from friendlycuts.sparsify import (
@@ -156,6 +156,25 @@ def test_parse_sparsifier_rejects_wrong_base():
     text = serialize_sparsifier(h)
     with pytest.raises(ValueError):
         parse_sparsifier(text, complete(6))
+
+
+_PAIRS = "sparsifier 4 2\n0\n0\n1\n1\n2 1\n0 1 2\n"
+
+
+@pytest.mark.parametrize("text, line", [
+    (_PAIRS.replace("0 1 2", "0 x 2"), 7),  # bad edge in the graph section
+    ("# made by hand\n" + _PAIRS.replace("0 1 2", "0 x 2"), 8),
+    (_PAIRS.replace("1\n1\n2 1", "q\n1\n2 1"), 4),  # bad map entry
+    (_PAIRS.replace("2 1\n0 1 2", "3 1\n0 1 2"), 6),  # graph size against the header
+    (_PAIRS.replace("0\n0\n1\n1", "1\n1\n0\n0"), 2),  # ids not in first-appearance order
+    (_PAIRS.replace("0\n0\n1\n1", "0\n2\n1\n1"), 3),
+    (_PAIRS.replace("0\n0\n1\n1", "0\n-1\n1\n1"), 3),
+], ids=["bad-edge", "bad-edge-after-comment", "bad-map-entry", "graph-size",
+        "ids-reversed", "id-skipped", "id-negative"])
+def test_parse_sparsifier_names_the_files_own_line(text, line):
+    with pytest.raises(GraphParseError) as info:
+        parse_sparsifier(text, complete(4))
+    assert info.value.line == line
 
 
 def test_seed_determinism():
