@@ -392,6 +392,8 @@ def parse_ghtree(text: str) -> GHTree:
             raise GraphParseError("edge fields must be integers", lineno)
         if u == v or not (0 <= u < n and 0 <= v < n):
             raise GraphParseError(f"bad tree edge endpoints in {line!r}", lineno)
+        if w <= 0:
+            raise GraphParseError(f"non-positive weight {w}", lineno)
         edges.append((u, v, w))
     if len(edges) != n - c:
         raise GraphParseError(

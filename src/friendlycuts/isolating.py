@@ -5,6 +5,10 @@ split by the bits of their index within R), intersects the minimal source
 sides to get per-terminal regions, and finishes with one local max-flow per
 terminal on the graph with everything outside the region contracted. The
 direct path runs one max-flow per terminal and serves as the oracle.
+
+A region that holds only its terminal contracts to two nodes, which
+``max_flow`` answers directly without the engine; it still counts as one
+local flow call.
 """
 
 from __future__ import annotations

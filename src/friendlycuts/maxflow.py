@@ -7,6 +7,11 @@ at most 2**31 - 1, and a flow call on a graph with a larger one raises
 scipy csgraph breadth-first search reaches from the source over the arcs
 with positive residual capacity, which is the unique inclusion-minimal
 source side of a minimum cut.
+
+A graph with two nodes has one cut, so ``max_flow`` answers it directly,
+without the engine: the value is the one merged edge's weight (0 without an
+edge) and the side is {s}. It is still one ``max_flow`` call, under the same
+capacity guard.
 """
 
 from __future__ import annotations
@@ -25,12 +30,16 @@ __all__ = ["max_flow", "min_cut_between_sets", "MAX_CAPACITY"]
 MAX_CAPACITY = int(np.iinfo(np.int32).max)
 
 
-def _capacity_matrix(g: Graph) -> csr_matrix:
-    """Symmetric int32 capacity matrix of g, built from its canonical edge
-    array (sorted by (u, v), u < v)."""
+def _check_capacities(g: Graph) -> None:
+    """Reject a graph whose largest merged capacity does not fit in int32."""
     if g.edge_count and int(g.edges[:, 2].max()) > MAX_CAPACITY:
         raise UnsupportedInput(f"edge capacity {int(g.edges[:, 2].max())} exceeds the "
                                f"int32 flow limit {MAX_CAPACITY}")
+
+
+def _capacity_matrix(g: Graph) -> csr_matrix:
+    """Symmetric int32 capacity matrix of g, built from its canonical edge
+    array (sorted by (u, v), u < v); ``_check_capacities(g)`` must pass first."""
     u, v, w = g.edges.astype(np.int32).T
     rows = np.concatenate([v, u])
     # reversed pairs first: a row's smaller neighbours (ascending) precede its
@@ -73,6 +82,10 @@ def max_flow(g: Graph, s: int, t: int) -> tuple[int, Cut]:
     for v in (s, t):
         if not 0 <= v < g.n:
             raise ValueError(f"node {v} out of range")
+    _check_capacities(g)
+    if g.n == 2:
+        # the only cut is {s} against {t}, crossed by the one merged edge
+        return g.total_weight, Cut(side=frozenset({int(s)}), value=g.total_weight)
     cap = _capacity_matrix(g)
     result = _scipy_maximum_flow(cap, s, t)
     seen = _residual_reachable(cap, result.flow, s)

@@ -11,6 +11,7 @@ from the two case-analysis predicates exposed below.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
@@ -96,20 +97,23 @@ def approx_single_source(g: Graph, p: int, eps: Fraction = EPS_DEFAULT, *,
     return EstimateTable(pivot=p, estimates=estimates, witnesses=witnesses, eps=eps)
 
 
-def _level_sets(table: EstimateTable, g: Graph, delta: Fraction) -> list[frozenset[int]]:
+def _level_sets(table: EstimateTable, delta: Fraction) -> list[frozenset[int]]:
     """Distinct levels T_i = {v : c'(v) >= (1+delta)^i} + pivot, deduplicated."""
     p = table.pivot
-    others = [v for v in range(g.n) if v != p]
+    est = np.array(table.estimates, dtype=np.int64)
+    est[p] = 0  # every threshold is at least 1, so the pivot joins only as itself
     base = 1 + delta
-    cmax = max((int(table.estimates[v]) for v in others), default=0)
+    cmax = int(est.max())
     levels: list[frozenset[int]] = []
-    seen: set[frozenset[int]] = set()
     threshold = Fraction(1)
+    size = -1
     while threshold <= cmax:
-        t = frozenset(v for v in others if table.estimates[v] >= threshold) | {p}
-        if t not in seen:
-            seen.add(t)
-            levels.append(t)
+        # estimates are integers, so c'(v) >= threshold iff c'(v) >= ceil(threshold)
+        members = np.flatnonzero(est >= math.ceil(threshold))
+        # levels shrink as the threshold grows, so a repeat has the previous size
+        if members.size != size:
+            size = members.size
+            levels.append(frozenset(members.tolist()) | {p})
         threshold *= base
     return levels
 
@@ -129,7 +133,7 @@ def single_source_unfriendly(g: Graph, p: int, *, eps: Fraction = EPS_DEFAULT,
     if g.edges.size and int(g.edges[:, 2].max()) > g.n ** 4:
         raise UnsupportedInput("edge weights must be at most n^4")
     table = approx_single_source(g, p, eps, estimator=estimator)
-    levels = _level_sets(table, g, delta)
+    levels = _level_sets(table, delta)
     all_nodes = frozenset(range(g.n))
     for terms in levels:
         if len(terms) < 2:

@@ -78,6 +78,18 @@ def test_verify_rejects_tree_with_out_of_range_endpoint(tmp_path, capsys):
         assert f"line {line}" in capsys.readouterr().err
 
 
+def test_verify_rejects_tree_with_non_positive_weight(tmp_path, capsys):
+    # as parse_graph does for graph edges: bad input, not a failed check
+    gpath = tmp_path / "g.txt"
+    tpath = tmp_path / "t.txt"
+    gpath.write_text(serialize_graph(path(2)))
+    for text, line in (("2 1\n0 1 0\n", 2), ("2 1\n# by hand\n1 0 -3\n", 3)):
+        tpath.write_text(text)
+        assert run(["verify", "--in", str(gpath), "--artifact", str(tpath)]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"line {line}: non-positive weight" in captured.err
+
+
 def test_verify_sparsifier_input_errors_exit_code(tmp_path, capsys):
     # a bad header or a graph of the wrong size is an input error, not a failed check
     cycle = tmp_path / "c4.txt"

@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from friendlycuts import maxflow
 from friendlycuts.graph import Graph, UnsupportedInput, cut_value
 from friendlycuts.maxflow import MAX_CAPACITY, max_flow, min_cut_between_sets
 from friendlycuts.oracle import cut_table
@@ -71,6 +72,28 @@ def test_matches_enumeration_oracle():
         assert value == brute_min_cut(g, s, t)
         if value > 0 or len(cut.side) < n:
             assert cut_value(g, cut.side) == value
+
+
+@pytest.mark.parametrize("edges", [[(0, 1, 7)], []], ids=["edge", "no-edge"])
+@pytest.mark.parametrize("s, t", [(0, 1), (1, 0)])
+def test_two_node_flow(edges, s, t):
+    g = Graph.build(2, edges)
+    value, cut = max_flow(g, s, t)
+    assert_minimal_min_cut(g, [s], [t], value, cut)
+    assert (value, cut.side) == (g.total_weight, frozenset({s}))
+
+
+def test_two_node_flow_skips_the_engine(monkeypatch):
+    def engine(*args, **kwargs):
+        raise AssertionError("engine called")
+
+    monkeypatch.setattr(maxflow, "_scipy_maximum_flow", engine)
+    assert max_flow(Graph.build(2, [(0, 1, 3)]), 1, 0)[0] == 3
+    # contracting {1, 2} leaves two nodes
+    g = Graph.build(3, [(0, 1, 2), (0, 2, 5), (1, 2, 4)])
+    assert min_cut_between_sets(g, [0], [1, 2])[0] == 7
+    with pytest.raises(AssertionError, match="engine called"):
+        max_flow(g, 0, 2)
 
 
 def test_min_cut_between_sets_basic():

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -9,6 +10,8 @@ from friendlycuts.graph import CROSS_DEN, CROSS_NUM, Cut, Graph, crossing_weight
 from friendlycuts.maxflow import max_flow
 from friendlycuts.oracle import Friendliness, all_pairs_min_cut, cut_table, min_cut_friendliness
 from friendlycuts.ss_unfriendly import (
+    EstimateTable,
+    _level_sets,
     approx_single_source,
     lemma_unfriendly_p,
     lemma_unfriendly_v,
@@ -121,6 +124,53 @@ def test_level_structure():
     import math
     bound = math.ceil(math.log(max(2, g.total_weight * g.n), 1.01))
     assert len(table.levels) <= bound
+
+
+def definition_levels(estimates, p, delta):
+    """{v != p : c'(v) >= (1+delta)^i} + {p} for i = 0, 1, ... while the
+    threshold is at most the largest c'(v), v != p; repeats dropped, in order."""
+    others = [v for v in range(len(estimates)) if v != p]
+    cmax = max((int(estimates[v]) for v in others), default=0)
+    levels, threshold = [], Fraction(1)
+    while threshold <= cmax:
+        t = frozenset(v for v in others if estimates[v] >= threshold) | {p}
+        if t not in levels:
+            levels.append(t)
+        threshold *= 1 + delta
+    return levels
+
+
+def test_levels_match_fraction_definition():
+    rng = random.Random(41)
+    for _ in range(8):
+        n = rng.randint(5, 12)
+        g = random_graph(rng, n, 0.6, wmax=60)
+        p = rng.randrange(n)
+        delta = rng.choice([Fraction(1, 100), Fraction(1, 7), Fraction(1, 2)])
+        estimates = approx_single_source(g, p).estimates
+        table = single_source_unfriendly(g, p, delta=delta)
+        assert list(table.levels) == definition_levels(estimates, p, delta)
+
+
+def test_levels_at_ceiling_boundaries():
+    # estimates on and just below ceil((1+delta)^i), where comparing against
+    # floor((1+delta)^i) would put a node in the wrong level; the pivot's own
+    # entry is larger than all of them and must not count
+    delta = Fraction(1, 100)
+    thresholds = itertools.accumulate(itertools.repeat(1 + delta, 470), lambda t, b: t * b,
+                                      initial=Fraction(1))
+    ceilings = sorted({math.ceil(t) for t in thresholds})
+    assert {1, 2, 101} <= set(ceilings)
+    rng = random.Random(43)
+    for _ in range(6):
+        picks = rng.sample(ceilings, 12)
+        estimates = [0, 1, 2, 101] + [c + d for c in picks for d in (-1, 0)]
+        p = rng.randrange(len(estimates) + 1)
+        estimates.insert(p, 10**6)
+        table = EstimateTable(pivot=p, estimates=np.array(estimates, dtype=np.int64),
+                              witnesses={}, eps=delta)
+        levels = _level_sets(table, delta)
+        assert levels == definition_levels(estimates, p, delta)
 
 
 def test_exact_whenever_some_min_cut_is_unfriendly():
