@@ -24,6 +24,7 @@ from .gomory_hu import (
     parse_ghtree,
     serialize_ghtree,
     validate_ghtree,
+    verify_gh_sparsifier,
 )
 from .graph import (
     Graph,
@@ -51,6 +52,9 @@ EXIT_OK = 0
 EXIT_VERIFY = 2
 EXIT_PARSE = 3
 EXIT_GUARD = 4
+
+# pairs that verify compares against max-flow on a tree above the oracle guard
+SPOT_CHECKS = 20
 
 CSV_COLUMNS = [
     "family", "n", "m", "w", "sparsifier_edges",
@@ -162,15 +166,23 @@ def cmd_sscut(args) -> int:
 
 def _verify_sparsifier(g: Graph, text: str, w: int | None) -> int:
     h = parse_sparsifier(text, g)
-    if w is None:
-        raise CliError("sparsifier verification needs --w", EXIT_PARSE)
+    if w is None and h.guarantee == "friendly-w":
+        raise CliError("friendly-w sparsifier verification needs --w", EXIT_PARSE)
     if g.n > oracle.MAX_ENUM_NODES:
         raise CliError(
             f"guard exceeded: preservation verify enumerates cuts, n={g.n} > "
             f"{oracle.MAX_ENUM_NODES}", EXIT_GUARD)
+    if h.guarantee == "gh-based":
+        pairs, failure = verify_gh_sparsifier(g, h)
+        if failure:
+            print(f"verification failed (gh-based): {failure}")
+            return EXIT_VERIFY
+        print(f"ok (gh-based): {pairs} all-friendly pairs kept apart, each with its "
+              f"min-cut value")
+        return EXIT_OK
     report = verify_friendly_preservation(g, h, w)
     if report.passed:
-        print(f"ok: {report.cuts_checked} friendly cuts of value <= {w} preserved")
+        print(f"ok (friendly-w): {report.cuts_checked} friendly cuts of value <= {w} preserved")
         return EXIT_OK
     side = sorted(report.witnesses[0].side)
     print(f"verification failed: friendly cut {side} "
@@ -196,18 +208,23 @@ def _verify_ghtree(g: Graph, text: str, seed: int) -> int:
                     return EXIT_VERIFY
         print(f"ok: all {g.n * (g.n - 1) // 2} pair values match")
         return EXIT_OK
-    # large input: structure was validated above; spot-check pairs by max-flow
+    # large input: structure was validated above, so a tree value of 0 is a
+    # pair in two components of g; spot-check the other pairs by max-flow
     rng = random.Random(seed)
-    for _ in range(20):
+    compared = skipped = 0
+    for _ in range(SPOT_CHECKS):
         s, t2 = rng.sample(range(g.n), 2)
         val, _ = gh_query(t, s, t2)
         if val == 0:
+            skipped += 1
             continue
         flow, _ = max_flow(g, s, t2)
         if flow != val:
             print(f"verification failed: pair ({s},{t2}) tree value {val} != min cut {flow}")
             return EXIT_VERIFY
-    print("ok: structure valid, 20 spot-checked pairs match")
+        compared += 1
+    print(f"ok: structure valid, {compared} of {SPOT_CHECKS} spot-checked pairs match "
+          f"max-flow, {skipped} skipped as cross-component")
     return EXIT_OK
 
 

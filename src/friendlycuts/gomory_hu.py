@@ -23,6 +23,7 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import depth_first_order
 
+from . import oracle
 from .graph import (
     CROSS_DEN,
     CROSS_NUM,
@@ -49,6 +50,7 @@ __all__ = [
     "gh_query",
     "validate_ghtree",
     "friendly_mincut_sparsifier_from_gh",
+    "verify_gh_sparsifier",
     "build_cag",
     "build_sparsified_cag",
     "cag_totals",
@@ -278,7 +280,43 @@ def friendly_mincut_sparsifier_from_gh(g: Graph, t: GHTree) -> Sparsifier:
         if (CROSS_DEN * crossing_weights(g, mask) > CROSS_NUM * deg).any():
             unfriendly_classes.append((u, v))
     cmap = ContractionMap.from_classes(g.n, unfriendly_classes)
-    return Sparsifier.of(g, cmap)
+    return Sparsifier(graph=contract(g, cmap), map=cmap, guarantee="gh-based")
+
+
+def verify_gh_sparsifier(g: Graph, h: Sparsifier) -> tuple[int, str | None]:
+    """Check the gh-based guarantee by enumeration (n <= 20): every pair
+    whose minimum cuts are all friendly lies in two super-nodes of h, whose
+    minimum cut in h has the pair's value in g.
+
+    Returns the number of such pairs and the first failure described, or
+    None.
+    """
+    if g.n > oracle.MAX_ENUM_NODES:
+        raise ValueError(f"verification guard: n={g.n} exceeds {oracle.MAX_ENUM_NODES}")
+    if h.map.n_original != g.n:
+        raise ValueError("sparsifier does not match the graph")
+    if g.n < 2:
+        return 0, None
+    members, values, friendly = oracle.cut_table(g)
+    h_cuts = oracle.cut_table(h.graph, with_friendliness=False) if h.graph.n >= 2 else None
+    sup = h.map.super_of
+    pairs = 0
+    for s in range(g.n):
+        for t in range(s + 1, g.n):
+            sep = members[:, s] != members[:, t]
+            lam = int(values[sep].min())
+            if not friendly[sep & (values == lam)].all():
+                continue
+            pairs += 1
+            ss, tt = int(sup[s]), int(sup[t])
+            if ss == tt:
+                return pairs, f"all-friendly pair ({s},{t}) merged into super-node {ss}"
+            h_sep = h_cuts[0][:, ss] != h_cuts[0][:, tt]
+            h_lam = int(h_cuts[1][h_sep].min())
+            if h_lam != lam:
+                return pairs, (f"all-friendly pair ({s},{t}) has min cut {h_lam} in the "
+                               f"sparsifier, {lam} in the graph")
+    return pairs, None
 
 
 def partition_tree_from_gh(t: GHTree, cmap: ContractionMap) -> PartitionTree:

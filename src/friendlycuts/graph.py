@@ -4,15 +4,24 @@ Graphs are immutable values: node ids are 0..n-1, parallel edges are stored
 as a single entry whose integer weight is the multiplicity, and self-loop
 mass lives in a separate per-node ``extra_volume`` table that counts toward
 volumes but never toward degrees.
+
+Two per-graph arrays are computed on first use and then kept on the graph
+(``functools.cached_property``), since a graph never changes: the degrees
+that ``degrees(g)`` returns, and the int32 capacity matrix that every
+``maxflow.max_flow`` call on the graph hands to the flow engine, so that
+Gusfield's n - 1 flows on one graph build it once. The matrix is built only
+for a graph whose every capacity fits in int32 (``MAX_CAPACITY``); on any
+other graph each access raises ``UnsupportedInput`` and nothing is kept.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.sparse import coo_matrix
+from scipy.sparse import coo_matrix, csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 __all__ = [
@@ -24,6 +33,7 @@ __all__ = [
     "UnsupportedInput",
     "CROSS_NUM",
     "CROSS_DEN",
+    "MAX_CAPACITY",
     "degree",
     "degrees",
     "volume",
@@ -43,6 +53,9 @@ __all__ = [
 # of its degree across (the 0.6 threshold, i.e. keep-fraction alpha = 0.4).
 CROSS_NUM = 3
 CROSS_DEN = 5
+
+# The flow engine (scipy's maximum_flow) computes in int32.
+MAX_CAPACITY = int(np.iinfo(np.int32).max)
 
 
 class GraphParseError(ValueError):
@@ -127,6 +140,24 @@ class Graph:
     def total_weight(self) -> int:
         """Total edge weight, counting parallel multiplicity."""
         return int(self.edges[:, 2].sum()) if self.edges.size else 0
+
+    @cached_property
+    def _degrees(self) -> np.ndarray:
+        deg = np.zeros(self.n, dtype=np.int64)
+        if self.edges.size:
+            # exact int64 sums; bincount's weights would sum in float64
+            np.add.at(deg, self.edges[:, 0], self.edges[:, 2])
+            np.add.at(deg, self.edges[:, 1], self.edges[:, 2])
+        deg.setflags(write=False)
+        return deg
+
+    @cached_property
+    def capacity_matrix(self) -> csr_matrix:
+        """Symmetric int32 capacity matrix, built once. Raises
+        UnsupportedInput, and keeps nothing, when a capacity exceeds
+        ``MAX_CAPACITY``. Treat it as read-only: the flow engine rejects
+        read-only buffers, so its arrays are not flagged."""
+        return _capacity_matrix(self)
 
     def edge_list(self) -> list[tuple[int, int, int]]:
         return [tuple(int(x) for x in row) for row in self.edges]
@@ -230,10 +261,14 @@ def _resolve_labels(n: int, classes: Iterable[Iterable[int]]) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Sparsifier:
-    """A contracted graph together with the contraction map that produced it."""
+    """A contracted graph together with the contraction map that produced it,
+    and the guarantee it carries: ``"friendly-w"`` (every friendly cut of
+    value at most w is preserved) or ``"gh-based"`` (for each pair whose
+    minimum cuts are all friendly, one minimum cut is preserved)."""
 
     graph: Graph
     map: ContractionMap
+    guarantee: str = "friendly-w"
 
     @staticmethod
     def identity(g: Graph) -> "Sparsifier":
@@ -245,13 +280,36 @@ class Sparsifier:
 
 
 def degrees(g: Graph) -> np.ndarray:
-    """Per-node sum of incident edge weights (extra_volume excluded)."""
-    deg = np.zeros(g.n, dtype=np.int64)
-    if g.edges.size:
-        np.add.at(deg, g.edges[:, 0], g.edges[:, 2])
-        np.add.at(deg, g.edges[:, 1], g.edges[:, 2])
-    deg.setflags(write=False)
-    return deg
+    """Per-node sum of incident edge weights (extra_volume excluded), as a
+    read-only int64 array computed once per graph."""
+    return g._degrees
+
+
+def check_capacities(g: Graph) -> None:
+    """Reject a graph whose largest merged capacity does not fit in int32."""
+    if g.edge_count and int(g.edges[:, 2].max()) > MAX_CAPACITY:
+        raise UnsupportedInput(f"edge capacity {int(g.edges[:, 2].max())} exceeds the "
+                               f"int32 flow limit {MAX_CAPACITY}")
+
+
+def _capacity_matrix(g: Graph) -> csr_matrix:
+    """Symmetric int32 capacity matrix of g, built from its canonical edge
+    array (sorted by (u, v), u < v). The guard runs before the cast, so a
+    capacity is never wrapped."""
+    check_capacities(g)
+    u, v, w = g.edges.astype(np.int32).T
+    rows = np.concatenate([v, u])
+    # reversed pairs first: a row's smaller neighbours (ascending) precede its
+    # larger ones (ascending), so a stable bucketing by row sorts every row;
+    # on a row type of 16 bits or less (n <= 2**16) numpy's stable argsort is
+    # a linear radix sort
+    order = np.argsort(rows.astype(np.min_scalar_type(g.n)), kind="stable")
+    indptr = np.zeros(g.n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=g.n), out=indptr[1:])
+    cap = csr_matrix((np.concatenate([w, w])[order], np.concatenate([u, v])[order], indptr),
+                     shape=(g.n, g.n))
+    cap.has_sorted_indices = True
+    return cap
 
 
 def degree(g: Graph, v: int) -> int:

@@ -3,15 +3,22 @@
 The flow engine is scipy's blocking-flow (Dinitz) implementation, which
 computes in int32: every capacity, after parallel edges are merged, must be
 at most 2**31 - 1, and a flow call on a graph with a larger one raises
-``UnsupportedInput`` (a ``ValueError``). The cut side is the set of nodes a
-scipy csgraph breadth-first search reaches from the source over the arcs
+``UnsupportedInput`` (a ``ValueError``). The engine reads the graph's
+capacity matrix, ``Graph.capacity_matrix``, which is built once per
+``Graph`` and shared by every flow on it (Gusfield's n - 1 flows run on one
+graph).
+
+The cut side is the set of nodes reachable from the source over the arcs
 with positive residual capacity, which is the unique inclusion-minimal
-source side of a minimum cut.
+source side of a minimum cut. When the flow saturates every arc leaving the
+source, that set is {s} and is read off the source's row without a search;
+otherwise a scipy csgraph breadth-first search on the residual graph finds
+it.
 
 A graph with two nodes has one cut, so ``max_flow`` answers it directly,
-without the engine: the value is the one merged edge's weight (0 without an
-edge) and the side is {s}. It is still one ``max_flow`` call, under the same
-capacity guard.
+without the engine or the matrix: the value is the one merged edge's weight
+(0 without an edge) and the side is {s}. It is still one ``max_flow`` call,
+under the same capacity guard.
 """
 
 from __future__ import annotations
@@ -23,36 +30,9 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order
 from scipy.sparse.csgraph import maximum_flow as _scipy_maximum_flow
 
-from .graph import ContractionMap, Cut, Graph, UnsupportedInput, contract
+from .graph import MAX_CAPACITY, ContractionMap, Cut, Graph, check_capacities, contract
 
 __all__ = ["max_flow", "min_cut_between_sets", "MAX_CAPACITY"]
-
-MAX_CAPACITY = int(np.iinfo(np.int32).max)
-
-
-def _check_capacities(g: Graph) -> None:
-    """Reject a graph whose largest merged capacity does not fit in int32."""
-    if g.edge_count and int(g.edges[:, 2].max()) > MAX_CAPACITY:
-        raise UnsupportedInput(f"edge capacity {int(g.edges[:, 2].max())} exceeds the "
-                               f"int32 flow limit {MAX_CAPACITY}")
-
-
-def _capacity_matrix(g: Graph) -> csr_matrix:
-    """Symmetric int32 capacity matrix of g, built from its canonical edge
-    array (sorted by (u, v), u < v); ``_check_capacities(g)`` must pass first."""
-    u, v, w = g.edges.astype(np.int32).T
-    rows = np.concatenate([v, u])
-    # reversed pairs first: a row's smaller neighbours (ascending) precede its
-    # larger ones (ascending), so a stable bucketing by row sorts every row;
-    # on a row type of 16 bits or less (n <= 2**16) numpy's stable argsort is
-    # a linear radix sort
-    order = np.argsort(rows.astype(np.min_scalar_type(g.n)), kind="stable")
-    indptr = np.zeros(g.n + 1, dtype=np.int32)
-    np.cumsum(np.bincount(rows, minlength=g.n), out=indptr[1:])
-    cap = csr_matrix((np.concatenate([w, w])[order], np.concatenate([u, v])[order], indptr),
-                     shape=(g.n, g.n))
-    cap.has_sorted_indices = True
-    return cap
 
 
 def _residual_reachable(cap: csr_matrix, flow, s: int) -> np.ndarray:
@@ -60,6 +40,12 @@ def _residual_reachable(cap: csr_matrix, flow, s: int) -> np.ndarray:
     if not (np.array_equal(flow.indptr, cap.indptr) and np.array_equal(flow.indices, cap.indices)):
         raise RuntimeError("scipy returned the flow on a different sparsity structure")
     n = cap.shape[0]
+    seen = np.zeros(n, dtype=bool)
+    row = slice(cap.indptr[s], cap.indptr[s + 1])
+    if not (cap.data[row] > flow.data[row]).any():
+        # every arc out of s is saturated: nothing else is reachable
+        seen[s] = True
+        return seen
     open_arc = cap.data > flow.data
     # open arcs before each entry; read at the row starts, this is the
     # residual graph's indptr, empty rows included
@@ -67,7 +53,6 @@ def _residual_reachable(cap: csr_matrix, flow, s: int) -> np.ndarray:
     np.cumsum(open_arc, out=before[1:])
     residual = csr_matrix((np.ones(before[-1]), cap.indices[open_arc], before[cap.indptr]),
                           shape=(n, n))
-    seen = np.zeros(n, dtype=bool)
     seen[breadth_first_order(residual, s, directed=True, return_predecessors=False)] = True
     return seen
 
@@ -82,11 +67,11 @@ def max_flow(g: Graph, s: int, t: int) -> tuple[int, Cut]:
     for v in (s, t):
         if not 0 <= v < g.n:
             raise ValueError(f"node {v} out of range")
-    _check_capacities(g)
     if g.n == 2:
         # the only cut is {s} against {t}, crossed by the one merged edge
+        check_capacities(g)
         return g.total_weight, Cut(side=frozenset({int(s)}), value=g.total_weight)
-    cap = _capacity_matrix(g)
+    cap = g.capacity_matrix
     result = _scipy_maximum_flow(cap, s, t)
     seen = _residual_reachable(cap, result.flow, s)
     side = frozenset(np.flatnonzero(seen).tolist())

@@ -258,8 +258,14 @@ def verify_friendly_preservation(g: Graph, h: Sparsifier, w: int) -> Preservatio
                               witnesses=witnesses)
 
 
+GUARANTEES = ("friendly-w", "gh-based")
+
+
 def serialize_sparsifier(h: Sparsifier) -> str:
-    lines = [f"sparsifier {h.map.n_original} {h.map.n_super}"]
+    """Header ``sparsifier n_orig n_super``, followed by the guarantee unless
+    it is friendly-w, then the map and the contracted graph."""
+    head = f"sparsifier {h.map.n_original} {h.map.n_super}"
+    lines = [head if h.guarantee == "friendly-w" else f"{head} {h.guarantee}"]
     lines.extend(str(int(s)) for s in h.map.super_of)
     lines.append(serialize_graph(h.graph).rstrip("\n"))
     return "\n".join(lines) + "\n"
@@ -268,14 +274,19 @@ def serialize_sparsifier(h: Sparsifier) -> str:
 def parse_sparsifier(text: str, base: Graph) -> Sparsifier:
     """Sparsifier text over ``base``. Map ids must number the super-nodes
     0, 1, ... in order of first appearance, as ``serialize_sparsifier``
-    writes them, since the graph section is read in those ids."""
+    writes them, since the graph section is read in those ids. A header
+    without a guarantee field is read as friendly-w."""
     lines, last = content_lines(text)
     hline, head = lines[0] if lines else (1, "")
     if not head.startswith("sparsifier"):
         raise GraphParseError("missing 'sparsifier' header", hline)
     parts = head.split()
-    if len(parts) != 3:
-        raise GraphParseError("header must be 'sparsifier n_orig n_super'", hline)
+    if len(parts) not in (3, 4):
+        raise GraphParseError("header must be 'sparsifier n_orig n_super [guarantee]'", hline)
+    guarantee = parts[3] if len(parts) == 4 else "friendly-w"
+    if guarantee not in GUARANTEES:
+        raise GraphParseError(f"unknown guarantee {guarantee!r}; expected one of "
+                              f"{', '.join(GUARANTEES)}", hline)
     try:
         n_orig, n_super = int(parts[1]), int(parts[2])
     except ValueError:
@@ -304,4 +315,4 @@ def parse_sparsifier(text: str, base: Graph) -> Sparsifier:
     if graph.n != n_super:
         raise GraphParseError(f"sparsifier graph has {graph.n} nodes, header says {n_super}",
                               lines[1 + n_orig][0])
-    return Sparsifier(graph=graph, map=cmap)
+    return Sparsifier(graph=graph, map=cmap, guarantee=guarantee)

@@ -1,5 +1,7 @@
 import csv
 import io
+import itertools
+import random
 
 import pytest
 
@@ -13,8 +15,8 @@ from friendlycuts.cli import (
     main,
 )
 from friendlycuts.gomory_hu import GHTree
-from friendlycuts.graph import parse_graph, serialize_graph
-from friendlycuts.generators import clique, clique_of_cliques, path
+from friendlycuts.graph import Graph, parse_graph, serialize_graph
+from friendlycuts.generators import clique, clique_of_cliques, dumbbell, path
 
 
 def run(args):
@@ -120,6 +122,74 @@ def test_verify_reads_past_leading_comments(tmp_path, capsys):
         code = run(["verify", "--in", str(gpath), "--artifact", str(artifact), "--w", "16"])
         results.append((code, capsys.readouterr().out))
     assert results[0] == results[1]
+
+
+def test_verify_checks_the_gh_based_guarantee(tmp_path, capsys):
+    # every tree edge of G(18, 0.3) seed 1 is unfriendly: one super-node, and
+    # no pair whose minimum cuts are all friendly, so nothing may fail
+    gpath = tmp_path / "g.txt"
+    apath = tmp_path / "h.txt"
+    assert run(["gen", "--family", "gnp", "--n", "18", "--p", "0.3", "--seed", "1",
+                "--out", str(gpath)]) == EXIT_OK
+    assert run(["sparsify", "--in", str(gpath), "--mode", "gh-based", "--w", "16",
+                "--out", str(apath)]) == EXIT_OK
+    assert apath.read_text().startswith("sparsifier 18 1 gh-based\n")
+    assert run(["verify", "--in", str(gpath), "--artifact", str(apath), "--w", "16"]) == EXIT_OK
+    assert capsys.readouterr().out.startswith("ok (gh-based): 0 all-friendly pairs")
+    # dumbbell(4): the 16 pairs across the bridge have one, friendly, minimum cut
+    gpath.write_text(serialize_graph(dumbbell(4)))
+    assert run(["sparsify", "--in", str(gpath), "--mode", "gh-based",
+                "--out", str(apath)]) == EXIT_OK
+    assert run(["verify", "--in", str(gpath), "--artifact", str(apath)]) == EXIT_OK
+    assert capsys.readouterr().out.startswith("ok (gh-based): 16 all-friendly pairs")
+    for text, message in (
+            # merges the bridge's ends
+            ("sparsifier 8 1 gh-based\n" + "0\n" * 8 + "1 0\n",
+             "pair (0,4) merged into super-node 0"),
+            # keeps the sides apart, at the wrong value
+            ("sparsifier 8 2 gh-based\n" + "0\n" * 4 + "1\n" * 4 + "2 1\n0 1 2\n",
+             "pair (0,4) has min cut 2 in the sparsifier, 1 in the graph")):
+        apath.write_text(text)
+        assert run(["verify", "--in", str(gpath), "--artifact", str(apath)]) == EXIT_VERIFY
+        assert message in capsys.readouterr().out
+    # the same files read as friendly-w artifacts are checked for that guarantee
+    apath.write_text(text.replace(" gh-based", ""))
+    assert run(["verify", "--in", str(gpath), "--artifact", str(apath)]) == EXIT_PARSE
+    assert run(["verify", "--in", str(gpath), "--artifact", str(apath), "--w", "1"]) == EXIT_VERIFY
+    assert "verification failed: friendly cut" in capsys.readouterr().out
+
+
+def test_verify_gh_based_guard_and_unknown_guarantee(tmp_path, capsys):
+    gpath = tmp_path / "g.txt"
+    apath = tmp_path / "h.txt"
+    gpath.write_text(serialize_graph(clique(21)))
+    assert run(["sparsify", "--in", str(gpath), "--mode", "gh-based",
+                "--out", str(apath)]) == EXIT_OK
+    assert run(["verify", "--in", str(gpath), "--artifact", str(apath)]) == EXIT_GUARD
+    assert "guard exceeded" in capsys.readouterr().err
+    gpath.write_text(serialize_graph(path(2)))
+    apath.write_text("sparsifier 2 2 exact\n0\n1\n2 1\n0 1 1\n")
+    assert run(["verify", "--in", str(gpath), "--artifact", str(apath)]) == EXIT_PARSE
+    assert "line 1: unknown guarantee 'exact'" in capsys.readouterr().err
+
+
+def test_verify_large_tree_reports_skipped_cross_component_pairs(tmp_path, capsys):
+    # two disjoint 11-cliques: n = 22 is above the oracle guard, so verify
+    # spot-checks 20 seeded pairs and cannot compare a cross pair by flow
+    g = Graph.build(22, [(a + u, a + v, 1) for a in (0, 11)
+                         for u, v in itertools.combinations(range(11), 2)])
+    gpath = tmp_path / "g.txt"
+    tpath = tmp_path / "t.txt"
+    gpath.write_text(serialize_graph(g))
+    assert run(["ghtree", "--in", str(gpath), "--out", str(tpath)]) == EXIT_OK
+    rng = random.Random(3)
+    pairs = [rng.sample(range(22), 2) for _ in range(20)]
+    skipped = sum((s < 11) != (t < 11) for s, t in pairs)
+    assert 0 < skipped < 20
+    assert run(["verify", "--in", str(gpath), "--artifact", str(tpath), "--seed", "3"]) == EXIT_OK
+    assert capsys.readouterr().out == (
+        f"ok: structure valid, {20 - skipped} of 20 spot-checked pairs match max-flow, "
+        f"{skipped} skipped as cross-component\n")
 
 
 def test_verify_rejects_map_ids_out_of_order(tmp_path, capsys):

@@ -20,6 +20,7 @@ from friendlycuts.gomory_hu import (
     partition_tree_from_gh,
     serialize_ghtree,
     validate_ghtree,
+    verify_gh_sparsifier,
 )
 from friendlycuts.graph import (
     ContractionMap,
@@ -28,6 +29,7 @@ from friendlycuts.graph import (
     Sparsifier,
     UnsupportedInput,
     component_labels,
+    contract,
     cut_value,
 )
 from friendlycuts.maxflow import max_flow
@@ -296,12 +298,24 @@ def test_friendly_sparsifier_preserves_all_friendly_pairs():
         g = random_graph(rng, n, 0.5, wmax=1)
         lam = all_pairs_min_cut(g)
         h = friendly_mincut_sparsifier_from_gh(g, gomory_hu(g))
+        assert h.guarantee == "gh-based"
+        pairs = []
         for s, t in itertools.combinations(range(n), 2):
             if min_cut_friendliness(g, s, t).kind is not Friendliness.ALL_FRIENDLY:
                 continue
+            pairs.append((s, t))
             ss, tt = int(h.map.super_of[s]), int(h.map.super_of[t])
             assert ss != tt
             assert max_flow(h.graph, ss, tt)[0] == lam[s, t]
+        assert verify_gh_sparsifier(g, h) == (len(pairs), None)
+        if pairs:
+            # merging the first all-friendly pair breaks the guarantee there
+            s, t = pairs[0]
+            sup = h.map.super_of
+            merged = ContractionMap.from_labels(np.where(sup == sup[t], sup[s], sup))
+            bad = Sparsifier(graph=contract(g, merged), map=merged, guarantee="gh-based")
+            assert verify_gh_sparsifier(g, bad) == (1, f"all-friendly pair ({s},{t}) merged "
+                                                       f"into super-node {merged.super_of[s]}")
 
 
 def test_build_cag_trivial_partition():

@@ -14,6 +14,7 @@ from friendlycuts.graph import (
     contract,
     cut_value,
     degree,
+    degrees,
     is_friendly,
     parse_graph,
     parse_node_subset,
@@ -52,6 +53,14 @@ def test_degrees_exclude_extra_volume():
     assert degree(g, 0) == 4
     assert volume(g, [0]) == 11
     assert volume(g, [2]) == 2
+
+
+def test_degrees_are_computed_once_and_read_only():
+    g = Graph.build(4, [(0, 1, 2**60), (0, 2, 2**60 + 1), (2, 3, 1)])
+    deg = degrees(g)
+    assert degrees(g) is deg and not deg.flags.writeable
+    # exact in int64: float64 weights would round 2**61 + 1
+    assert deg.tolist() == [2**61 + 1, 2**60, 2**60 + 2, 1]
 
 
 def test_cut_value_path():

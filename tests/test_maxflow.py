@@ -4,8 +4,11 @@ import random
 import numpy as np
 import pytest
 
+from friendlycuts import graph as graph_module
 from friendlycuts import maxflow
-from friendlycuts.graph import Graph, UnsupportedInput, cut_value
+from friendlycuts.generators import gnp
+from friendlycuts.gomory_hu import gomory_hu
+from friendlycuts.graph import Graph, UnsupportedInput, component_labels, cut_value
 from friendlycuts.maxflow import MAX_CAPACITY, max_flow, min_cut_between_sets
 from friendlycuts.oracle import cut_table
 
@@ -152,10 +155,71 @@ def test_min_cut_between_sets_side_is_intersection_of_all_min_cut_sides():
         assert_minimal_min_cut(g, a, b, *min_cut_between_sets(g, a, b))
 
 
+@pytest.mark.parametrize("wmax", [1, 6], ids=["unit", "weighted"])
+def test_minimal_side_when_the_source_is_saturated_and_when_not(monkeypatch, wmax):
+    # a side of {s} is read off the source's saturated arcs, a larger one
+    # comes from the residual search; both must be the minimal side
+    searches = []
+
+    def counting_bfs(*args, **kwargs):
+        searches.append(args[1])
+        return bfs(*args, **kwargs)
+
+    bfs = maxflow.breadth_first_order
+    monkeypatch.setattr(maxflow, "breadth_first_order", counting_bfs)
+    rng = random.Random(41 + wmax)
+    singletons = larger = 0
+    for _ in range(120):
+        n = rng.randint(3, 9)
+        g = random_graph(rng, n, rng.choice([0.3, 0.6, 0.9]), wmax=wmax)
+        s, t = rng.sample(range(n), 2)
+        searches.clear()
+        value, cut = max_flow(g, s, t)
+        assert_minimal_min_cut(g, [s], [t], value, cut)
+        assert searches == ([] if cut.side == {s} else [s])
+        singletons += cut.side == {s}
+        larger += cut.side != {s}
+    assert singletons >= 20 and larger >= 20
+
+
+def test_flows_on_one_graph_match_a_fresh_graph():
+    rng = random.Random(43)
+    for g in (gnp(60, 0.1, seed=5), random_graph(rng, 40, 0.15)):
+        pairs = [tuple(rng.sample(range(g.n), 2)) for _ in range(80)]
+        matrix = g.capacity_matrix
+        before = [a.copy() for a in (matrix.data, matrix.indices, matrix.indptr)]
+        repeated = [max_flow(g, s, t) for s, t in pairs]
+        assert g.capacity_matrix is matrix
+        for a, b in zip(before, (matrix.data, matrix.indices, matrix.indptr)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        fresh = [max_flow(Graph.build(g.n, g.edges), s, t) for s, t in pairs]
+        assert repeated == fresh
+
+
+def test_one_capacity_matrix_per_graph(monkeypatch):
+    builds = []
+
+    def counting_matrix(g):
+        builds.append(g)
+        return build(g)
+
+    build = graph_module._capacity_matrix
+    monkeypatch.setattr(graph_module, "_capacity_matrix", counting_matrix)
+    g = gnp(40, 0.2, seed=2)
+    assert component_labels(g.n, g.edges[:, 0], g.edges[:, 1])[0] == 1
+    gomory_hu(g)
+    assert len(builds) == 1 and builds[0] is g
+    max_flow(g, 0, 1)
+    assert len(builds) == 1
+
+
 def test_capacity_over_int32_rejected():
     # scipy's engine computes in int32: 2**31 used to wrap to a flow of 0
     # with a "side" holding the sink
     g = Graph.build(3, [(0, 1, 2**31), (1, 2, 2**31)])
+    with pytest.raises(UnsupportedInput, match="int32"):
+        max_flow(g, 0, 2)
+    # a rejected matrix is not kept: the next call on the graph raises too
     with pytest.raises(UnsupportedInput, match="int32"):
         max_flow(g, 0, 2)
 

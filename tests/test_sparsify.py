@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from friendlycuts.graph import Graph, GraphParseError, cut_value, is_friendly
+from friendlycuts.graph import Graph, GraphParseError, Sparsifier, cut_value, is_friendly
 from friendlycuts.maxflow import min_cut_between_sets
 from friendlycuts.oracle import cut_table
 from friendlycuts.sparsify import (
@@ -148,6 +148,11 @@ def test_serialization_roundtrip():
     back = parse_sparsifier(text, g)
     assert back.graph == h.graph
     assert back.map == h.map
+    assert text.startswith(f"sparsifier 9 {h.map.n_super}\n") and back == h
+    gh = Sparsifier(graph=h.graph, map=h.map, guarantee="gh-based")
+    text = serialize_sparsifier(gh)
+    assert text.startswith(f"sparsifier 9 {h.map.n_super} gh-based\n")
+    assert parse_sparsifier(text, g) == gh
 
 
 def test_parse_sparsifier_rejects_wrong_base():
