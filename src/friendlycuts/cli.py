@@ -154,13 +154,10 @@ def cmd_sscut(args) -> int:
         raise CliError(f"source {p} out of range", EXIT_PARSE)
     if args.mode == "exact":
         table = approx_single_source(g, p)
-    elif args.mode == "unfriendly":
-        table = single_source_unfriendly(g, p)
     else:
-        from .gomory_hu import accelerated_single_source
-        table = accelerated_single_source(g, p, SparsifyConfig(seed=args.seed))
-    lines = [f"{v} {table.estimate(v)}" for v in range(g.n) if v != p]
-    _write_output("\n".join(lines) + "\n", args.out)
+        table = single_source_unfriendly(g, p)
+    _write_output("".join(f"{v} {table.estimate(v)}\n" for v in range(g.n) if v != p),
+                  args.out)
     return EXIT_OK
 
 
@@ -268,9 +265,7 @@ def _bench_row(family: str, n: int, w: int, seed: int) -> dict:
 
 
 def cmd_bench(args) -> int:
-    sizes = [int(x) for x in args.sizes.split(",") if x]
-    wgrid = [int(x) for x in args.w_grid.split(",") if x]
-    rows = [_bench_row(args.family, n, w, args.seed) for n in sizes for w in wgrid]
+    rows = [_bench_row(args.family, n, w, args.seed) for n in args.sizes for w in args.w_grid]
     out = args.csv
     if out is None or out == "-":
         writer = csv.DictWriter(sys.stdout, fieldnames=CSV_COLUMNS)
@@ -282,6 +277,23 @@ def cmd_bench(args) -> int:
             writer.writeheader()
             writer.writerows(rows)
     return EXIT_OK
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{value} is below 1")
+    return value
+
+
+def _positive_int_list(text: str) -> list[int]:
+    values = [_positive_int(x) for x in text.split(",") if x]
+    if not values:
+        raise argparse.ArgumentTypeError("the list is empty")
+    return values
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -305,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("sparsify", help="compute a cut sparsifier")
     s.add_argument("--in", dest="infile", required=True)
-    s.add_argument("--w", type=int, default=1)
+    s.add_argument("--w", type=_positive_int, default=1)
     s.add_argument("--mode", default="iterative",
                    choices=["oneshot", "iterative", "terminal", "gh-based"])
     s.add_argument("--terminals", default=None, help="node-subset file for terminal mode")
@@ -323,23 +335,22 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("sscut", help="single-source minimum cut estimates")
     c.add_argument("--in", dest="infile", required=True)
     c.add_argument("--source", type=int, required=True)
-    c.add_argument("--mode", default="unfriendly",
-                   choices=["unfriendly", "exact", "accelerated"])
-    c.add_argument("--seed", type=int, default=0)
+    c.add_argument("--mode", default="unfriendly", choices=["unfriendly", "exact"])
     c.add_argument("--out", default=None)
     c.set_defaults(func=cmd_sscut)
 
     v = sub.add_parser("verify", help="verify an artifact against its graph")
     v.add_argument("--in", dest="infile", required=True)
     v.add_argument("--artifact", required=True)
-    v.add_argument("--w", type=int, default=None)
+    v.add_argument("--w", type=_positive_int, default=None)
     v.add_argument("--seed", type=int, default=0)
     v.set_defaults(func=cmd_verify)
 
     b = sub.add_parser("bench", help="size/time benchmark, CSV output")
     b.add_argument("--family", required=True)
-    b.add_argument("--sizes", required=True, help="comma-separated node counts")
-    b.add_argument("--w-grid", dest="w_grid", required=True,
+    b.add_argument("--sizes", type=_positive_int_list, required=True,
+                   help="comma-separated node counts")
+    b.add_argument("--w-grid", dest="w_grid", type=_positive_int_list, required=True,
                    help="comma-separated thresholds")
     b.add_argument("--csv", default=None)
     b.add_argument("--seed", type=int, default=0)

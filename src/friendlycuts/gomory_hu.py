@@ -6,11 +6,11 @@ every induced tree cut is a real minimum cut in the input), path-minimum
 queries and tree-edge sides (both read one cached rooted preorder of the
 tree, in which every subtree is a slice), the friendly minimum-cut
 sparsifier obtained by contracting unfriendly-only tree components,
-capacitated auxiliary graphs of a partition tree and their sparsified
-variant, and an accelerated single-source routine that merges a Gomory-Hu
-tree of a friendly cut sparsifier with the unfriendly-exact single-source
-routine. There is no accelerated tree: Gusfield's n - 1 steps would each
-pay for a whole single-source call, itself n - 1 exact max-flows.
+and capacitated auxiliary graphs of a partition tree and their sparsified
+variant. Nothing here runs a Gomory-Hu tree of a friendly cut sparsifier:
+merged with the unfriendly-exact single-source routine, such a tree first
+pays for that routine's n - 1 exact max-flows, so it cannot beat them
+until a cheaper estimator replaces those flows.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .graph import (
     Graph,
     GraphParseError,
     Sparsifier,
-    UnsupportedInput,
     component_labels,
     content_lines,
     contract,
@@ -40,8 +39,6 @@ from .graph import (
     degrees,
 )
 from .maxflow import max_flow
-from .sparsify import SparsifyConfig, friendly_sparsify
-from .ss_unfriendly import EstimateTable, single_source_unfriendly
 
 __all__ = [
     "GHTree",
@@ -54,7 +51,6 @@ __all__ = [
     "build_cag",
     "build_sparsified_cag",
     "cag_totals",
-    "accelerated_single_source",
     "serialize_ghtree",
     "parse_ghtree",
 ]
@@ -370,32 +366,6 @@ def cag_totals(source: Graph | Sparsifier, pt: PartitionTree) -> tuple[int, int]
         total_nodes += cag.n
         total_edges += cag.edge_count
     return total_nodes, total_edges
-
-
-def accelerated_single_source(g: Graph, p: int, cfg: SparsifyConfig | None = None) -> EstimateTable:
-    """Exact single-source min cuts: Gomory-Hu on a friendly n-cut sparsifier
-    for the friendly pairs, merged (by minimum) with the unfriendly-exact
-    estimates. Every minimum cut falls to one branch, so the merge is exact."""
-    if not 0 <= p < g.n:
-        raise ValueError(f"pivot {p} out of range")
-    if g.edges.size and int(g.edges[:, 2].max()) > 1:
-        raise UnsupportedInput("accelerated pipeline requires a simple graph")
-    table = single_source_unfriendly(g, p)
-    h = friendly_sparsify(g, w=g.n, cfg=cfg)
-    ght = gomory_hu(h.graph)
-    sp = int(h.map.super_of[p])
-    for v in range(g.n):
-        if v == p:
-            continue
-        sv = int(h.map.super_of[v])
-        if sv == sp:
-            continue  # this pair's min cuts are not friendly-preserved; other branch wins
-        value, cut = gh_query(ght, sv, sp)
-        side_mask = np.zeros(h.graph.n, dtype=bool)
-        side_mask[list(cut.side)] = True
-        side = frozenset(int(x) for x in np.flatnonzero(side_mask[h.map.super_of]))
-        table.update(v, value, Cut(side=side, value=value))
-    return table
 
 
 def serialize_ghtree(t: GHTree) -> str:

@@ -127,6 +127,12 @@ def single_source_unfriendly(g: Graph, p: int, *, eps: Fraction = EPS_DEFAULT,
 
     Weights must stay polynomially bounded (at most n^4) so the number of
     levels stays logarithmic.
+
+    Under the default estimator c'(v) is already lambda(p, v) before the
+    levels are formed (n - 1 exact max-flows), and every cut the isolating
+    phase offers v separates v from p, so that phase cannot lower any
+    estimate. It does work only behind an ``estimator`` that returns values
+    above lambda(p, v).
     """
     if not 0 <= p < g.n:
         raise ValueError(f"pivot {p} out of range")

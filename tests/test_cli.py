@@ -62,6 +62,12 @@ def test_parse_error_exit_code(tmp_path, capsys):
     # usage errors are input errors too, not verification failures
     assert run(["ghtree", "--in", str(bad), "--algo", "accelerated"]) == EXIT_PARSE
     assert run(["sscut", "--in", str(bad)]) == EXIT_PARSE
+    # on a valid graph too: sscut has one pipeline per mode and no seed
+    good = tmp_path / "good.txt"
+    good.write_text(serialize_graph(clique(5)))
+    assert run(["sscut", "--in", str(good), "--source", "0", "--mode", "accelerated"]) == EXIT_PARSE
+    assert run(["sscut", "--in", str(good), "--source", "0", "--seed", "1"]) == EXIT_PARSE
+    assert capsys.readouterr().out == ""
     assert run(["no-such-command"]) == EXIT_PARSE
     assert "usage:" in capsys.readouterr().err
     with pytest.raises(SystemExit) as info:
@@ -221,7 +227,7 @@ def test_guard_exit_code(tmp_path, capsys):
 def test_sscut_modes(tmp_path, capsys):
     gpath = tmp_path / "g.txt"
     gpath.write_text(serialize_graph(clique(5)))
-    for mode in ("exact", "unfriendly", "accelerated"):
+    for mode in ("exact", "unfriendly"):
         assert run(["sscut", "--in", str(gpath), "--source", "0",
                     "--mode", mode]) == EXIT_OK
         lines = capsys.readouterr().out.strip().splitlines()
@@ -244,9 +250,6 @@ def test_sscut_and_flow_guards_exit_code(tmp_path, capsys):
         assert run(args) == EXIT_PARSE
         captured = capsys.readouterr()
         assert captured.out == "" and "int32" in captured.err
-    # the accelerated pipeline takes simple graphs only
-    assert run(["sscut", "--in", str(small), "--source", "0", "--mode", "accelerated"]) == EXIT_PARSE
-    assert "simple graph" in capsys.readouterr().err
 
 
 def test_sscut_internal_check_failure_is_not_an_input_error(tmp_path, monkeypatch):
@@ -320,6 +323,32 @@ def test_sscut_source_range(tmp_path):
     assert run(["sscut", "--in", str(gpath), "--source", "9"]) == EXIT_PARSE
 
 
+def test_sscut_on_one_node_writes_nothing(tmp_path, capsys):
+    gpath = tmp_path / "g.txt"
+    opath = tmp_path / "out.txt"
+    gpath.write_text("1 0\n")
+    for mode in ("exact", "unfriendly"):
+        assert run(["sscut", "--in", str(gpath), "--source", "0", "--mode", mode]) == EXIT_OK
+        assert capsys.readouterr().out == ""
+        assert run(["sscut", "--in", str(gpath), "--source", "0", "--mode", mode,
+                    "--out", str(opath)]) == EXIT_OK
+        assert opath.read_text() == ""
+
+
+def test_w_below_one_is_a_usage_error(tmp_path, capsys):
+    gpath = tmp_path / "g.txt"
+    hpath = tmp_path / "h.txt"
+    gpath.write_text(serialize_graph(clique(5)))
+    assert run(["sparsify", "--in", str(gpath), "--out", str(hpath)]) == EXIT_OK
+    for w in ("-3", "0", "two"):
+        for args in (["sparsify", "--in", str(gpath)],
+                     ["verify", "--in", str(gpath), "--artifact", str(hpath)]):
+            assert run(args + ["--w", w]) == EXIT_PARSE
+            captured = capsys.readouterr()
+            assert captured.out == "" and "argument --w" in captured.err
+    assert run(["verify", "--in", str(gpath), "--artifact", str(hpath), "--w", "1"]) == EXIT_OK
+
+
 def test_terminal_mode_needs_terminals(tmp_path):
     gpath = tmp_path / "g.txt"
     gpath.write_text(serialize_graph(clique(6)))
@@ -355,3 +384,14 @@ def test_bench_csv_schema_and_determinism(tmp_path):
 def test_bench_rejects_unknown_family(tmp_path):
     assert run(["bench", "--family", "star", "--sizes", "10",
                 "--w-grid", "2"]) == EXIT_PARSE
+
+
+def test_bench_rejects_bad_lists(tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    for option, other in (("--sizes", ["--w-grid", "2"]), ("--w-grid", ["--sizes", "10"])):
+        for text in ("a", "10,x", "0", "4,-2", "", ","):
+            assert run(["bench", "--family", "gnp", option, text, *other,
+                        "--csv", str(out)]) == EXIT_PARSE
+            captured = capsys.readouterr()
+            assert captured.out == "" and f"argument {option}" in captured.err
+    assert not out.exists()

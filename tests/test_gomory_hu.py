@@ -5,11 +5,10 @@ import numpy as np
 import pytest
 
 import friendlycuts.gomory_hu as gomory_hu_module
-from friendlycuts.generators import alt_cycle, clique, dumbbell, path, star
+from friendlycuts.generators import alt_cycle, clique, dumbbell, path
 from friendlycuts.gomory_hu import (
     GHTree,
     PartitionTree,
-    accelerated_single_source,
     build_cag,
     build_sparsified_cag,
     cag_totals,
@@ -388,37 +387,6 @@ def test_cag_node_totals_bounded():
         h = friendly_mincut_sparsifier_from_gh(g, t)
         nodes_h, _ = cag_totals(h, pt)
         assert nodes_h <= 3 * g.n
-
-
-def test_accelerated_single_source_clique():
-    table = accelerated_single_source(clique(6), 0)
-    assert all(table.estimate(v) == 5 for v in range(1, 6))
-
-
-def test_accelerated_single_source_exact_everywhere():
-    # the fixed graphs, n = 2 and 3 among them, are checked at every pivot
-    fixed = (path(2), path(3), clique(3), clique(4), path(5), dumbbell(4),
-             path(6), star(7), clique(6), dumbbell(5))
-    cases = [(g, range(g.n)) for g in fixed]
-    rng = random.Random(61)
-    for _ in range(15):
-        n = rng.randint(5, 11)
-        g = random_graph(rng, n, 0.4, wmax=1)
-        cases.append((g, [rng.randrange(n)]))
-    for g, pivots in cases:
-        lam = all_pairs_min_cut(g)
-        for p in pivots:
-            table = accelerated_single_source(g, p)
-            for v in range(g.n):
-                if v != p:
-                    assert table.estimate(v) == lam[p, v], (g.n, p, v)
-                    assert cut_value(g, table.witnesses[v].side) == lam[p, v], (g.n, p, v)
-
-
-def test_accelerated_requires_simple():
-    g = Graph.build(3, [(0, 1, 2), (1, 2, 1)])
-    with pytest.raises(UnsupportedInput):
-        accelerated_single_source(g, 0)
 
 
 def test_weighted_tree_edges_on_multigraph():
