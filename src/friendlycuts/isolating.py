@@ -1,14 +1,35 @@
 """Minimum isolating cuts for a terminal set.
 
-The fast path uses ceil(log2 |R|) global bipartition max-flows (terminals
-split by the bits of their index within R), intersects the minimal source
-sides to get per-terminal regions, and finishes with one local max-flow per
-terminal on the graph with everything outside the region contracted. The
-direct path runs one max-flow per terminal and serves as the oracle.
+The fast path runs ceil(log2 |R|) global bipartition max-flows: flow b
+separates the terminals whose index within R has bit b clear from those
+whose bit b is set. Each node x gets the code whose bit b is set when x is
+not on flow b's minimal source side, and terminal i's region is the set of
+nodes with code i. So the regions are the intersections of the sides,
+pairwise disjoint by construction, and terminal i lies in region i.
 
-A region that holds only its terminal contracts to two nodes, which
-``max_flow`` answers directly without the engine; it still counts as one
-local flow call.
+All k local problems (terminal i against everything outside region i) are
+then answered by one max-flow on one graph, since the regions are disjoint
+(the isolating-cuts lemma of Li and Panigrahi, FOCS'20):
+
+- every terminal is merged into a super-source S, and every node outside all
+  regions into a super-sink T;
+- an edge inside one region is kept;
+- an edge that leaves a region becomes an arc to T from each of its
+  endpoints that lies in a region, since that endpoint's own local problem
+  has everything outside its region merged into its sink;
+- the arcs from a terminal to T join S to T and cross every cut, so they are
+  left out of the graph and their weight is added back to the flow value.
+
+The graph is the union of the k local graphs, which share only S and T, so
+its maximum flow is the sum of the local ones, and its minimal source side
+restricted to region i is terminal i's minimal local side. The value of each
+side is its boundary weight in the input graph, and the values must sum to
+the flow. Every capacity equals a merged capacity of one local graph, so the
+int32 guard accepts every input that one flow per region accepts; a
+terminal's own arcs to T never reach the engine, so their total may exceed
+int32.
+
+The direct path runs one max-flow per terminal and serves as the oracle.
 """
 
 from __future__ import annotations
@@ -18,8 +39,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .graph import Cut, Graph
-from .maxflow import min_cut_between_sets
+from .graph import Cut, Graph, UnsupportedInput
+from .maxflow import max_flow, min_cut_between_sets
 
 __all__ = ["IsolatingCuts", "isolating_cuts", "isolating_cuts_direct"]
 
@@ -34,46 +55,75 @@ class IsolatingCuts:
 def _check_terminals(g: Graph, r: Iterable[int]) -> list[int]:
     terms = sorted(set(int(v) for v in r))
     if len(terms) < 2:
-        raise ValueError("need at least 2 terminals")
+        raise UnsupportedInput("need at least 2 terminals")
     for v in terms:
         if not 0 <= v < g.n:
-            raise ValueError(f"terminal {v} out of range")
+            raise UnsupportedInput(f"terminal {v} out of range")
     return terms
+
+
+def _regions(g: Graph, terms: np.ndarray) -> tuple[np.ndarray, int]:
+    """Region index of every node (-1 outside all regions), and the number of
+    global flows run."""
+    k = terms.size
+    index = np.arange(k)
+    bits = max(1, (k - 1).bit_length())
+    code = np.zeros(g.n, dtype=np.int64)
+    for b in range(bits):
+        ones = ((index >> b) & 1).astype(bool)
+        _, cut = min_cut_between_sets(g, terms[~ones], terms[ones])
+        outside = np.ones(g.n, dtype=bool)
+        outside[list(cut.side)] = False
+        code[outside] |= 1 << b
+    if not np.array_equal(code[terms], index):
+        raise RuntimeError("a terminal is not in its own region")
+    return np.where(code < k, code, -1), bits
 
 
 def isolating_cuts(g: Graph, r: Iterable[int]) -> IsolatingCuts:
     """Minimum isolating cut S_v for every terminal v; sides pairwise disjoint."""
-    terms = _check_terminals(g, r)
-    k = len(terms)
-    bits = max(1, (k - 1).bit_length())
-    in_region = np.ones((k, g.n), dtype=bool)
-    global_calls = 0
-    for b in range(bits):
-        zeros = [terms[i] for i in range(k) if not (i >> b) & 1]
-        ones = [terms[i] for i in range(k) if (i >> b) & 1]
-        if not zeros or not ones:
-            continue
-        _, cut = min_cut_between_sets(g, zeros, ones)
-        global_calls += 1
-        side = np.zeros(g.n, dtype=bool)
-        side[list(cut.side)] = True
-        for i in range(k):
-            if (i >> b) & 1:
-                in_region[i] &= ~side
-            else:
-                in_region[i] &= side
-    cuts: dict[int, Cut] = {}
-    local_calls = 0
-    for i, v in enumerate(terms):
-        region = in_region[i]
-        region[v] = True  # v always belongs to its own region
-        if region.all():
-            raise AssertionError("region must exclude the other terminals")
-        # min cut separating v from everything outside its region
-        cuts[v] = min_cut_between_sets(g, [v], np.flatnonzero(~region))[1]
-        local_calls += 1
-    return IsolatingCuts(cuts=cuts, global_flow_calls=global_calls,
-                         local_flow_calls=local_calls)
+    terms = np.asarray(_check_terminals(g, r), dtype=np.int64)
+    k = terms.size
+    region_of, global_calls = _regions(g, terms)
+    # local graph ids: S = 0, T = 1, the other region nodes 2, 3, ...
+    s, t = 0, 1
+    inner = region_of >= 0
+    inner[terms] = False
+    n_inner = int(inner.sum())
+    h_of = np.full(g.n, t, dtype=np.int64)
+    h_of[inner] = 2 + np.arange(n_inner)
+    h_of[terms] = s
+    eu, ev, ew = g.edges.T
+    ru, rv = region_of[eu], region_of[ev]
+    inside = (ru == rv) & (ru >= 0)
+    leave_u = (ru >= 0) & ~inside
+    leave_v = (rv >= 0) & ~inside
+    tails = np.concatenate([h_of[eu[inside]], h_of[eu[leave_u]], h_of[ev[leave_v]]])
+    heads = np.concatenate([h_of[ev[inside]], np.full(int(leave_u.sum() + leave_v.sum()), t)])
+    weights = np.concatenate([ew[inside], ew[leave_u], ew[leave_v]])
+    s_to_t = (tails == s) & (heads == t)
+    st_weight = int(weights[s_to_t].sum())
+    keep = ~s_to_t
+    h = Graph.build(2 + n_inner, np.column_stack([tails[keep], heads[keep], weights[keep]]))
+    flow, cut = max_flow(h, s, t)
+    # T is never on the minimal source side, so nodes outside all regions drop out
+    in_side = np.zeros(h.n, dtype=bool)
+    in_side[list(cut.side)] = True
+    side_of = np.where(in_side[h_of], region_of, -1)
+    values = np.zeros(k, dtype=np.int64)
+    su, sv = side_of[eu], side_of[ev]
+    for end in (su, sv):
+        # an edge between two sides counts toward both
+        counted = (su != sv) & (end >= 0)
+        np.add.at(values, end[counted], ew[counted])
+    if int(values.sum()) != flow + st_weight:
+        raise RuntimeError("isolating cut values do not sum to the local flow value")
+    members = np.flatnonzero(side_of >= 0)
+    members = members[np.argsort(side_of[members], kind="stable")]
+    groups = np.split(members, np.cumsum(np.bincount(side_of[members], minlength=k))[:-1])
+    cuts = {int(v): Cut(side=frozenset(group.tolist()), value=int(value))
+            for v, group, value in zip(terms, groups, values)}
+    return IsolatingCuts(cuts=cuts, global_flow_calls=global_calls, local_flow_calls=1)
 
 
 def isolating_cuts_direct(g: Graph, r: Iterable[int]) -> IsolatingCuts:

@@ -88,12 +88,14 @@ def approx_single_source(g: Graph, p: int, eps: Fraction = EPS_DEFAULT, *,
         return estimator(g, p, eps)
     estimates = np.zeros(g.n, dtype=np.int64)
     witnesses: dict[int, Cut] = {}
+    # many nodes share one minimal side (often V minus p); keep one Cut per side
+    shared: dict[frozenset[int], Cut] = {}
     for v in range(g.n):
         if v == p:
             continue
         value, cut = max_flow(g, v, p)  # minimal side around v, excludes p
         estimates[v] = value
-        witnesses[v] = cut
+        witnesses[v] = shared.setdefault(cut.side, cut)
     return EstimateTable(pivot=p, estimates=estimates, witnesses=witnesses, eps=eps)
 
 

@@ -158,14 +158,15 @@ def test_criterion_3_isolating_cuts(capsys):
                   for a, b in itertools.combinations(sides, 2))
         for v in r:
             c = res.cuts[v]
+            # the minimal minimum isolating cut is unique: same side, same value
             ok &= (v in c.side and cut_value(g, c.side) == c.value
-                   and c.value == direct.cuts[v].value)
+                   and c == direct.cuts[v])
         if not ok:
             mismatches += 1
             first = first or (g.n, sorted(r))
     report(capsys, 3, mismatches == 0,
            f"{instances} instances up to n=200, fast path = per-terminal "
-           f"oracle with disjoint sides and exact global-call counts, "
+           f"oracle side for side, disjoint sides and exact global-call counts, "
            f"{mismatches} mismatches" + (f"; first {first}" if first else ""))
 
 

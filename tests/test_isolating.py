@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from friendlycuts.graph import Graph, cut_value
+from friendlycuts import maxflow
+from friendlycuts.graph import MAX_CAPACITY, Cut, Graph, UnsupportedInput, cut_value
 from friendlycuts.isolating import isolating_cuts, isolating_cuts_direct
 from friendlycuts.maxflow import max_flow
 
@@ -40,13 +41,11 @@ def test_path_alternating_terminals():
     r = [0, 2, 4]
     res = isolating_cuts(g, r)
     direct = isolating_cuts_direct(g, r)
-    assert {v: c.value for v, c in res.cuts.items()} == \
-        {v: c.value for v, c in direct.cuts.items()}
+    assert res.cuts == direct.cuts
     assert res.cuts[0].side == frozenset({0})
     assert res.cuts[4].side == frozenset({4})
-    assert res.cuts[2].value == 2
-    assert res.cuts[2].side in (frozenset({2}), frozenset({1, 2}),
-                                frozenset({2, 3}), frozenset({1, 2, 3}))
+    # {2}, {1, 2}, {2, 3} and {1, 2, 3} all cost 2; the minimal side is {2}
+    assert res.cuts[2] == Cut(side=frozenset({2}), value=2)
     check_contract(g, r, res)
 
 
@@ -61,20 +60,38 @@ def test_weighted_cycle_pair():
 
 def test_rejects_too_few_terminals():
     g = Graph.build(3, [(0, 1, 1), (1, 2, 1)])
-    with pytest.raises(ValueError):
+    with pytest.raises(UnsupportedInput, match="at least 2"):
         isolating_cuts(g, [1])
-    with pytest.raises(ValueError):
+    with pytest.raises(UnsupportedInput, match="at least 2"):
         isolating_cuts_direct(g, [2, 2])
 
 
-def test_global_call_accounting():
+def test_rejects_out_of_range_terminals():
+    g = Graph.build(3, [(0, 1, 1), (1, 2, 1)])
+    for fn in (isolating_cuts, isolating_cuts_direct):
+        with pytest.raises(UnsupportedInput, match="out of range"):
+            fn(g, [0, 3])
+
+
+def test_global_call_accounting(monkeypatch):
+    engine_calls = []
+
+    def counting_engine(*args, **kwargs):
+        engine_calls.append(args)
+        return engine(*args, **kwargs)
+
+    engine = maxflow._scipy_maximum_flow
+    monkeypatch.setattr(maxflow, "_scipy_maximum_flow", counting_engine)
     rng = random.Random(0)
     g = random_graph(rng, 20, 0.3)
     for k in (2, 3, 5, 8, 13, 16):
         r = rng.sample(range(20), k)
+        engine_calls.clear()
         res = isolating_cuts(g, r)
         assert res.global_flow_calls == math.ceil(math.log2(k))
-        assert res.local_flow_calls == k
+        # all k local problems are one flow; 2-node flows skip the engine
+        assert res.local_flow_calls == 1
+        assert len(engine_calls) <= 1 + math.ceil(math.log2(k))
         direct = isolating_cuts_direct(g, r)
         assert direct.local_flow_calls == k
 
@@ -89,7 +106,8 @@ def test_fast_path_matches_direct_oracle():
         res = isolating_cuts(g, r)
         direct = isolating_cuts_direct(g, r)
         for v in r:
-            assert res.cuts[v].value == direct.cuts[v].value, (n, r, v)
+            # the minimal minimum isolating cut is unique
+            assert res.cuts[v] == direct.cuts[v], (n, r, v)
         check_contract(g, r, res)
         check_contract(g, r, direct)
 
@@ -100,5 +118,36 @@ def test_larger_instance():
     r = rng.sample(range(120), 10)
     res = isolating_cuts(g, r)
     direct = isolating_cuts_direct(g, r)
-    assert {v: c.value for v, c in res.cuts.items()} == \
-        {v: c.value for v, c in direct.cuts.items()}
+    assert res.cuts == direct.cuts
+
+
+def test_int32_limits_match_the_per_terminal_flows():
+    m = MAX_CAPACITY
+    # the batched local flow's capacities are the per-terminal flows' merged
+    # ones, which fit; a source arc of deg(0) + 1 = m + 1 would not
+    g = Graph.build(3, [(0, 1, m), (1, 2, 1)])
+    res = isolating_cuts(g, [0, 2])
+    assert res.cuts == {0: Cut(frozenset({0, 1}), 1), 2: Cut(frozenset({2}), 1)}
+    assert res.cuts == isolating_cuts_direct(g, [0, 2]).cuts
+    g = Graph.build(6, [(0, 3, m), (1, 4, m), (2, 5, m), (3, 4, 1), (4, 5, 1), (3, 5, 1)])
+    res = isolating_cuts(g, [0, 1, 2])
+    assert res.cuts == {0: Cut(frozenset({0, 3}), 2), 1: Cut(frozenset({1, 4}), 2),
+                        2: Cut(frozenset({2, 5}), 2)}
+    assert res.cuts == isolating_cuts_direct(g, [0, 1, 2]).cuts
+    # the global flow for bit 1 merges {0, 1} against 2 into one arc of 2m
+    g = Graph.build(3, [(0, 2, m), (1, 2, m)])
+    with pytest.raises(UnsupportedInput, match="int32"):
+        isolating_cuts(g, [0, 1, 2])
+
+
+def test_terminal_arcs_to_the_sink_never_reach_the_engine():
+    # terminal 0's region is {0}; its 2m of edges leave the region straight
+    # from the terminal, so they cross every cut and are added to the value
+    m = MAX_CAPACITY
+    g = Graph.build(3, [(0, 1, m), (0, 2, m)])
+    res = isolating_cuts(g, [0, 1, 2])
+    assert res.cuts == {0: Cut(frozenset({0}), 2 * m), 1: Cut(frozenset({1}), m),
+                        2: Cut(frozenset({2}), m)}
+    # the oracle contracts {1, 2} into one sink and so needs a 2m arc
+    with pytest.raises(UnsupportedInput, match="int32"):
+        isolating_cuts_direct(g, [0, 1, 2])

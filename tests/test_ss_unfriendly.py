@@ -84,6 +84,22 @@ def test_estimator_replaces_exact_flows():
     assert calls == [(g, 0)]
 
 
+def test_equal_witness_sides_are_one_object():
+    pendant = Graph.build(6, complete(5).edge_list() + [(0, 5, 1)])
+    rng = random.Random(11)
+    for g, p in ((dumbbell(), 0), (pendant, 5), (random_graph(rng, 14, 0.3), 3)):
+        for table in (approx_single_source(g, p), single_source_unfriendly(g, p)):
+            check_soundness(g, table)
+            witnesses = list(table.witnesses.values())
+            sides = {w.side for w in witnesses}
+            assert len({id(w) for w in witnesses}) == len(sides)
+        assert len(sides) < g.n - 1  # the graph does repeat a side
+    # across the bridge every node's minimal side is the far clique
+    table = approx_single_source(dumbbell(), 0)
+    assert all(table.witnesses[v] is table.witnesses[5] for v in range(6, 10))
+    assert table.witnesses[5].side == frozenset(range(5, 10))
+
+
 def test_unfriendly_clique_all_exact():
     g = complete(6)
     table = single_source_unfriendly(g, 2)
