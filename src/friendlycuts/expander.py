@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .graph import Graph, degrees, proper_side_mask
+from .graph import Graph, crossing_rows, cut_weight, degrees, edge_sums, proper_side_mask
 
 __all__ = [
     "K_EXACT_DEFAULT",
@@ -70,10 +70,7 @@ def demand_conductance(g: Graph, d: DemandVector, s: Iterable[int]):
     mask = proper_side_mask(g, s)
     if len(d) != g.n:
         raise ValueError("demand vector must have one entry per node")
-    num = 0
-    if g.edges.size:
-        crossing = mask[g.edges[:, 0]] != mask[g.edges[:, 1]]
-        num = int(g.edges[crossing, 2].sum())
+    num = cut_weight(g, mask)
     d_in = sum(Fraction(d[v]) for v in np.flatnonzero(mask))
     d_out = sum(Fraction(d[v]) for v in np.flatnonzero(~mask))
     den = min(d_in, d_out)
@@ -117,21 +114,14 @@ class _ClusterSplitter:
         self.edges = g.edges
 
     def _induced(self, nodes: np.ndarray):
-        """Local edge array (positions into nodes) and per-node boundary weight."""
-        pos = -np.ones(self.g.n, dtype=np.int64)
+        """Local edge array (positions into nodes) and each node's local degree."""
+        pos = np.full(self.g.n, -1, dtype=np.int64)
         pos[nodes] = np.arange(len(nodes))
-        if not self.edges.size:
-            return np.zeros((0, 3), dtype=np.int64), np.zeros(len(nodes), dtype=np.int64)
         pu = pos[self.edges[:, 0]]
         pv = pos[self.edges[:, 1]]
         both = (pu >= 0) & (pv >= 0)
-        one_u = (pu >= 0) & (pv < 0)
-        one_v = (pv >= 0) & (pu < 0)
         local = np.column_stack([pu[both], pv[both], self.edges[both, 2]])
-        boundary = np.zeros(len(nodes), dtype=np.int64)
-        np.add.at(boundary, pu[one_u], self.edges[one_u, 2])
-        np.add.at(boundary, pv[one_v], self.edges[one_v, 2])
-        return local, boundary
+        return local, edge_sums(len(nodes), local)
 
     def _below_phi(self, delta: int, den: int) -> bool:
         # conductance delta/den < phi, exact; den is in scaled demand units
@@ -172,11 +162,8 @@ class _ClusterSplitter:
         idx = np.arange(total, dtype=np.int64)
         bits = ((idx[:, None] >> np.arange(size - 1, dtype=np.int64)) & 1).astype(bool)
         members = np.concatenate([np.ones((total, 1), dtype=bool), bits], axis=1)
-        if local_edges.size:
-            crossing = members[:, local_edges[:, 0]] != members[:, local_edges[:, 1]]
-            deltas = crossing @ local_edges[:, 2]
-        else:
-            deltas = np.zeros(total, dtype=np.int64)
+        crossing = members[:, local_edges[:, 0]] != members[:, local_edges[:, 1]]
+        deltas = crossing @ local_edges[:, 2]
         d_in = members @ eff
         dens = np.minimum(d_in, int(eff.sum()) - d_in)
         with np.errstate(divide="ignore"):
@@ -197,11 +184,10 @@ class _ClusterSplitter:
         pos = np.empty(size, dtype=np.int64)
         pos[order] = np.arange(size)
         diff = np.zeros(size + 1, dtype=np.int64)
-        if local_edges.size:
-            lo = np.minimum(pos[local_edges[:, 0]], pos[local_edges[:, 1]])
-            hi = np.maximum(pos[local_edges[:, 0]], pos[local_edges[:, 1]])
-            np.add.at(diff, lo + 1, local_edges[:, 2])
-            np.add.at(diff, hi + 1, -local_edges[:, 2])
+        lo = np.minimum(pos[local_edges[:, 0]], pos[local_edges[:, 1]])
+        hi = np.maximum(pos[local_edges[:, 0]], pos[local_edges[:, 1]])
+        np.add.at(diff, lo + 1, local_edges[:, 2])
+        np.add.at(diff, hi + 1, -local_edges[:, 2])
         deltas = np.cumsum(diff)[1:size]  # delta of prefix of length k, k=1..size-1
         pref = np.cumsum(eff[order])[: size - 1]
         dens = np.minimum(pref, int(eff.sum()) - pref)
@@ -215,8 +201,6 @@ class _ClusterSplitter:
     def _fiedler_order(self, size: int, local_edges: np.ndarray, rng) -> np.ndarray:
         from scipy.sparse import coo_matrix
 
-        if not local_edges.size:
-            return np.arange(size)
         rows = np.concatenate([local_edges[:, 0], local_edges[:, 1]])
         cols = np.concatenate([local_edges[:, 1], local_edges[:, 0]])
         vals = np.concatenate([local_edges[:, 2], local_edges[:, 2]]).astype(np.float64)
@@ -242,20 +226,15 @@ class _ClusterSplitter:
         return np.argsort(x, kind="stable")
 
     def _improve(self, side: np.ndarray, score: tuple[int, int],
-                 local_edges: np.ndarray, eff: np.ndarray, passes: int = 2):
-        """Greedy single-node moves that lower conductance."""
+                 local_edges: np.ndarray, deg_sub: np.ndarray, eff: np.ndarray,
+                 passes: int = 2):
+        """Greedy single-node moves that lower conductance; ``deg_sub`` holds
+        the cluster's local degrees."""
         size = len(side)
         total = int(eff.sum())
         for _ in range(passes):
             improved = False
-            deg_sub = np.zeros(size, dtype=np.int64)
-            cross = np.zeros(size, dtype=np.int64)
-            if local_edges.size:
-                np.add.at(deg_sub, local_edges[:, 0], local_edges[:, 2])
-                np.add.at(deg_sub, local_edges[:, 1], local_edges[:, 2])
-                cr = side[local_edges[:, 0]] != side[local_edges[:, 1]]
-                np.add.at(cross, local_edges[cr, 0], local_edges[cr, 2])
-                np.add.at(cross, local_edges[cr, 1], local_edges[cr, 2])
+            cross = edge_sums(size, local_edges[crossing_rows(local_edges, side)])
             delta, _ = score
             d_in = int(eff[side].sum())
             for v in np.flatnonzero(cross > 0):
@@ -279,18 +258,14 @@ class _ClusterSplitter:
                 break
         return side, score
 
-    def _sampled_candidate(self, size: int, local_edges: np.ndarray, eff: np.ndarray,
-                           rng):
+    def _sampled_candidate(self, size: int, local_edges: np.ndarray, deg_sub: np.ndarray,
+                           eff: np.ndarray, rng):
         """Best cut found by spectral sweep, singleton scan, and local search."""
         candidates = []
         order = self._fiedler_order(size, local_edges, rng)
         candidates.append(self._sweep_candidate(order, local_edges, eff))
         candidates.append(self._sweep_candidate(order[::-1], local_edges, eff))
         # singleton cuts
-        deg_sub = np.zeros(size, dtype=np.int64)
-        if local_edges.size:
-            np.add.at(deg_sub, local_edges[:, 0], local_edges[:, 2])
-            np.add.at(deg_sub, local_edges[:, 1], local_edges[:, 2])
         total = int(eff.sum())
         dens = np.minimum(eff, total - eff)
         with np.errstate(divide="ignore"):
@@ -304,12 +279,12 @@ class _ClusterSplitter:
             candidates.append(
                 self._sweep_candidate(rng.permutation(size), local_edges, eff)
             )
-        best = min(candidates, key=lambda c: (c[1][0] / c[1][1]) if c[1][1] else math.inf)
-        for cand in candidates:
+        best = candidates[0]
+        for cand in candidates[1:]:
             if self._ratio_less(cand[1], best[1]):
                 best = cand
         side, score = best
-        return self._improve(side, score, local_edges, eff)
+        return self._improve(side, score, local_edges, deg_sub, eff)
 
     def _cluster_rng(self, nodes: np.ndarray):
         digest = hash((self.seed, len(nodes), int(nodes.min()), int(nodes.max()),
@@ -323,16 +298,18 @@ class _ClusterSplitter:
         else by the sampled search) when its conductance is below phi, else
         none."""
         size = len(nodes)
-        local_edges, boundary = self._induced(nodes)
+        local_edges, deg_sub = self._induced(nodes)
         comp = self._components(size, local_edges)
         labels = np.unique(comp)
         if len(labels) > 1:
             return [comp == label for label in labels]
-        eff = self.base_dem[nodes] + boundary * self.scale
+        # connected with two or more nodes, so the searches below see a local
+        # edge; each node's edges leaving the cluster count as self-loop demand
+        eff = self.base_dem[nodes] + (degrees(self.g)[nodes] - deg_sub) * self.scale
         if exact:
             side, score = self._exact_candidate(size, local_edges, eff)
         else:
-            side, score = self._sampled_candidate(size, local_edges, eff,
+            side, score = self._sampled_candidate(size, local_edges, deg_sub, eff,
                                                   self._cluster_rng(nodes))
         return [side, ~side] if self._below_phi(*score) else []
 
@@ -370,11 +347,7 @@ def decompose(g: Graph, phi, d: DemandVector | None = None, *,
     label = np.zeros(g.n, dtype=np.int64)
     for i, (nodes, _) in enumerate(leaves):
         label[nodes] = i
-    outer = 0
-    if g.edges.size:
-        crossing = label[g.edges[:, 0]] != label[g.edges[:, 1]]
-        outer = int(g.edges[crossing, 2].sum())
-    return Decomposition(clusters=clusters, phi=phi, outer_edges=outer,
+    return Decomposition(clusters=clusters, phi=phi, outer_edges=cut_weight(g, label),
                          certified=certified)
 
 

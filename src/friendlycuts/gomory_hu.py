@@ -25,8 +25,6 @@ from scipy.sparse.csgraph import depth_first_order
 
 from . import oracle
 from .graph import (
-    CROSS_DEN,
-    CROSS_NUM,
     ContractionMap,
     Cut,
     Graph,
@@ -35,8 +33,8 @@ from .graph import (
     component_labels,
     content_lines,
     contract,
-    crossing_weights,
-    degrees,
+    cut_weight,
+    unfriendly_nodes,
 )
 from .maxflow import max_flow
 
@@ -245,9 +243,8 @@ def _checked_edge_sides(g: Graph, t: GHTree) -> Iterator[tuple[tuple[int, int, i
     t_edges = np.asarray(t.edges, dtype=np.int64).reshape(-1, 3)
     if not np.array_equal(g_labels, component_labels(t.n, t_edges[:, 0], t_edges[:, 1])[1]):
         raise ValueError("tree components do not match graph components")
-    gu, gv, gw = g.edges.T
     for (u, v, w), mask in _tree_edge_sides(t):
-        if int(gw[mask[gu] != mask[gv]].sum()) != w:
+        if cut_weight(g, mask) != w:
             raise ValueError(f"tree edge ({u},{v},{w}) cut has wrong value in g")
         yield (u, v, w), mask
 
@@ -270,11 +267,8 @@ def friendly_mincut_sparsifier_from_gh(g: Graph, t: GHTree) -> Sparsifier:
     minimum cuts are all friendly. Raises ValueError on a tree that
     ``validate_ghtree`` rejects.
     """
-    deg = degrees(g)
-    unfriendly_classes = []
-    for (u, v, _), mask in _checked_edge_sides(g, t):
-        if (CROSS_DEN * crossing_weights(g, mask) > CROSS_NUM * deg).any():
-            unfriendly_classes.append((u, v))
+    unfriendly_classes = [(u, v) for (u, v, _), mask in _checked_edge_sides(g, t)
+                          if unfriendly_nodes(g, mask).any()]
     cmap = ContractionMap.from_classes(g.n, unfriendly_classes)
     return Sparsifier(graph=contract(g, cmap), map=cmap, guarantee="gh-based")
 

@@ -5,6 +5,13 @@ as a single entry whose integer weight is the multiplicity, and self-loop
 mass lives in a separate per-node ``extra_volume`` table that counts toward
 volumes but never toward degrees.
 
+All cut arithmetic lives here, over node label arrays (a side mask is one;
+an edge crosses when its endpoints' labels differ): ``edge_sums`` is the one
+per-node edge-weight sum, ``crossing_weights`` and ``cut_weight`` give a
+labelling's per-node and total crossing weight, and ``unfriendly_nodes`` is
+the friendliness rule, ``CROSS_DEN * crossing > CROSS_NUM * degree``. Only
+``oracle.cut_table`` restates the rule, vectorised, as the reference.
+
 Two per-graph arrays are computed on first use and then kept on the graph
 (``functools.cached_property``), since a graph never changes: the degrees
 that ``degrees(g)`` returns, and the int32 capacity matrix that every
@@ -37,6 +44,11 @@ __all__ = [
     "degree",
     "degrees",
     "volume",
+    "edge_sums",
+    "crossing_rows",
+    "crossing_weights",
+    "cut_weight",
+    "unfriendly_nodes",
     "cut_value",
     "is_friendly",
     "contract",
@@ -143,11 +155,7 @@ class Graph:
 
     @cached_property
     def _degrees(self) -> np.ndarray:
-        deg = np.zeros(self.n, dtype=np.int64)
-        if self.edges.size:
-            # exact int64 sums; bincount's weights would sum in float64
-            np.add.at(deg, self.edges[:, 0], self.edges[:, 2])
-            np.add.at(deg, self.edges[:, 1], self.edges[:, 2])
+        deg = edge_sums(self.n, self.edges)
         deg.setflags(write=False)
         return deg
 
@@ -343,31 +351,45 @@ def volume(g: Graph, s: Iterable[int]) -> int:
     return int(degrees(g)[mask].sum() + g.extra_volume[mask].sum())
 
 
+def edge_sums(n: int, edges: np.ndarray) -> np.ndarray:
+    """Per-node total weight of the (u, v, w) rows of ``edges`` over nodes
+    0..n-1, each row counted at both endpoints."""
+    out = np.zeros(n, dtype=np.int64)
+    # exact int64 sums; bincount's weights would sum in float64
+    np.add.at(out, edges[:, 0], edges[:, 2])
+    np.add.at(out, edges[:, 1], edges[:, 2])
+    return out
+
+
+def crossing_rows(edges: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """True for each (u, v, w) row of ``edges`` whose endpoints' labels differ."""
+    return labels[edges[:, 0]] != labels[edges[:, 1]]
+
+
+def crossing_weights(g: Graph, labels: np.ndarray) -> np.ndarray:
+    """Per-node total weight of g's edges to nodes with another label."""
+    return edge_sums(g.n, g.edges[crossing_rows(g.edges, labels)])
+
+
+def cut_weight(g: Graph, labels: np.ndarray) -> int:
+    """Total weight of g's edges whose endpoints' labels differ."""
+    return int(g.edges[:, 2] @ crossing_rows(g.edges, labels))
+
+
+def unfriendly_nodes(g: Graph, labels: np.ndarray) -> np.ndarray:
+    """True for each node sending strictly more than CROSS_NUM/CROSS_DEN of
+    its degree to nodes with another label."""
+    return CROSS_DEN * crossing_weights(g, labels) > CROSS_NUM * degrees(g)
+
+
 def cut_value(g: Graph, s: Iterable[int]) -> int:
     """Total weight crossing the bipartition (s, V minus s)."""
-    mask = proper_side_mask(g, s)
-    if not g.edges.size:
-        return 0
-    crossing = mask[g.edges[:, 0]] != mask[g.edges[:, 1]]
-    return int(g.edges[crossing, 2].sum())
-
-
-def crossing_weights(g: Graph, mask: np.ndarray) -> np.ndarray:
-    """Per-node total edge weight crossing the cut given by a boolean mask."""
-    cross = np.zeros(g.n, dtype=np.int64)
-    if g.edges.size:
-        cr = mask[g.edges[:, 0]] != mask[g.edges[:, 1]]
-        np.add.at(cross, g.edges[cr, 0], g.edges[cr, 2])
-        np.add.at(cross, g.edges[cr, 1], g.edges[cr, 2])
-    return cross
+    return cut_weight(g, proper_side_mask(g, s))
 
 
 def is_friendly(g: Graph, s: Iterable[int]) -> bool:
     """True iff no node on either side sends > 0.6 of its degree across."""
-    mask = proper_side_mask(g, s)
-    cross = crossing_weights(g, mask)
-    # strict inequality: cross > (CROSS_NUM/CROSS_DEN) * deg makes the cut unfriendly
-    return not bool((CROSS_DEN * cross > CROSS_NUM * degrees(g)).any())
+    return not unfriendly_nodes(g, proper_side_mask(g, s)).any()
 
 
 def contract(g: Graph, cmap: ContractionMap) -> Graph:

@@ -39,7 +39,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .graph import Cut, Graph, UnsupportedInput
+from .graph import Cut, Graph, UnsupportedInput, crossing_weights
 from .maxflow import max_flow, min_cut_between_sets
 
 __all__ = ["IsolatingCuts", "isolating_cuts", "isolating_cuts_direct"]
@@ -110,17 +110,15 @@ def isolating_cuts(g: Graph, r: Iterable[int]) -> IsolatingCuts:
     in_side = np.zeros(h.n, dtype=bool)
     in_side[list(cut.side)] = True
     side_of = np.where(in_side[h_of], region_of, -1)
-    values = np.zeros(k, dtype=np.int64)
-    su, sv = side_of[eu], side_of[ev]
-    for end in (su, sv):
-        # an edge between two sides counts toward both
-        counted = (su != sv) & (end >= 0)
-        np.add.at(values, end[counted], ew[counted])
-    if int(values.sum()) != flow + st_weight:
-        raise RuntimeError("isolating cut values do not sum to the local flow value")
     members = np.flatnonzero(side_of >= 0)
     members = members[np.argsort(side_of[members], kind="stable")]
-    groups = np.split(members, np.cumsum(np.bincount(side_of[members], minlength=k))[:-1])
+    # every side holds its terminal, so no group is empty; an edge between two
+    # sides counts toward both
+    starts = np.concatenate([[0], np.cumsum(np.bincount(side_of[members], minlength=k))[:-1]])
+    values = np.add.reduceat(crossing_weights(g, side_of)[members], starts)
+    if int(values.sum()) != flow + st_weight:
+        raise RuntimeError("isolating cut values do not sum to the local flow value")
+    groups = np.split(members, starts[1:])
     cuts = {int(v): Cut(side=frozenset(group.tolist()), value=int(value))
             for v, group, value in zip(terms, groups, values)}
     return IsolatingCuts(cuts=cuts, global_flow_calls=global_calls, local_flow_calls=1)

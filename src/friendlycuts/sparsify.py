@@ -31,8 +31,9 @@ from .graph import (
     UnsupportedInput,
     component_labels,
     contract,
-    cut_value,
     content_lines,
+    crossing_weights,
+    cut_weight,
     degrees,
     graph_from_lines,
     serialize_graph,
@@ -82,6 +83,13 @@ def _require_simple(g: Graph, who: str) -> None:
         raise UnsupportedInput(f"{who} requires a simple graph (no self-loop volume)")
 
 
+def _threshold(w) -> int:
+    """w as an int; raises ValueError unless w is an integer >= 1."""
+    if w != int(w) or w < 1:
+        raise ValueError(f"threshold w must be an integer >= 1, got {w!r}")
+    return int(w)
+
+
 def sqrt_upper(w: Fraction, prec: int = 1 << 10) -> Fraction:
     """Smallest rational of the form k/prec whose square is >= w (exact on
     perfect squares of rationals)."""
@@ -97,20 +105,10 @@ def sqrt_upper(w: Fraction, prec: int = 1 << 10) -> Fraction:
     return Fraction(k, prec)
 
 
-def _boundary_weights(g: Graph, labels: np.ndarray) -> np.ndarray:
-    """Per-node total edge weight leaving the node's cluster."""
-    out = np.zeros(g.n, dtype=np.int64)
-    if g.edges.size:
-        crossing = labels[g.edges[:, 0]] != labels[g.edges[:, 1]]
-        np.add.at(out, g.edges[crossing, 0], g.edges[crossing, 2])
-        np.add.at(out, g.edges[crossing, 1], g.edges[crossing, 2])
-    return out
-
-
 def _shave_mask(g: Graph, labels: np.ndarray, w: Fraction, sizes: np.ndarray) -> np.ndarray:
     """True for nodes removed by the simultaneous shaving rules."""
     deg = degrees(g)
-    boundary = _boundary_weights(g, labels)
+    boundary = crossing_weights(g, labels)
     f = LOW_DEGREE_FACTOR
     ofr = OUTSIDE_FRACTION
     out = np.zeros(g.n, dtype=bool)
@@ -158,7 +156,7 @@ def friendly_sparsify_oneshot(g: Graph, w: int, cfg: SparsifyConfig | None = Non
     """
     cfg = cfg or SparsifyConfig()
     _require_simple(g, "friendly_sparsify_oneshot")
-    w = max(1, int(w))
+    w = _threshold(w)
     phi = default_phi(g.n)
     demand = [sqrt_upper(Fraction(w)) / phi] * g.n
     cmap, _ = _round(g, demand, Fraction(w), phi, cfg.seed)
@@ -175,7 +173,7 @@ def friendly_sparsify(g: Graph, w: int, cfg: SparsifyConfig | None = None) -> Sp
     """
     cfg = cfg or SparsifyConfig()
     _require_simple(g, "friendly_sparsify")
-    w = max(1, int(w))
+    w = _threshold(w)
     if g.n == 0 or not g.edges.size:
         return Sparsifier.identity(g)
     phi = default_phi(g.n)
@@ -203,7 +201,7 @@ def decomposition_outer_edges(g: Graph, w: int, cfg: SparsifyConfig | None = Non
     threshold w (the quantity the one-shot size analysis charges against)."""
     cfg = cfg or SparsifyConfig()
     _require_simple(g, "decomposition_outer_edges")
-    w = max(1, int(w))
+    w = _threshold(w)
     phi = default_phi(g.n)
     demand = [sqrt_upper(Fraction(w)) / phi] * g.n
     _, dec = _round(g, demand, Fraction(w), phi, cfg.seed)
@@ -223,7 +221,7 @@ def terminal_sparsify(g: Graph, terminals: Iterable[int], w: int,
     for v in terms:
         if not 0 <= v < g.n:
             raise UnsupportedInput(f"terminal {v} out of range")
-    w = max(1, int(w))
+    w = _threshold(w)
     phi = default_phi(g.n)
     base = sqrt_upper(Fraction(w)) / phi
     big = Fraction(3 * w) / phi
@@ -245,14 +243,10 @@ def verify_friendly_preservation(g: Graph, h: Sparsifier, w: int) -> Preservatio
     for cut in cuts:
         side = np.zeros(g.n, dtype=bool)
         side[list(cut.side)] = True
-        in_side = np.zeros(h.map.n_super, dtype=np.int64)
-        np.add.at(in_side, super_of, side.astype(np.int64))
-        crossed = ((in_side > 0) & (in_side < h.map.size_of)).any()
-        if crossed:
-            witnesses.append(cut)
-            continue
-        h_side = np.unique(super_of[side])
-        if cut_value(h.graph, h_side) != cut.value:
+        h_side = np.zeros(h.map.n_super, dtype=bool)
+        h_side[super_of[side]] = True
+        # crossed when some super-node holds nodes of both sides
+        if (h_side[super_of] != side).any() or cut_weight(h.graph, h_side) != cut.value:
             witnesses.append(cut)
     return PreservationReport(passed=not witnesses, cuts_checked=len(cuts),
                               witnesses=witnesses)

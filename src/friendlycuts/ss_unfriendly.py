@@ -18,16 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .graph import (
-    CROSS_DEN,
-    CROSS_NUM,
-    Cut,
-    Graph,
-    UnsupportedInput,
-    crossing_weights,
-    cut_value,
-    degrees,
-)
+from .graph import Cut, Graph, UnsupportedInput, cut_weight, proper_side_mask, unfriendly_nodes
 from .isolating import isolating_cuts
 from .maxflow import max_flow
 
@@ -163,45 +154,38 @@ def single_source_unfriendly(g: Graph, p: int, *, eps: Fraction = EPS_DEFAULT,
                          eps=eps, delta=delta, levels=tuple(levels))
 
 
-def _check_min_pv_cut(g: Graph, p: int, v: int, s: Cut) -> np.ndarray:
+def _lemma_unfriendly(g: Graph, p: int, v: int, s: Cut, heavy: int) -> bool:
+    """Both lemmas: S must be a minimum p,v-cut in which node ``heavy`` (v
+    or p) sends more than 0.6 of its degree across; check that the heavy
+    node's side without it has cut value at most 0.8 * delta(S)."""
     if p == v:
         raise ValueError("pivot and node must differ")
     if v not in s.side or p in s.side:
         raise ValueError("cut side must contain v and exclude p")
-    mask = np.zeros(g.n, dtype=bool)
-    mask[list(s.side)] = True
-    if cut_value(g, s.side) != s.value:
+    mask = proper_side_mask(g, s.side)
+    if cut_weight(g, mask) != s.value:
         raise ValueError("cut value does not match its side")
     lam, _ = max_flow(g, p, v)
     if s.value != lam:
         raise ValueError("cut is not a minimum p,v-cut")
-    return mask
+    who, side = ("v", "cut side") if heavy == v else ("p", "complement side")
+    if not unfriendly_nodes(g, mask)[heavy]:
+        raise ValueError(f"hypothesis violated: {who} does not send > 0.6 deg across")
+    rest = mask.copy() if heavy == v else ~mask
+    rest[heavy] = False
+    if not rest.any():
+        raise ValueError(f"degenerate: {side} is the singleton {{{who}}}")
+    return 5 * cut_weight(g, rest) <= 4 * s.value
 
 
 def lemma_unfriendly_v(g: Graph, p: int, v: int, s: Cut) -> bool:
     """Given a minimum p,v-cut S where v sends more than 0.6 of its degree
     across, check the witness inequality delta(S minus v) <= 0.8 * delta(S)."""
-    mask = _check_min_pv_cut(g, p, v, s)
-    cross = crossing_weights(g, mask)
-    deg = degrees(g)
-    if not CROSS_DEN * cross[v] > CROSS_NUM * deg[v]:
-        raise ValueError("hypothesis violated: v does not send > 0.6 deg across")
-    rest = s.side - {v}
-    if not rest:
-        raise ValueError("degenerate: cut side is the singleton {v}")
-    return 5 * cut_value(g, rest) <= 4 * s.value
+    return _lemma_unfriendly(g, p, v, s, v)
 
 
 def lemma_unfriendly_p(g: Graph, p: int, v: int, s: Cut) -> bool:
     """Symmetric form for the pivot's side: given a minimum p,v-cut S where p
     sends more than 0.6 of its degree across, check
     delta((V minus S) minus p) <= 0.8 * delta(S)."""
-    mask = _check_min_pv_cut(g, p, v, s)
-    cross = crossing_weights(g, mask)
-    deg = degrees(g)
-    if not CROSS_DEN * cross[p] > CROSS_NUM * deg[p]:
-        raise ValueError("hypothesis violated: p does not send > 0.6 deg across")
-    rest = frozenset(range(g.n)) - s.side - {p}
-    if not rest:
-        raise ValueError("degenerate: complement side is the singleton {p}")
-    return 5 * cut_value(g, rest) <= 4 * s.value
+    return _lemma_unfriendly(g, p, v, s, p)

@@ -9,6 +9,7 @@ and cached across criteria.
 import itertools
 import math
 import random
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -41,7 +42,9 @@ from friendlycuts.sparsify import (
     friendly_sparsify_oneshot,
     verify_friendly_preservation,
 )
+import friendlycuts.ss_unfriendly as ss_unfriendly
 from friendlycuts.ss_unfriendly import (
+    EstimateTable,
     lemma_unfriendly_p,
     lemma_unfriendly_v,
     single_source_unfriendly,
@@ -199,6 +202,97 @@ def test_criterion_4_single_source_unfriendly(capsys):
            f"{soundness_misses} invalid witnesses, {exact_misses} inexact "
            f"values where an unfriendly minimum cut exists"
            + (f"; first {first}" if first else ""))
+
+
+ADVERSARY_EPS = Fraction(1, 5)
+
+
+def adversarial_estimator(i: int, offered: dict):
+    """An ``estimator=`` for corpus graph i that inflates every estimate as
+    far as (1+eps) allows: for each v, the largest (v, p)-cut of value at
+    most (1+eps) * lambda(p, v) in the oracle's cut table (the first such
+    cut on ties), with that cut as witness. Records the estimates it offers
+    in ``offered[p]``, since the routine lowers them in place."""
+    members, values, _, lam = corpus_tables(i)
+
+    def estimator(g, p, eps):
+        estimates = np.zeros(g.n, dtype=np.int64)
+        witnesses = {}
+        for v in range(g.n):
+            if v == p:
+                continue
+            bound = (eps.denominator + eps.numerator) * lam[p, v]
+            ok = np.flatnonzero((members[:, p] != members[:, v])
+                                & (values * eps.denominator <= bound))
+            row = ok[np.argmax(values[ok])]
+            side = members[row] if members[row, v] else ~members[row]
+            estimates[v] = values[row]
+            witnesses[v] = Cut(side=frozenset(np.flatnonzero(side).tolist()),
+                               value=int(values[row]))
+        offered[p] = estimates.copy()
+        return EstimateTable(pivot=p, estimates=estimates, witnesses=witnesses, eps=eps)
+
+    return estimator
+
+
+def adversarial_exactness(stop_at_first_miss=False):
+    """Criterion 4's check behind the adversarial estimator, on every third
+    corpus graph at eps = 1/5. Returns the counts (checked, inflated,
+    lowered, invalid witnesses, inexact values where an unfriendly minimum
+    cut exists) and the first miss."""
+    checked = inflated = lowered = soundness_misses = exact_misses = 0
+    first = None
+    for i in range(0, CORPUS_SIZE, 3):
+        g = corpus_graph(i)
+        members, values, friendly, lam = corpus_tables(i)
+        offered = {}
+        estimator = adversarial_estimator(i, offered)
+        for p in range(g.n):
+            table = single_source_unfriendly(g, p, eps=ADVERSARY_EPS, estimator=estimator)
+            for v in range(g.n):
+                if v == p:
+                    continue
+                checked += 1
+                est = table.estimate(v)
+                inflated += int(offered[p][v] > lam[p, v])
+                lowered += int(est < offered[p][v])
+                wcut = table.witnesses[v]
+                if not (est >= lam[p, v] and v in wcut.side and p not in wcut.side
+                        and cut_value(g, wcut.side) == wcut.value == est):
+                    soundness_misses += 1
+                    first = first or ("soundness", i, p, v)
+                    continue
+                at_min = (members[:, p] != members[:, v]) & (values == lam[p, v])
+                if not friendly[at_min].all() and est != lam[p, v]:
+                    exact_misses += 1
+                    first = first or ("exactness", i, p, v, est, int(lam[p, v]))
+                    if stop_at_first_miss:
+                        return (checked, inflated, lowered, soundness_misses,
+                                exact_misses), first
+    return (checked, inflated, lowered, soundness_misses, exact_misses), first
+
+
+def test_criterion_4_exact_under_adversarial_estimates(capsys):
+    """The exactness claim, exercised: with the default estimator every
+    estimate is already exact, so here an adversary inflates them and the
+    isolating phase must bring back every one where an unfriendly minimum
+    cut exists."""
+    (checked, inflated, lowered, soundness_misses, exact_misses), first = adversarial_exactness()
+    report(capsys, "4, adversarial estimates",
+           lowered > 0 and soundness_misses == 0 and exact_misses == 0,
+           f"{checked} (pivot, node) estimates at eps = {ADVERSARY_EPS}; the adversary "
+           f"inflated {inflated} and the isolating phase lowered {lowered}; "
+           f"{soundness_misses} invalid witnesses, {exact_misses} inexact values where "
+           f"an unfriendly minimum cut exists" + (f"; first {first}" if first else ""))
+
+
+def test_criterion_4_adversarial_check_fails_without_isolating_phase(monkeypatch):
+    """Mutation: with no levels there are no isolating cuts, the inflated
+    estimates stand, and the check above must find an inexact value."""
+    monkeypatch.setattr(ss_unfriendly, "_level_sets", lambda table, delta: [])
+    (_, inflated, lowered, _, exact_misses), first = adversarial_exactness(stop_at_first_miss=True)
+    assert inflated > 0 and lowered == 0
+    assert exact_misses > 0 and first[0] == "exactness"
 
 
 def test_criterion_5_degree_shift_inequality(capsys):

@@ -12,14 +12,19 @@ from friendlycuts.graph import (
     Sparsifier,
     component_labels,
     contract,
+    crossing_rows,
+    crossing_weights,
     cut_value,
+    cut_weight,
     degree,
     degrees,
+    edge_sums,
     is_friendly,
     parse_graph,
     parse_node_subset,
     serialize_graph,
     serialize_node_subset,
+    unfriendly_nodes,
     volume,
 )
 
@@ -93,6 +98,70 @@ def test_friendliness_threshold_is_strict():
     # one extra crossing unit tips a node past 3/5
     g2 = Graph.build(4, [(0, 1, 2), (0, 2, 4), (1, 3, 3), (2, 3, 2)])
     assert not is_friendly(g2, {0, 1})
+
+
+INT64 = st.integers(-(2**63), 2**63 - 1)
+
+
+@st.composite
+def labelled_graphs(draw):
+    """A weighted graph on 0..12 nodes, possibly without edges, and a node
+    labelling: small integers (many repeats), one label for every node, or
+    all labels distinct."""
+    n = draw(st.integers(0, 12))
+    node = st.integers(0, max(n - 1, 0))
+    raw = draw(st.lists(st.tuples(node, node, st.integers(1, 2**40)), max_size=30))
+    g = Graph.build(n, [(u, v, w) for u, v, w in raw if u != v])
+    labels = draw(st.one_of(
+        st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+        INT64.map(lambda x: [x] * n),
+        st.lists(INT64, min_size=n, max_size=n, unique=True),
+    ))
+    return g, np.array(labels, dtype=np.int64)
+
+
+def per_edge_reference(g, labels):
+    """Degrees, crossing rows, per-node crossing weights, their total and the
+    unfriendly nodes, summed edge by edge in Python ints."""
+    deg, cross, total, rows = [0] * g.n, [0] * g.n, 0, []
+    for u, v, w in g.edge_list():
+        deg[u] += w
+        deg[v] += w
+        if labels[u] != labels[v]:
+            cross[u] += w
+            cross[v] += w
+            total += w
+            rows.append((u, v, w))
+    return deg, rows, cross, total, [5 * c > 3 * d for c, d in zip(cross, deg)]
+
+
+@given(labelled_graphs())
+@settings(max_examples=200, deadline=None)
+def test_cut_primitives_match_per_edge_reference(case):
+    g, labels = case
+    deg, rows, cross, total, unfriendly = per_edge_reference(g, labels)
+    assert edge_sums(g.n, g.edges).tolist() == deg == degrees(g).tolist()
+    assert [tuple(r) for r in g.edges[crossing_rows(g.edges, labels)].tolist()] == rows
+    assert crossing_weights(g, labels).tolist() == cross
+    assert cut_weight(g, labels) == total
+    assert unfriendly_nodes(g, labels).tolist() == unfriendly
+    side = labels == labels[0] if g.n else labels
+    if 0 < side.sum() < g.n:  # a proper side: the set-based queries agree
+        _, _, _, total, unfriendly = per_edge_reference(g, side)
+        members = np.flatnonzero(side).tolist()
+        assert cut_value(g, members) == total
+        assert is_friendly(g, members) == (not any(unfriendly))
+
+
+def test_cut_primitives_without_edges():
+    g = Graph.build(5, [])
+    labels = np.arange(5)
+    assert edge_sums(5, g.edges).tolist() == [0] * 5
+    assert crossing_rows(g.edges, labels).shape == (0,)
+    assert crossing_weights(g, labels).tolist() == [0] * 5
+    assert cut_weight(g, labels) == 0
+    assert not unfriendly_nodes(g, labels).any()
+    assert is_friendly(g, {0, 1})
 
 
 @given(small_graphs(), st.data())

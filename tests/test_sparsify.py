@@ -11,6 +11,7 @@ from friendlycuts.oracle import cut_table
 from friendlycuts.sparsify import (
     SparsifyConfig,
     _contract_shaved,
+    decomposition_outer_edges,
     default_phi,
     friendly_sparsify,
     friendly_sparsify_oneshot,
@@ -80,6 +81,21 @@ def test_oneshot_rejects_weighted_input():
         friendly_sparsify_oneshot(g, 2)
     with pytest.raises(ValueError):
         friendly_sparsify(g, 2)
+
+
+@pytest.mark.parametrize("build", [
+    friendly_sparsify_oneshot,
+    friendly_sparsify,
+    decomposition_outer_edges,
+    lambda g, w: terminal_sparsify(g, [0, 3], w),
+], ids=["oneshot", "iterative", "outer-edges", "terminal"])
+def test_threshold_must_be_an_integer_of_at_least_one(build):
+    # a dense graph, so the iterative sparsifier runs rounds at w = 1
+    g = complete(8)
+    for bad in (0, -3, 2.5, Fraction(7, 2)):
+        with pytest.raises(ValueError, match="threshold w"):
+            build(g, bad)
+    assert build(g, 4) == build(g, 4.0) == build(g, Fraction(4))
 
 
 def test_iterative_identity_below_density_threshold():
