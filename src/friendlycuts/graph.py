@@ -293,11 +293,16 @@ def degrees(g: Graph) -> np.ndarray:
     return g._degrees
 
 
+def check_capacity(c: int) -> None:
+    """Reject a flow capacity that does not fit in int32."""
+    if c > MAX_CAPACITY:
+        raise UnsupportedInput(f"edge capacity {c} exceeds the int32 flow limit {MAX_CAPACITY}")
+
+
 def check_capacities(g: Graph) -> None:
     """Reject a graph whose largest merged capacity does not fit in int32."""
-    if g.edge_count and int(g.edges[:, 2].max()) > MAX_CAPACITY:
-        raise UnsupportedInput(f"edge capacity {int(g.edges[:, 2].max())} exceeds the "
-                               f"int32 flow limit {MAX_CAPACITY}")
+    if g.edge_count:
+        check_capacity(int(g.edges[:, 2].max()))
 
 
 def _capacity_matrix(g: Graph) -> csr_matrix:

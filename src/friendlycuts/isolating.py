@@ -1,15 +1,17 @@
 """Minimum isolating cuts for a terminal set.
 
-The fast path runs ceil(log2 |R|) global bipartition max-flows: flow b
-separates the terminals whose index within R has bit b clear from those
-whose bit b is set. Each node x gets the code whose bit b is set when x is
-not on flow b's minimal source side, and terminal i's region is the set of
-nodes with code i. So the regions are the intersections of the sides,
-pairwise disjoint by construction, and terminal i lies in region i.
+The fast path makes two max-flows in all. The first answers ceil(log2 |R|)
+global bipartition cuts at once, on a disjoint union of that many copies of
+the graph (``maxflow.min_cuts_between_sets``; |R| <= n, so they fit in one
+union): cut b separates the terminals whose index within R has bit b clear
+from those whose bit b is set. Each node x gets the code whose bit b is set
+when x is not on cut b's minimal source side, and terminal i's region is
+the set of nodes with code i. So the regions are the intersections of the
+sides, pairwise disjoint by construction, and terminal i lies in region i.
 
 All k local problems (terminal i against everything outside region i) are
-then answered by one max-flow on one graph, since the regions are disjoint
-(the isolating-cuts lemma of Li and Panigrahi, FOCS'20):
+then answered by the second max-flow, on one graph, since the regions are
+disjoint (the isolating-cuts lemma of Li and Panigrahi, FOCS'20):
 
 - every terminal is merged into a super-source S, and every node outside all
   regions into a super-sink T;
@@ -40,7 +42,7 @@ from typing import Iterable
 import numpy as np
 
 from .graph import Cut, Graph, UnsupportedInput, crossing_weights
-from .maxflow import max_flow, min_cut_between_sets
+from .maxflow import max_flow, min_cut_between_sets, min_cuts_between_sets
 
 __all__ = ["IsolatingCuts", "isolating_cuts", "isolating_cuts_direct"]
 
@@ -68,16 +70,13 @@ def _regions(g: Graph, terms: np.ndarray) -> tuple[np.ndarray, int]:
     k = terms.size
     index = np.arange(k)
     bits = max(1, (k - 1).bit_length())
-    code = np.zeros(g.n, dtype=np.int64)
-    for b in range(bits):
-        ones = ((index >> b) & 1).astype(bool)
-        _, cut = min_cut_between_sets(g, terms[~ones], terms[ones])
-        outside = np.ones(g.n, dtype=bool)
-        outside[list(cut.side)] = False
-        code[outside] |= 1 << b
+    ones = ((index >> np.arange(bits)[:, None]) & 1).astype(bool)
+    # k <= n, so the ceil(log2 k) bipartitions fit in one union flow
+    _, sides = min_cuts_between_sets(g, [(terms[~row], terms[row]) for row in ones])
+    code = (1 << np.arange(bits)) @ ~sides
     if not np.array_equal(code[terms], index):
         raise RuntimeError("a terminal is not in its own region")
-    return np.where(code < k, code, -1), bits
+    return np.where(code < k, code, -1), 1
 
 
 def isolating_cuts(g: Graph, r: Iterable[int]) -> IsolatingCuts:

@@ -19,20 +19,35 @@ A graph with two nodes has one cut, so ``max_flow`` answers it directly,
 without the engine or the matrix: the value is the one merged edge's weight
 (0 without an edge) and the side is {s}. It is still one ``max_flow`` call,
 under the same capacity guard.
+
+``min_cuts_between_sets`` answers independent set-to-set minimum cuts
+(a_i, b_i) together: one ``max_flow`` on a disjoint union of copies of g,
+one copy per pair and at most ceil(log2 n) copies per flow, so that the
+engine's fixed cost per call is paid once per union rather than once per
+pair. In copy i the nodes of a_i merge into a shared source S and those of
+b_i into a shared sink T; every other node is its own. The copies share
+only S and T, and T is never reachable from S in the final residual graph,
+so the union's minimal source side restricted to copy i is pair i's minimal
+side. Every capacity of the union is a merged capacity of one pair's own
+contracted graph, except the a_i-b_i edges, which join S to T, cross every
+cut, and are left out; each value is read back as its side's boundary
+weight in g. So the int32 guard holds exactly where one flow per pair
+would: the a_i-b_i weights are checked on their own. ``min_cut_between_sets``
+is the one-pair case, and makes exactly one ``max_flow`` call.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order
 from scipy.sparse.csgraph import maximum_flow as _scipy_maximum_flow
 
-from .graph import MAX_CAPACITY, ContractionMap, Cut, Graph, check_capacities, contract
+from .graph import MAX_CAPACITY, Cut, Graph, check_capacities, check_capacity, crossing_rows
 
-__all__ = ["max_flow", "min_cut_between_sets", "MAX_CAPACITY"]
+__all__ = ["max_flow", "min_cut_between_sets", "min_cuts_between_sets", "MAX_CAPACITY"]
 
 
 def _residual_reachable(cap: csr_matrix, flow, s: int) -> np.ndarray:
@@ -84,23 +99,71 @@ def _node_array(nodes: Iterable[int]) -> np.ndarray:
     return np.asarray(nodes if isinstance(nodes, np.ndarray) else list(nodes), dtype=np.int64)
 
 
-def min_cut_between_sets(g: Graph, a: Iterable[int], b: Iterable[int]) -> tuple[int, Cut]:
-    """Minimum cut separating node set a from node set b; side contains a, minimal."""
+def _pair_labels(g: Graph, a: Iterable[int], b: Iterable[int]) -> np.ndarray:
+    """0 on the nodes of a, 1 on those of b, -1 elsewhere."""
     a, b = _node_array(a), _node_array(b)
     if not a.size or not b.size:
         raise ValueError("both sides must be non-empty")
     both = np.concatenate([a, b])
     if both.min() < 0 or both.max() >= g.n:
         raise ValueError(f"node {both[(both < 0) | (both >= g.n)][0]} out of range")
-    # a and b each collapse to one node; every other node stays itself
-    labels = np.arange(g.n, dtype=np.int64)
-    labels[a] = g.n
-    labels[b] = g.n + 1
-    if (labels[a] != g.n).any():
+    labels = np.full(g.n, -1, dtype=np.int64)
+    labels[a] = 0
+    labels[b] = 1
+    if labels[a].any():
         raise ValueError("sides must be disjoint")
-    cmap = ContractionMap.from_labels(labels)
-    value, cut = max_flow(contract(g, cmap), int(cmap.super_of[a[0]]), int(cmap.super_of[b[0]]))
-    in_side = np.zeros(cmap.n_super, dtype=bool)
+    return labels
+
+
+def _union_flow(g: Graph, labels: np.ndarray) -> tuple[np.ndarray, int, int]:
+    """One max-flow on the union of the copies of g that the rows of
+    ``labels`` describe. Returns each copy's minimal side over g, the flow
+    value and the total a-b weight left out of the union."""
+    # S = 0 and T = 1 are shared; the free nodes of every copy get 2, 3, ...
+    free = labels < 0
+    ids = np.where(free, 1 + np.cumsum(free).reshape(free.shape), labels)
+    tails, heads = ids[:, g.edges[:, 0]], ids[:, g.edges[:, 1]]
+    weights = np.broadcast_to(g.edges[:, 2], tails.shape)
+    cross = tails != heads
+    s_to_t = cross & (tails < 2) & (heads < 2)
+    st_weights = np.where(s_to_t, weights, 0).sum(axis=1)
+    check_capacity(int(st_weights.max()))
+    keep = cross & ~s_to_t
+    h = Graph.build(2 + int(free.sum()), np.column_stack([tails[keep], heads[keep], weights[keep]]))
+    flow, cut = max_flow(h, 0, 1)
+    in_side = np.zeros(h.n, dtype=bool)
     in_side[list(cut.side)] = True
-    side = frozenset(np.flatnonzero(in_side[cmap.super_of]).tolist())
-    return value, Cut(side=side, value=value)
+    return in_side[ids], flow, int(st_weights.sum())
+
+
+def min_cuts_between_sets(g: Graph, pairs: Sequence[tuple[Iterable[int], Iterable[int]]],
+                          ) -> tuple[np.ndarray, np.ndarray]:
+    """Independent minimum cuts separating a_i from b_i, for every pair
+    (a_i, b_i) in ``pairs``, with one ``max_flow`` per at most ceil(log2 n)
+    pairs.
+
+    Returns the int64 cut values and a bool array with one row per pair,
+    the inclusion-minimal side containing a_i as a mask over g's nodes.
+    Raises UnsupportedInput where one pair's contracted graph would have a
+    capacity above ``MAX_CAPACITY``.
+    """
+    per_flow = max(1, (g.n - 1).bit_length())
+    values = np.zeros(len(pairs), dtype=np.int64)
+    sides = np.zeros((len(pairs), g.n), dtype=bool)
+    for start in range(0, len(pairs), per_flow):
+        labels = np.stack([_pair_labels(g, a, b) for a, b in pairs[start:start + per_flow]])
+        group, flow, st_weight = _union_flow(g, labels)
+        group_values = g.edges[:, 2] @ crossing_rows(g.edges, group.T)
+        # an S-T path stays in one copy, so the flow is the sum of the copies' own
+        if int(group_values.sum()) != flow + st_weight:
+            raise RuntimeError("minimum cut values do not sum to the union's flow value")
+        values[start:start + len(group)] = group_values
+        sides[start:start + len(group)] = group
+    return values, sides
+
+
+def min_cut_between_sets(g: Graph, a: Iterable[int], b: Iterable[int]) -> tuple[int, Cut]:
+    """Minimum cut separating node set a from node set b; side contains a, minimal."""
+    values, sides = min_cuts_between_sets(g, [(a, b)])
+    value = int(values[0])
+    return value, Cut(side=frozenset(np.flatnonzero(sides[0]).tolist()), value=value)

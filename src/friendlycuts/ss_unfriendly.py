@@ -20,7 +20,7 @@ import numpy as np
 
 from .graph import Cut, Graph, UnsupportedInput, cut_weight, proper_side_mask, unfriendly_nodes
 from .isolating import isolating_cuts
-from .maxflow import max_flow
+from .maxflow import max_flow, min_cuts_between_sets
 
 __all__ = [
     "EstimateTable",
@@ -70,23 +70,28 @@ def approx_single_source(g: Graph, p: int, eps: Fraction = EPS_DEFAULT, *,
                          ) -> EstimateTable:
     """(1+eps)-approximate min-cut values from p to every other node.
 
-    By default this runs n-1 exact max-flows, which is trivially within any
-    eps; a caller-supplied ``estimator(g, p, eps)`` replaces them.
+    By default these are the exact values, which are trivially within any
+    eps: the n - 1 minimum ({v}, {p})-cuts, answered by
+    ``min_cuts_between_sets`` in ceil((n - 1) / ceil(log2 n)) max-flows,
+    each v's witness being its minimal side. A caller-supplied
+    ``estimator(g, p, eps)`` replaces them.
     """
     if not 0 <= p < g.n:
         raise ValueError(f"pivot {p} out of range")
     if estimator is not None:
         return estimator(g, p, eps)
+    others = [v for v in range(g.n) if v != p]
+    values, sides = min_cuts_between_sets(g, [([v], [p]) for v in others])
     estimates = np.zeros(g.n, dtype=np.int64)
+    estimates[others] = values
     witnesses: dict[int, Cut] = {}
     # many nodes share one minimal side (often V minus p); keep one Cut per side
-    shared: dict[frozenset[int], Cut] = {}
-    for v in range(g.n):
-        if v == p:
-            continue
-        value, cut = max_flow(g, v, p)  # minimal side around v, excludes p
-        estimates[v] = value
-        witnesses[v] = shared.setdefault(cut.side, cut)
+    shared: dict[bytes, Cut] = {}
+    for v, value, side in zip(others, values.tolist(), sides):
+        key = side.tobytes()
+        if key not in shared:
+            shared[key] = Cut(side=frozenset(np.flatnonzero(side).tolist()), value=value)
+        witnesses[v] = shared[key]
     return EstimateTable(pivot=p, estimates=estimates, witnesses=witnesses, eps=eps)
 
 
@@ -121,8 +126,10 @@ def single_source_unfriendly(g: Graph, p: int, *, eps: Fraction = EPS_DEFAULT,
     Weights must stay polynomially bounded (at most n^4) so the number of
     levels stays logarithmic.
 
+    Each level costs one ``isolating_cuts`` call, which makes 2 max-flows.
     Under the default estimator c'(v) is already lambda(p, v) before the
-    levels are formed (n - 1 exact max-flows), and every cut the isolating
+    levels are formed (the n - 1 exact minimum cuts, answered in
+    ceil((n - 1) / ceil(log2 n)) max-flows), and every cut the isolating
     phase offers v separates v from p, so that phase cannot lower any
     estimate. It does work only behind an ``estimator`` that returns values
     above lambda(p, v).

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from friendlycuts import maxflow
+from friendlycuts import isolating, maxflow
 from friendlycuts.graph import MAX_CAPACITY, Cut, Graph, UnsupportedInput, cut_value
 from friendlycuts.isolating import isolating_cuts, isolating_cuts_direct
 from friendlycuts.maxflow import max_flow
@@ -75,23 +75,33 @@ def test_rejects_out_of_range_terminals():
 
 def test_global_call_accounting(monkeypatch):
     engine_calls = []
+    union_sizes = []
 
     def counting_engine(*args, **kwargs):
         engine_calls.append(args)
         return engine(*args, **kwargs)
 
+    def counting_union(g, pairs):
+        union_sizes.append(len(pairs))
+        return union(g, pairs)
+
     engine = maxflow._scipy_maximum_flow
+    union = isolating.min_cuts_between_sets
     monkeypatch.setattr(maxflow, "_scipy_maximum_flow", counting_engine)
+    monkeypatch.setattr(isolating, "min_cuts_between_sets", counting_union)
     rng = random.Random(0)
     g = random_graph(rng, 20, 0.3)
     for k in (2, 3, 5, 8, 13, 16):
         r = rng.sample(range(20), k)
         engine_calls.clear()
+        union_sizes.clear()
         res = isolating_cuts(g, r)
-        assert res.global_flow_calls == math.ceil(math.log2(k))
+        # all ceil(log2 k) bipartitions are one union flow
+        assert res.global_flow_calls == 1
+        assert union_sizes == [math.ceil(math.log2(k))]
         # all k local problems are one flow; 2-node flows skip the engine
         assert res.local_flow_calls == 1
-        assert len(engine_calls) <= 1 + math.ceil(math.log2(k))
+        assert len(engine_calls) <= 2
         direct = isolating_cuts_direct(g, r)
         assert direct.local_flow_calls == k
 

@@ -1,15 +1,17 @@
 import itertools
+import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from friendlycuts import graph as graph_module
 from friendlycuts import maxflow
 from friendlycuts.generators import gnp
 from friendlycuts.gomory_hu import gomory_hu
-from friendlycuts.graph import Graph, UnsupportedInput, component_labels, cut_value
-from friendlycuts.maxflow import MAX_CAPACITY, max_flow, min_cut_between_sets
+from friendlycuts.graph import Cut, Graph, UnsupportedInput, component_labels, cut_value
+from friendlycuts.maxflow import MAX_CAPACITY, max_flow, min_cut_between_sets, min_cuts_between_sets
 from friendlycuts.oracle import cut_table
 
 
@@ -153,6 +155,76 @@ def test_min_cut_between_sets_side_is_intersection_of_all_min_cut_sides():
         k = rng.randint(1, len(nodes) - 1)
         a, b = nodes[:k], nodes[k:]
         assert_minimal_min_cut(g, a, b, *min_cut_between_sets(g, a, b))
+
+
+@st.composite
+def graphs_with_pairs(draw):
+    """A weighted graph on 2..16 nodes (often disconnected, sometimes
+    edgeless) and 0 to 3 * ceil(log2 n) + 1 disjoint (a, b) pairs, which may
+    share nodes with each other and may cover every node."""
+    n = draw(st.integers(2, 16))
+    raw = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                                  st.integers(1, 2**20)), max_size=3 * n))
+    g = Graph.build(n, [e for e in raw if e[0] != e[1]])
+    pairs = []
+    for _ in range(draw(st.integers(0, 3 * (n - 1).bit_length() + 1))):
+        nodes = draw(st.permutations(range(n)))
+        size = draw(st.sampled_from([n, draw(st.integers(2, n))]))  # all n: 2 nodes left
+        k = draw(st.integers(1, size - 1))
+        pairs.append((nodes[:k], nodes[k:size]))
+    return g, pairs
+
+
+@given(graphs_with_pairs())
+@settings(max_examples=150, deadline=None)
+def test_min_cuts_between_sets_match_one_flow_per_pair(case):
+    g, pairs = case
+    values, sides = min_cuts_between_sets(g, pairs)
+    assert values.dtype == np.int64 and values.shape == (len(pairs),)
+    assert sides.dtype == bool and sides.shape == (len(pairs), g.n)
+    for (a, b), value, side in zip(pairs, values.tolist(), sides):
+        cut = Cut(side=frozenset(np.flatnonzero(side).tolist()), value=value)
+        assert (value, cut) == min_cut_between_sets(g, a, b)
+        assert_minimal_min_cut(g, a, b, value, cut)
+
+
+@pytest.mark.parametrize("n", [2, 3, 9, 16])
+def test_min_cuts_between_sets_flow_count(monkeypatch, n):
+    flows = []
+
+    def counting_max_flow(h, s, t):
+        flows.append(h.n)
+        return flow(h, s, t)
+
+    flow = maxflow.max_flow
+    monkeypatch.setattr(maxflow, "max_flow", counting_max_flow)
+    g = random_graph(random.Random(n), n, 0.5)
+    per_flow = math.ceil(math.log2(n))
+    for count in (0, 1, per_flow, per_flow + 1, 3 * per_flow + 1):
+        pairs = [([v % n], [(v + 1) % n]) for v in range(count)]
+        flows.clear()
+        values, sides = min_cuts_between_sets(g, pairs)
+        assert values.shape == (count,) and sides.shape == (count, n)
+        assert len(flows) == math.ceil(count / per_flow)
+        # a union keeps S, T and every copy's other nodes
+        assert sum(flows) == 2 * len(flows) + count * (n - 2)
+
+
+def test_min_cuts_between_sets_int32_guard_per_pair():
+    m = MAX_CAPACITY
+    # merging b = {1, 2} makes one a-b arc of 2**31 + 2: rejected even beside
+    # a pair that fits, while the single-node pairs all fit
+    g = Graph.build(3, [(0, 1, 2**30 + 1), (0, 2, 2**30 + 1)])
+    with pytest.raises(UnsupportedInput, match="int32"):
+        min_cuts_between_sets(g, [([0], [1]), ([0], [1, 2])])
+    values, _ = min_cuts_between_sets(g, [([0], [1]), ([1], [2]), ([2], [0])])
+    assert values.tolist() == [2**30 + 1] * 3
+    # S-arcs of many copies never merge with each other: each copy's arc from
+    # a = {0} to node 1 is m, the limit, and the union accepts it
+    g = Graph.build(4, [(0, 1, m), (1, 2, 1), (1, 3, 1)])
+    values, sides = min_cuts_between_sets(g, [([0], [2]), ([0], [3]), ([0], [2, 3])])
+    assert values.tolist() == [1, 1, 2]
+    assert [np.flatnonzero(s).tolist() for s in sides] == [[0, 1, 3], [0, 1, 2], [0, 1]]
 
 
 @pytest.mark.parametrize("wmax", [1, 6], ids=["unit", "weighted"])

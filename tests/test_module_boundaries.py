@@ -1,6 +1,7 @@
 """Static checks over the library's own modules: the friendliness constants
-are read only where the rule lives, and no module imports a name it never
-uses."""
+are read only where the rule lives, every flow reaches scipy's engine
+through ``maxflow.max_flow`` (the one binding that tracing and the
+flow-count tests wrap), and no module imports a name it never uses."""
 
 import ast
 from pathlib import Path
@@ -36,6 +37,29 @@ def test_only_graph_and_oracle_read_the_friendliness_constants():
                 readers.add(path.stem)
     assert "graph" in readers  # the scan sees the definitions
     assert readers <= {"graph", "oracle"}
+
+
+def test_only_max_flow_calls_the_flow_engine():
+    importers = set()
+    for path in MODULES:
+        for node in ast.walk(parse(path)):
+            if isinstance(node, ast.alias) and node.name.rsplit(".", 1)[-1] == "maximum_flow":
+                importers.add(path.stem)
+            elif isinstance(node, ast.Attribute) and node.attr == "maximum_flow":
+                importers.add(path.stem)
+    assert importers == {"maxflow"}
+    tree = parse(SRC / "maxflow.py")
+    engine = "_scipy_maximum_flow"
+    assert engine in imported_names(tree)
+
+    def reads(node):
+        return sum(isinstance(n, ast.Name) and n.id == engine for n in ast.walk(node))
+
+    readers = {node.name: reads(node) for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+    assert {name for name, count in readers.items() if count} == {"max_flow"}
+    # nor is it read, or re-bound, at module level
+    assert reads(tree) == readers["max_flow"]
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:

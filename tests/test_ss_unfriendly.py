@@ -6,6 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from friendlycuts import maxflow
+from friendlycuts.generators import gnp
 from friendlycuts.graph import CROSS_DEN, CROSS_NUM, Cut, Graph, crossing_weights, cut_value, degrees
 from friendlycuts.maxflow import max_flow
 from friendlycuts.oracle import Friendliness, all_pairs_min_cut, cut_table, min_cut_friendliness
@@ -98,6 +100,45 @@ def test_equal_witness_sides_are_one_object():
     table = approx_single_source(dumbbell(), 0)
     assert all(table.witnesses[v] is table.witnesses[5] for v in range(6, 10))
     assert table.witnesses[5].side == frozenset(range(5, 10))
+
+
+def weighted_gnp(n, seed, max_weight=64):
+    base = gnp(n, 2 * math.log(n) / (n - 1), seed=seed)
+    w = np.random.default_rng(seed).integers(1, max_weight + 1, size=base.edge_count)
+    return Graph.build(n, np.column_stack([base.edges[:, :2], w]))
+
+
+@pytest.mark.parametrize("g, p", [
+    (weighted_gnp(200, 1), 0),
+    (weighted_gnp(200, 2), 117),
+    (Graph.build(1, []), 0),
+    (Graph.build(2, [(0, 1, 3)]), 1),
+    (Graph.build(3, [(0, 1, 2), (1, 2, 5)]), 0),
+    (Graph.build(3, [(0, 2, 4)]), 1),
+], ids=["gnp200-1", "gnp200-2", "n1", "n2", "n3-path", "n3-isolated"])
+def test_exact_estimates_match_one_flow_per_node(monkeypatch, g, p):
+    engine_calls = []
+
+    def counting_engine(*args, **kwargs):
+        engine_calls.append(args)
+        return engine(*args, **kwargs)
+
+    engine = maxflow._scipy_maximum_flow
+    monkeypatch.setattr(maxflow, "_scipy_maximum_flow", counting_engine)
+    table = approx_single_source(g, p)
+    # the n - 1 cuts go ceil(log2 n) to a union flow
+    assert len(engine_calls) <= (math.ceil((g.n - 1) / math.ceil(math.log2(g.n))) if g.n > 1 else 0)
+    estimates = np.zeros(g.n, dtype=np.int64)
+    witnesses, shared = {}, {}
+    for v in range(g.n):
+        if v != p:
+            estimates[v], cut = max_flow(g, v, p)
+            witnesses[v] = shared.setdefault(cut.side, cut)
+    assert table.estimates.tolist() == estimates.tolist()
+    assert table.witnesses == witnesses
+    # equal sides are one object in both, and only equal sides
+    for u, v in itertools.combinations(witnesses, 2):
+        assert (table.witnesses[u] is table.witnesses[v]) == (witnesses[u] is witnesses[v])
 
 
 def test_unfriendly_clique_all_exact():
