@@ -12,6 +12,11 @@ labelling's per-node and total crossing weight, and ``unfriendly_nodes`` is
 the friendliness rule, ``CROSS_DEN * crossing > CROSS_NUM * degree``. Only
 ``oracle.cut_table`` restates the rule, vectorised, as the reference.
 
+``Graph.build`` validates its input and then takes the trusted path,
+``Graph._trusted``, which only canonicalizes and merges parallel edges; the
+flow graphs that ``maxflow`` and ``isolating`` derive from a valid graph
+take that path directly.
+
 Two per-graph arrays are computed on first use and then kept on the graph
 (``functools.cached_property``), since a graph never changes: the degrees
 that ``degrees(g)`` returns, and the int32 capacity matrix that every
@@ -97,16 +102,16 @@ def _as_edge_array(edges) -> np.ndarray:
 def _merge_parallel(n: int, arr: np.ndarray) -> np.ndarray:
     """Canonicalize u<v and merge parallel edges by weight addition."""
     if arr.shape[0] == 0:
-        return arr
+        return np.zeros((0, 3), dtype=np.int64)
     u = np.minimum(arr[:, 0], arr[:, 1])
     v = np.maximum(arr[:, 0], arr[:, 1])
-    w = arr[:, 2]
     keys = u * n + v
     order = np.argsort(keys, kind="stable")
-    keys, u, v, w = keys[order], u[order], v[order], w[order]
-    uniq, inverse = np.unique(keys, return_index=True)
-    merged_w = np.add.reduceat(w, inverse)
-    return np.column_stack([u[inverse], v[inverse], merged_w])
+    keys = keys[order]
+    # the keys are sorted, so each run of equal keys starts where the key changes
+    first = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
+    merged_w = np.add.reduceat(arr[order, 2], first)
+    return np.column_stack([u[order[first]], v[order[first]], merged_w])
 
 
 @dataclass(frozen=True)
@@ -130,15 +135,24 @@ class Graph:
                 raise ValueError("self-loops are not allowed; use extra_volume")
             if (arr[:, 2] <= 0).any():
                 raise ValueError("edge weights must be positive")
-        arr = _merge_parallel(n, arr)
-        if extra_volume is None:
-            xv = np.zeros(n, dtype=np.int64)
-        else:
+        xv = None
+        if extra_volume is not None:
             xv = np.asarray(extra_volume, dtype=np.int64).copy()
             if xv.shape != (n,):
                 raise ValueError("extra_volume must have one entry per node")
             if xv.size and xv.min() < 0:
                 raise ValueError("extra_volume must be non-negative")
+        return Graph._trusted(n, arr, xv)
+
+    @staticmethod
+    def _trusted(n: int, arcs: np.ndarray, extra_volume: np.ndarray | None = None) -> "Graph":
+        """The Graph of int64 (u, v, w) rows that are already valid: endpoints
+        in 0..n-1, no self-loops, positive weights. Merges parallel arcs in
+        either orientation, as ``build`` does, but checks nothing; for graphs
+        the library derives from a valid one. ``extra_volume`` is kept, not
+        copied."""
+        arr = _merge_parallel(n, arcs)
+        xv = np.zeros(n, dtype=np.int64) if extra_volume is None else extra_volume
         arr.setflags(write=False)
         xv.setflags(write=False)
         return Graph(n=n, edges=arr, extra_volume=xv)

@@ -1,20 +1,29 @@
-"""Minimum isolating cuts for a terminal set.
+"""Minimum isolating cuts for terminal sets.
 
-The fast path makes two max-flows in all. The first answers ceil(log2 |R|)
-global bipartition cuts at once, on a disjoint union of that many copies of
-the graph (``maxflow.min_cuts_between_sets``; |R| <= n, so they fit in one
-union): cut b separates the terminals whose index within R has bit b clear
-from those whose bit b is set. Each node x gets the code whose bit b is set
-when x is not on cut b's minimal source side, and terminal i's region is
-the set of nodes with code i. So the regions are the intersections of the
-sides, pairwise disjoint by construction, and terminal i lies in region i.
+``isolating_cuts_many`` answers any number of terminal sets of one graph
+together, in ceil(B / ceil(log2 n)) + 1 max-flows in all, where B is the sum
+of ceil(log2 |R|) over the sets R; ``isolating_cuts`` is the one-set case,
+which makes 2 max-flows.
 
-All k local problems (terminal i against everything outside region i) are
-then answered by the second max-flow, on one graph, since the regions are
-disjoint (the isolating-cuts lemma of Li and Panigrahi, FOCS'20):
+The global flows. Set R's cut b separates the terminals whose index within R
+has bit b clear from those whose bit b is set. Every set's bipartitions go
+to one ``maxflow.min_cuts_between_sets`` call, which answers ceil(log2 n) of
+them per max-flow on a disjoint union of copies of the graph (|R| <= n, so
+one set's fit in one union). For each set, each node x gets the code whose
+bit b is set when x is not on cut b's minimal source side, and terminal i's
+region is the set of nodes with code i. So one set's regions are the
+intersections of the sides, pairwise disjoint by construction, and terminal
+i lies in region i.
 
-- every terminal is merged into a super-source S, and every node outside all
-  regions into a super-sink T;
+The local flow. Every set's k local problems (terminal i against everything
+outside region i) are answered by one more max-flow, since one set's
+regions are disjoint (the isolating-cuts lemma of Li and Panigrahi,
+FOCS'20):
+
+- the terminals of every set are merged into one shared super-source S, and
+  every node outside its set's regions into one shared super-sink T;
+- every other region node gets its own id per set, so no two sets share a
+  node other than S and T;
 - an edge inside one region is kept;
 - an edge that leaves a region becomes an arc to T from each of its
   endpoints that lies in a region, since that endpoint's own local problem
@@ -22,113 +31,161 @@ disjoint (the isolating-cuts lemma of Li and Panigrahi, FOCS'20):
 - the arcs from a terminal to T join S to T and cross every cut, so they are
   left out of the graph and their weight is added back to the flow value.
 
-The graph is the union of the k local graphs, which share only S and T, so
-its maximum flow is the sum of the local ones, and its minimal source side
-restricted to region i is terminal i's minimal local side. The value of each
-side is its boundary weight in the input graph, and the values must sum to
-the flow. Every capacity equals a merged capacity of one local graph, so the
-int32 guard accepts every input that one flow per region accepts; a
-terminal's own arcs to T never reach the engine, so their total may exceed
-int32.
+The graph is the union of all the sets' local graphs, which share only S
+and T, so its maximum flow is the sum of the local ones, and its minimal
+source side restricted to one set's region i is that set's terminal i's
+minimal local side. The value of each side is its boundary weight in the
+input graph, and the values of the whole batch must sum to the flow. Every
+capacity equals a merged capacity of one set's local graph, so the int32
+guard accepts every input that one flow per region accepts; a terminal's own
+arcs to T never reach the engine, so their total may exceed int32.
 
 The direct path runs one max-flow per terminal and serves as the oracle.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Iterable
+from functools import cached_property
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .graph import Cut, Graph, UnsupportedInput, crossing_weights
-from .maxflow import max_flow, min_cut_between_sets, min_cuts_between_sets
+from .maxflow import max_flow, min_cut_between_sets, min_cuts_between_sets, pairs_per_flow
 
-__all__ = ["IsolatingCuts", "isolating_cuts", "isolating_cuts_direct"]
+__all__ = ["IsolatingCuts", "isolating_cuts", "isolating_cuts_many", "isolating_cuts_direct"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IsolatingCuts:
-    cuts: dict[int, Cut]
+    """The minimum isolating cuts of one terminal set, as arrays: the sorted
+    terminals, each one's cut value, and for every node of the graph the
+    index in ``terminals`` of the terminal whose side holds it (-1 for
+    none). The flow counts are those of the call that answered the set,
+    shared by every set answered with it."""
+
+    terminals: np.ndarray
+    values: np.ndarray
+    side_of: np.ndarray
     global_flow_calls: int
     local_flow_calls: int
 
+    def cut(self, i: int) -> Cut:
+        """The cut of ``terminals[i]``."""
+        return Cut(side=frozenset(np.flatnonzero(self.side_of == i).tolist()),
+                   value=int(self.values[i]))
 
-def _check_terminals(g: Graph, r: Iterable[int]) -> list[int]:
-    terms = sorted(set(int(v) for v in r))
-    if len(terms) < 2:
+    @cached_property
+    def cuts(self) -> dict[int, Cut]:
+        """Each terminal's cut, built on first read."""
+        return {int(v): self.cut(i) for i, v in enumerate(self.terminals)}
+
+
+def _check_terminals(g: Graph, r: Iterable[int]) -> np.ndarray:
+    terms = np.unique(np.asarray(r if isinstance(r, np.ndarray) else list(r), dtype=np.int64))
+    if terms.size < 2:
         raise UnsupportedInput("need at least 2 terminals")
-    for v in terms:
-        if not 0 <= v < g.n:
-            raise UnsupportedInput(f"terminal {v} out of range")
+    bad = terms[(terms < 0) | (terms >= g.n)]
+    if bad.size:
+        raise UnsupportedInput(f"terminal {bad[0]} out of range")
+    terms.setflags(write=False)
     return terms
 
 
-def _regions(g: Graph, terms: np.ndarray) -> tuple[np.ndarray, int]:
-    """Region index of every node (-1 outside all regions), and the number of
-    global flows run."""
-    k = terms.size
-    index = np.arange(k)
-    bits = max(1, (k - 1).bit_length())
-    ones = ((index >> np.arange(bits)[:, None]) & 1).astype(bool)
-    # k <= n, so the ceil(log2 k) bipartitions fit in one union flow
-    _, sides = min_cuts_between_sets(g, [(terms[~row], terms[row]) for row in ones])
-    code = (1 << np.arange(bits)) @ ~sides
-    if not np.array_equal(code[terms], index):
-        raise RuntimeError("a terminal is not in its own region")
-    return np.where(code < k, code, -1), 1
+def _regions(g: Graph, term_sets: list[np.ndarray]) -> tuple[np.ndarray, int]:
+    """Per set, the region index of every node (-1 outside all its regions),
+    one row per set; and the number of global flows run."""
+    bits = [max(1, (terms.size - 1).bit_length()) for terms in term_sets]
+    pairs = []
+    for terms, b in zip(term_sets, bits):
+        ones = ((np.arange(terms.size) >> np.arange(b)[:, None]) & 1).astype(bool)
+        pairs += [(terms[~row], terms[row]) for row in ones]
+    _, sides = min_cuts_between_sets(g, pairs)
+    region = np.empty((len(term_sets), g.n), dtype=np.int64)
+    start = 0
+    for row, terms, b in zip(region, term_sets, bits):
+        code = (1 << np.arange(b)) @ ~sides[start:start + b]
+        start += b
+        if not np.array_equal(code[terms], np.arange(terms.size)):
+            raise RuntimeError("a terminal is not in its own region")
+        row[:] = np.where(code < terms.size, code, -1)
+    return region, math.ceil(len(pairs) / pairs_per_flow(g.n))
 
 
-def isolating_cuts(g: Graph, r: Iterable[int]) -> IsolatingCuts:
-    """Minimum isolating cut S_v for every terminal v; sides pairwise disjoint."""
-    terms = np.asarray(_check_terminals(g, r), dtype=np.int64)
-    k = terms.size
-    region_of, global_calls = _regions(g, terms)
-    # local graph ids: S = 0, T = 1, the other region nodes 2, 3, ...
+def isolating_cuts_many(g: Graph, terminal_sets: Sequence[Iterable[int]]) -> list[IsolatingCuts]:
+    """The minimum isolating cuts of every set in ``terminal_sets``, each as
+    ``isolating_cuts`` returns it, in ceil(B / ceil(log2 n)) global
+    max-flows (B: the sum of ceil(log2 |R|) over the sets R) and one local
+    max-flow in all; none for an empty list. Raises UnsupportedInput
+    exactly when ``isolating_cuts`` would on some set."""
+    term_sets = [_check_terminals(g, r) for r in terminal_sets]
+    if not term_sets:
+        return []
+    region, global_calls = _regions(g, term_sets)
+    # local graph ids: S = 0 and T = 1 are shared, and every set's other
+    # region nodes get their own 2, 3, ...
     s, t = 0, 1
-    inner = region_of >= 0
-    inner[terms] = False
-    n_inner = int(inner.sum())
-    h_of = np.full(g.n, t, dtype=np.int64)
-    h_of[inner] = 2 + np.arange(n_inner)
-    h_of[terms] = s
+    h_of = np.full(region.shape, t, dtype=np.int64)
     eu, ev, ew = g.edges.T
-    ru, rv = region_of[eu], region_of[ev]
-    inside = (ru == rv) & (ru >= 0)
-    leave_u = (ru >= 0) & ~inside
-    leave_v = (rv >= 0) & ~inside
-    tails = np.concatenate([h_of[eu[inside]], h_of[eu[leave_u]], h_of[ev[leave_v]]])
-    heads = np.concatenate([h_of[ev[inside]], np.full(int(leave_u.sum() + leave_v.sum()), t)])
-    weights = np.concatenate([ew[inside], ew[leave_u], ew[leave_v]])
-    s_to_t = (tails == s) & (heads == t)
-    st_weight = int(weights[s_to_t].sum())
-    keep = ~s_to_t
-    h = Graph.build(2 + n_inner, np.column_stack([tails[keep], heads[keep], weights[keep]]))
+    arcs, st_weight, n_ids = [], 0, 2
+    for terms, region_of, ids in zip(term_sets, region, h_of):
+        inner = region_of >= 0
+        inner[terms] = False
+        n_inner = int(inner.sum())
+        ids[inner] = n_ids + np.arange(n_inner)
+        ids[terms] = s
+        n_ids += n_inner
+        ru, rv = region_of[eu], region_of[ev]
+        inside = (ru == rv) & (ru >= 0)
+        leave_u = (ru >= 0) & ~inside
+        leave_v = (rv >= 0) & ~inside
+        tails = np.concatenate([ids[eu[inside]], ids[eu[leave_u]], ids[ev[leave_v]]])
+        heads = np.concatenate([ids[ev[inside]], np.full(int(leave_u.sum() + leave_v.sum()), t)])
+        weights = np.concatenate([ew[inside], ew[leave_u], ew[leave_v]])
+        s_to_t = (tails == s) & (heads == t)
+        st_weight += int(weights[s_to_t].sum())
+        keep = ~s_to_t
+        arcs.append(np.column_stack([tails[keep], heads[keep], weights[keep]]))
+    h = Graph._trusted(n_ids, np.concatenate(arcs))
     flow, cut = max_flow(h, s, t)
     # T is never on the minimal source side, so nodes outside all regions drop out
     in_side = np.zeros(h.n, dtype=bool)
     in_side[list(cut.side)] = True
-    side_of = np.where(in_side[h_of], region_of, -1)
-    members = np.flatnonzero(side_of >= 0)
-    members = members[np.argsort(side_of[members], kind="stable")]
-    # every side holds its terminal, so no group is empty; an edge between two
-    # sides counts toward both
-    starts = np.concatenate([[0], np.cumsum(np.bincount(side_of[members], minlength=k))[:-1]])
-    values = np.add.reduceat(crossing_weights(g, side_of)[members], starts)
-    if int(values.sum()) != flow + st_weight:
+    side_of = np.where(in_side[h_of], region, -1)
+    side_of.setflags(write=False)
+    results, total = [], 0
+    for terms, sides in zip(term_sets, side_of):
+        # every side holds its terminal; an edge between two sides counts toward both
+        values = np.zeros(terms.size, dtype=np.int64)
+        held = sides >= 0
+        np.add.at(values, sides[held], crossing_weights(g, sides)[held])
+        values.setflags(write=False)
+        total += int(values.sum())
+        results.append(IsolatingCuts(terminals=terms, values=values, side_of=sides,
+                                     global_flow_calls=global_calls, local_flow_calls=1))
+    if total != flow + st_weight:
         raise RuntimeError("isolating cut values do not sum to the local flow value")
-    groups = np.split(members, starts[1:])
-    cuts = {int(v): Cut(side=frozenset(group.tolist()), value=int(value))
-            for v, group, value in zip(terms, groups, values)}
-    return IsolatingCuts(cuts=cuts, global_flow_calls=global_calls, local_flow_calls=1)
+    return results
+
+
+def isolating_cuts(g: Graph, r: Iterable[int]) -> IsolatingCuts:
+    """Minimum isolating cut S_v for every terminal v; sides pairwise disjoint."""
+    return isolating_cuts_many(g, [r])[0]
 
 
 def isolating_cuts_direct(g: Graph, r: Iterable[int]) -> IsolatingCuts:
     """Oracle: per terminal, one max-flow against the other terminals contracted."""
     terms = _check_terminals(g, r)
-    cuts: dict[int, Cut] = {}
-    for v in terms:
-        others = [t for t in terms if t != v]
-        value, cut = min_cut_between_sets(g, [v], others)
-        cuts[v] = Cut(side=cut.side, value=value)
-    return IsolatingCuts(cuts=cuts, global_flow_calls=0, local_flow_calls=len(terms))
+    values = np.zeros(terms.size, dtype=np.int64)
+    side_of = np.full(g.n, -1, dtype=np.int64)
+    for i, v in enumerate(terms.tolist()):
+        values[i], cut = min_cut_between_sets(g, [v], np.delete(terms, i))
+        side = np.fromiter(cut.side, dtype=np.int64, count=len(cut.side))
+        # minimal minimum isolating cuts are pairwise disjoint
+        if (side_of[side] >= 0).any():
+            raise RuntimeError("minimal isolating cuts overlap")
+        side_of[side] = i
+    return IsolatingCuts(terminals=terms, values=values, side_of=side_of,
+                         global_flow_calls=0, local_flow_calls=terms.size)

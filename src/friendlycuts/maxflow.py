@@ -32,7 +32,9 @@ side. Every capacity of the union is a merged capacity of one pair's own
 contracted graph, except the a_i-b_i edges, which join S to T, cross every
 cut, and are left out; each value is read back as its side's boundary
 weight in g. So the int32 guard holds exactly where one flow per pair
-would: the a_i-b_i weights are checked on their own. ``min_cut_between_sets``
+would: the a_i-b_i weights are checked on their own. The union's arcs come
+from g's valid edges, so it is built by ``Graph._trusted``, which merges
+parallel arcs without re-checking them. ``min_cut_between_sets``
 is the one-pair case, and makes exactly one ``max_flow`` call.
 """
 
@@ -47,7 +49,13 @@ from scipy.sparse.csgraph import maximum_flow as _scipy_maximum_flow
 
 from .graph import MAX_CAPACITY, Cut, Graph, check_capacities, check_capacity, crossing_rows
 
-__all__ = ["max_flow", "min_cut_between_sets", "min_cuts_between_sets", "MAX_CAPACITY"]
+__all__ = [
+    "max_flow",
+    "min_cut_between_sets",
+    "min_cuts_between_sets",
+    "pairs_per_flow",
+    "MAX_CAPACITY",
+]
 
 
 def _residual_reachable(cap: csr_matrix, flow, s: int) -> np.ndarray:
@@ -129,11 +137,18 @@ def _union_flow(g: Graph, labels: np.ndarray) -> tuple[np.ndarray, int, int]:
     st_weights = np.where(s_to_t, weights, 0).sum(axis=1)
     check_capacity(int(st_weights.max()))
     keep = cross & ~s_to_t
-    h = Graph.build(2 + int(free.sum()), np.column_stack([tails[keep], heads[keep], weights[keep]]))
+    h = Graph._trusted(2 + int(free.sum()),
+                       np.column_stack([tails[keep], heads[keep], weights[keep]]))
     flow, cut = max_flow(h, 0, 1)
     in_side = np.zeros(h.n, dtype=bool)
     in_side[list(cut.side)] = True
     return in_side[ids], flow, int(st_weights.sum())
+
+
+def pairs_per_flow(n: int) -> int:
+    """How many pairs ``min_cuts_between_sets`` answers per max-flow on a
+    graph of n nodes: ceil(log2 n), and at least 1."""
+    return max(1, (n - 1).bit_length())
 
 
 def min_cuts_between_sets(g: Graph, pairs: Sequence[tuple[Iterable[int], Iterable[int]]],
@@ -147,7 +162,7 @@ def min_cuts_between_sets(g: Graph, pairs: Sequence[tuple[Iterable[int], Iterabl
     Raises UnsupportedInput where one pair's contracted graph would have a
     capacity above ``MAX_CAPACITY``.
     """
-    per_flow = max(1, (g.n - 1).bit_length())
+    per_flow = pairs_per_flow(g.n)
     values = np.zeros(len(pairs), dtype=np.int64)
     sides = np.zeros((len(pairs), g.n), dtype=bool)
     for start in range(0, len(pairs), per_flow):

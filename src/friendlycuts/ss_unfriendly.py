@@ -2,8 +2,9 @@
 
 Starting from per-node (1+eps)-approximate estimates with witness cuts, the
 algorithm forms geometric estimate levels T_i, runs isolating cuts on each
-distinct level with the pivot included, and min-merges the resulting cut
-values back into the table. Estimates only ever decrease, and every estimate
+distinct level with the pivot included (all levels in one
+``isolating_cuts_many`` call), and min-merges the resulting cut values back
+into the table, level by level. Estimates only ever decrease, and every estimate
 keeps a witness cut of exactly its value, so the table is sound by
 construction; exactness for pairs with an unfriendly minimum cut follows
 from the two case-analysis predicates exposed below.
@@ -19,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .graph import Cut, Graph, UnsupportedInput, cut_weight, proper_side_mask, unfriendly_nodes
-from .isolating import isolating_cuts
+from .isolating import isolating_cuts_many
 from .maxflow import max_flow, min_cuts_between_sets
 
 __all__ = [
@@ -96,24 +97,40 @@ def approx_single_source(g: Graph, p: int, eps: Fraction = EPS_DEFAULT, *,
 
 
 def _level_sets(table: EstimateTable, delta: Fraction) -> list[frozenset[int]]:
-    """Distinct levels T_i = {v : c'(v) >= (1+delta)^i} + pivot, deduplicated."""
+    """Distinct levels T_i = {v : c'(v) >= (1+delta)^i} + pivot, deduplicated.
+
+    Estimates are integers, so the level changes only where a threshold
+    passes an estimate: the level {v : c'(v) >= u} of a distinct estimate u
+    occurs iff some threshold lies in (u', u], u' being the next smaller
+    distinct estimate (0 for the smallest). So the walk goes from estimate
+    to estimate, not from threshold to threshold.
+    """
+    base = Fraction(1 + delta)
+    if base <= 1:
+        raise ValueError("delta must be positive")
     p = table.pivot
     est = np.array(table.estimates, dtype=np.int64)
     est[p] = 0  # every threshold is at least 1, so the pivot joins only as itself
-    base = 1 + delta
-    cmax = int(est.max())
     levels: list[frozenset[int]] = []
-    threshold = Fraction(1)
-    size = -1
-    while threshold <= cmax:
-        # estimates are integers, so c'(v) >= threshold iff c'(v) >= ceil(threshold)
-        members = np.flatnonzero(est >= math.ceil(threshold))
-        # levels shrink as the threshold grows, so a repeat has the previous size
-        if members.size != size:
-            size = members.size
-            levels.append(frozenset(members.tolist()) | {p})
-        threshold *= base
+    below = 0
+    for u in np.unique(est[est > 0]).tolist():
+        top, bottom = _first_power_above(base, below)
+        if top <= u * bottom:
+            levels.append(frozenset(np.flatnonzero(est >= u).tolist()) | {p})
+        below = u
     return levels
+
+
+def _first_power_above(base: Fraction, x: int) -> tuple[int, int]:
+    """The numerator and denominator of base^i for the smallest i >= 0 with
+    base^i > x, for base > 1; exact, from a floating-point first guess."""
+    num, den = base.numerator, base.denominator
+    i = int(math.log(x) / math.log(base)) if x >= 1 else 0
+    while i > 0 and num ** (i - 1) > x * den ** (i - 1):
+        i -= 1
+    while num ** i <= x * den ** i:
+        i += 1
+    return num ** i, den ** i
 
 
 def single_source_unfriendly(g: Graph, p: int, *, eps: Fraction = EPS_DEFAULT,
@@ -126,7 +143,13 @@ def single_source_unfriendly(g: Graph, p: int, *, eps: Fraction = EPS_DEFAULT,
     Weights must stay polynomially bounded (at most n^4) so the number of
     levels stays logarithmic.
 
-    Each level costs one ``isolating_cuts`` call, which makes 2 max-flows.
+    The levels are fixed before any isolating cut is found, so one
+    ``isolating_cuts_many`` call answers them all: ceil(B / ceil(log2 n))
+    global max-flows, B being the sum of ceil(log2 |T_i|) over the levels,
+    and one local max-flow. Its cuts are merged level by level, each
+    terminal's own cut before the pivot's complement side, and only a value
+    that lowers an estimate becomes a witness.
+
     Under the default estimator c'(v) is already lambda(p, v) before the
     levels are formed (the n - 1 exact minimum cuts, answered in
     ceil((n - 1) / ceil(log2 n)) max-flows), and every cut the isolating
@@ -140,23 +163,20 @@ def single_source_unfriendly(g: Graph, p: int, *, eps: Fraction = EPS_DEFAULT,
         raise UnsupportedInput("edge weights must be at most n^4")
     table = approx_single_source(g, p, eps, estimator=estimator)
     levels = _level_sets(table, delta)
-    all_nodes = frozenset(range(g.n))
-    for terms in levels:
-        if len(terms) < 2:
-            continue
-        iso = isolating_cuts(g, terms)
-        s_p = iso.cuts[p]
-        for v in terms:
-            if v == p:
-                continue
-            table.update(v, iso.cuts[v].value, iso.cuts[v])
+    for iso in isolating_cuts_many(g, levels):
+        # each terminal's own cut first, as one level at a time would merge
+        terms, values = iso.terminals, iso.values
+        for i in np.flatnonzero((values < table.estimates[terms]) & (terms != p)).tolist():
+            table.update(int(terms[i]), int(values[i]), iso.cut(i))
         # The pivot's own isolating cut bounds c'(v) for every v outside it;
         # the witness is the complement side, which contains those v.
-        complement = all_nodes - s_p.side
-        comp_cut = Cut(side=complement, value=s_p.value)
-        for v in range(g.n):
-            if v != p and v not in s_p.side:
-                table.update(v, s_p.value, comp_cut)
+        mine = int(np.searchsorted(terms, p))
+        outside = iso.side_of != mine
+        lowered = np.flatnonzero(outside & (values[mine] < table.estimates))
+        if lowered.size:
+            comp_cut = Cut(side=frozenset(np.flatnonzero(outside).tolist()), value=int(values[mine]))
+            for v in lowered.tolist():
+                table.update(v, comp_cut.value, comp_cut)
     return EstimateTable(pivot=p, estimates=table.estimates, witnesses=table.witnesses,
                          eps=eps, delta=delta, levels=tuple(levels))
 

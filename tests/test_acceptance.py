@@ -306,6 +306,56 @@ def test_criterion_4_adversarial_check_fails_without_isolating_phase(monkeypatch
     assert exact_misses > 0 and first[0] == "exactness"
 
 
+def per_level_reference(g, p, estimator, delta=ss_unfriendly.DELTA_DEFAULT):
+    """single_source_unfriendly as documented, one level at a time: levels
+    from the threshold walk over exact powers of (1 + delta), one
+    ``isolating_cuts`` call per level, then ``EstimateTable.update`` for each
+    terminal's own cut and after them for the pivot's complement side.
+    Returns the table, the levels and how many updates of each kind lowered
+    an estimate."""
+    table = estimator(g, p, ADVERSARY_EPS)
+    est = table.estimates.tolist()
+    others = [v for v in range(g.n) if v != p]
+    levels, threshold = [], Fraction(1)
+    while threshold <= max(est[v] for v in others):
+        level = frozenset(v for v in others if est[v] >= threshold) | {p}
+        if level not in levels:
+            levels.append(level)
+        threshold *= 1 + delta
+    lowered = [0, 0]
+    for level in levels:
+        iso = isolating_cuts(g, level)
+        for v in sorted(level - {p}):
+            lowered[0] += int(iso.cuts[v].value < table.estimates[v])
+            table.update(v, iso.cuts[v].value, iso.cuts[v])
+        s_p = iso.cuts[p]
+        complement = Cut(side=frozenset(range(g.n)) - s_p.side, value=s_p.value)
+        for v in sorted(complement.side):
+            lowered[1] += int(s_p.value < table.estimates[v])
+            table.update(v, s_p.value, complement)
+    return table, levels, lowered
+
+
+def test_criterion_4_merge_matches_per_level_reference():
+    """Behind the adversarial estimator, where the isolating phase does lower
+    estimates, the batched merge gives the per-level reference's estimates,
+    witness sides and levels."""
+    lowered = np.zeros(2, dtype=np.int64)
+    for i in range(0, CORPUS_SIZE, 18):
+        g = corpus_graph(i)
+        estimator = adversarial_estimator(i, {})
+        for p in range(g.n):
+            table = single_source_unfriendly(g, p, eps=ADVERSARY_EPS, estimator=estimator)
+            ref, levels, counts = per_level_reference(g, p, estimator)
+            lowered += counts
+            assert table.levels == tuple(levels), (i, p)
+            assert np.array_equal(table.estimates, ref.estimates), (i, p)
+            assert {v: w.side for v, w in table.witnesses.items()} == \
+                {v: w.side for v, w in ref.witnesses.items()}, (i, p)
+    # both kinds of update lower some estimate
+    assert (lowered > 0).all(), lowered
+
+
 def test_criterion_5_degree_shift_inequality(capsys):
     """Removing the heavy endpoint from its side loses >= 20% of cut value."""
     instances = violations = 0

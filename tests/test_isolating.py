@@ -2,11 +2,12 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
 from friendlycuts import isolating, maxflow
 from friendlycuts.graph import MAX_CAPACITY, Cut, Graph, UnsupportedInput, cut_value
-from friendlycuts.isolating import isolating_cuts, isolating_cuts_direct
+from friendlycuts.isolating import isolating_cuts, isolating_cuts_direct, isolating_cuts_many
 from friendlycuts.maxflow import max_flow
 
 
@@ -161,3 +162,115 @@ def test_terminal_arcs_to_the_sink_never_reach_the_engine():
     # the oracle contracts {1, 2} into one sink and so needs a 2m arc
     with pytest.raises(UnsupportedInput, match="int32"):
         isolating_cuts_direct(g, [0, 1, 2])
+
+
+def batch_sets(rng, n):
+    """Nested sets around one pivot, as the single-source levels are, then
+    an overlapping set, a pair and the set of all nodes."""
+    order = rng.sample(range(n), n)
+    sizes = sorted(rng.sample(range(2, n + 1), min(4, n - 1)), reverse=True)
+    sets = [order[:size] for size in sizes]
+    return sets + [rng.sample(range(n), rng.randint(2, n)), rng.sample(range(n), 2), list(range(n))]
+
+
+def test_many_matches_per_set_calls(monkeypatch):
+    flows = []
+
+    def counting_max_flow(h, s, t):
+        flows.append(h.n)
+        return flow(h, s, t)
+
+    flow = maxflow.max_flow
+    monkeypatch.setattr(maxflow, "max_flow", counting_max_flow)
+    monkeypatch.setattr(isolating, "max_flow", counting_max_flow)
+    rng = random.Random(5)
+    for trial in range(30):
+        n = rng.randint(2, 40)
+        g = random_graph(rng, n, rng.choice([0.1, 0.3, 0.6]))
+        sets = batch_sets(rng, n)
+        flows.clear()
+        batch = isolating_cuts_many(g, sets)
+        # every set's ceil(log2 k) bipartitions, ceil(log2 n) per union flow,
+        # then one local flow for all sets
+        bits = sum(math.ceil(math.log2(len(r))) for r in sets)
+        global_flows = math.ceil(bits / max(1, math.ceil(math.log2(n))))
+        assert len(flows) == global_flows + 1
+        assert len(batch) == len(sets)
+        for res, r in zip(batch, sets):
+            assert (res.global_flow_calls, res.local_flow_calls) == (global_flows, 1)
+            single = isolating_cuts(g, r)
+            assert res.terminals.tolist() == sorted(r)
+            for name in ("terminals", "values", "side_of"):
+                assert np.array_equal(getattr(res, name), getattr(single, name)), (trial, name)
+            assert res.cuts == single.cuts == isolating_cuts_direct(g, r).cuts
+            check_contract(g, r, res)
+
+
+def test_many_of_no_sets_runs_no_flow(monkeypatch):
+    monkeypatch.setattr(maxflow, "max_flow", None)
+    monkeypatch.setattr(isolating, "max_flow", None)
+    assert isolating_cuts_many(Graph.build(3, [(0, 1, 1)]), []) == []
+
+
+def test_many_local_union_flow_above_int32_is_exact(monkeypatch):
+    local_flows = []
+
+    def recording_max_flow(h, s, t):
+        value, cut = flow(h, s, t)
+        local_flows.append(value)
+        return value, cut
+
+    flow = isolating.max_flow
+    monkeypatch.setattr(isolating, "max_flow", recording_max_flow)
+    # terminal 2's local graph carries m from S to node 1 and on to T; every
+    # copy of it keeps its own node 1, so the capacities stay m while the
+    # union's flow is 3m, and terminal 0's m never reaches the engine
+    m = MAX_CAPACITY
+    g = Graph.build(3, [(0, 1, m), (1, 2, m)])
+    batch = isolating_cuts_many(g, [[0, 2]] * 3)
+    assert local_flows == [3 * m]
+    for res in batch:
+        assert res.cuts == {0: Cut(frozenset({0}), m), 2: Cut(frozenset({2}), m)}
+        assert res.cuts == isolating_cuts_direct(g, [0, 2]).cuts
+    g = Graph.build(5, [(0, 1, m), (1, 2, m), (2, 3, m), (3, 4, m)])
+    sets = [[0, 4], [1, 3], [0, 2], [0, 1, 3]]
+    local_flows.clear()
+    batch = isolating_cuts_many(g, sets)
+    assert local_flows[0] > m
+    for res, r in zip(batch, sets):
+        assert res.cuts == isolating_cuts(g, r).cuts
+        check_contract(g, r, res)
+
+
+def per_set_raises(g, r):
+    try:
+        isolating_cuts(g, r)
+    except UnsupportedInput:
+        return True
+    return False
+
+
+def test_many_raises_exactly_when_a_set_would():
+    m = MAX_CAPACITY
+    g = Graph.build(3, [(0, 2, m), (1, 2, m)])
+    assert isolating_cuts_many(g, [[0, 2], [1, 2]])[1].cuts == isolating_cuts(g, [1, 2]).cuts
+    # the bipartition {0, 1} against 2 merges two arcs of m
+    with pytest.raises(UnsupportedInput, match="int32"):
+        isolating_cuts_many(g, [[0, 2], [0, 1, 2]])
+    rng = random.Random(17)
+    raised = 0
+    for _ in range(150):
+        n = rng.randint(3, 7)
+        edges = [(u, v, rng.choice([1, m // 3, m // 2, m]))
+                 for u, v in itertools.combinations(range(n), 2) if rng.random() < 0.5]
+        g = Graph.build(n, edges)
+        sets = [rng.sample(range(n), rng.randint(2, n)) for _ in range(rng.randint(1, 4))]
+        expected = any(per_set_raises(g, r) for r in sets)
+        raised += expected
+        if expected:
+            with pytest.raises(UnsupportedInput, match="int32"):
+                isolating_cuts_many(g, sets)
+        else:
+            for res, r in zip(isolating_cuts_many(g, sets), sets):
+                assert res.cuts == isolating_cuts(g, r).cuts
+    assert 0 < raised < 150

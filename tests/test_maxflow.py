@@ -227,6 +227,23 @@ def test_min_cuts_between_sets_int32_guard_per_pair():
     assert [np.flatnonzero(s).tolist() for s in sides] == [[0, 1, 3], [0, 1, 2], [0, 1]]
 
 
+def test_union_flow_above_int32_is_exact():
+    # every capacity fits, but the copies' flows add up past 2**31 - 1 in
+    # one union: each of the 2 copies per flow carries m, or 2m
+    m = MAX_CAPACITY
+    for g, pairs in [
+        (Graph.build(4, [(0, 1, m), (1, 2, m), (2, 3, m)]), [([0], [3]), ([1], [3]), ([0], [2])]),
+        (Graph.build(4, [(0, 1, m), (1, 3, m), (0, 2, m), (2, 3, m)]),
+         [([0], [3]), ([1], [2]), ([0, 1], [3])]),
+    ]:
+        values, sides = min_cuts_between_sets(g, pairs)
+        assert sum(values.tolist()[:2]) > m
+        for (a, b), value, side in zip(pairs, values.tolist(), sides):
+            cut = Cut(side=frozenset(np.flatnonzero(side).tolist()), value=value)
+            assert (value, cut) == min_cut_between_sets(g, a, b)
+            assert_minimal_min_cut(g, a, b, value, cut)
+
+
 @pytest.mark.parametrize("wmax", [1, 6], ids=["unit", "weighted"])
 def test_minimal_side_when_the_source_is_saturated_and_when_not(monkeypatch, wmax):
     # a side of {s} is read off the source's saturated arcs, a larger one

@@ -1,12 +1,19 @@
 """Static checks over the library's own modules: the friendliness constants
 are read only where the rule lives, every flow reaches scipy's engine
 through ``maxflow.max_flow`` (the one binding that tracing and the
-flow-count tests wrap), and no module imports a name it never uses."""
+flow-count tests wrap), graphs are made only through ``Graph.build`` and,
+for the flow graphs the library derives itself, ``Graph._trusted``, and no
+module imports a name it never uses."""
 
 import ast
+import itertools
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from friendlycuts.graph import Graph
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "friendlycuts"
 MODULES = sorted(SRC.glob("*.py"))
@@ -60,6 +67,50 @@ def test_only_max_flow_calls_the_flow_engine():
     assert {name for name, count in readers.items() if count} == {"max_flow"}
     # nor is it read, or re-bound, at module level
     assert reads(tree) == readers["max_flow"]
+
+
+def test_only_graph_calls_the_graph_class():
+    callers = {path.stem for path in MODULES for node in ast.walk(parse(path))
+               if isinstance(node, ast.Call)
+               and (getattr(node.func, "id", None) == "Graph"
+                    or getattr(node.func, "attr", None) == "Graph")}
+    assert callers == {"graph"}
+
+
+def test_only_flow_graphs_skip_validation():
+    users = {path.stem for path in MODULES for node in ast.walk(parse(path))
+             if isinstance(node, ast.Attribute) and node.attr == "_trusted"}
+    # graph's own use is Graph.build, after its checks
+    assert users == {"graph", "maxflow", "isolating"}
+
+
+@st.composite
+def valid_arcs(draw):
+    """Valid (u, v, w) rows on n nodes, with parallel arcs in both orientations."""
+    n = draw(st.integers(2, 12))
+    pairs = draw(st.lists(st.sampled_from(list(itertools.combinations(range(n), 2))),
+                          max_size=40))
+    rows = []
+    for u, v in pairs:
+        w = draw(st.integers(1, 2**40))
+        rows.append((v, u, w) if draw(st.booleans()) else (u, v, w))
+    return n, np.array(rows, dtype=np.int64).reshape(-1, 3)
+
+
+@given(valid_arcs())
+@settings(max_examples=200, deadline=None)
+def test_trusted_graph_equals_built_graph(case):
+    n, arcs = case
+    built = Graph.build(n, arcs)
+    trusted = Graph._trusted(n, arcs.copy())
+    assert trusted == built
+    assert trusted.edges.dtype == np.int64 and trusted.edges.shape == (built.edge_count, 3)
+    assert not trusted.edges.flags.writeable and not trusted.extra_volume.flags.writeable
+    merged = {}
+    for u, v, w in arcs.tolist():
+        key = (min(u, v), max(u, v))
+        merged[key] = merged.get(key, 0) + w
+    assert trusted.edge_list() == [(u, v, w) for (u, v), w in sorted(merged.items())]
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:

@@ -306,6 +306,13 @@ def test_lemma_guards():
         lemma_unfriendly_v(g2, 0, 3, Cut(side=frozenset({3}), value=2))
 
 
+def test_delta_must_be_positive():
+    # a threshold walk at delta = 0 would never pass an estimate
+    for delta in (Fraction(0), Fraction(-1, 2)):
+        with pytest.raises(ValueError, match="delta"):
+            single_source_unfriendly(complete(4), 0, delta=delta)
+
+
 def test_custom_epsilon_delta():
     g = complete(5)
     table = single_source_unfriendly(g, 0, eps=Fraction(1, 10), delta=Fraction(1, 2))
