@@ -166,7 +166,8 @@ def gomory_hu(g: Graph) -> GHTree:
         value, cut = max_flow(g, s, t)
         on_side = np.zeros(g.n, dtype=bool)
         on_side[list(cut.side)] = True
-        assert on_side[s] and not on_side[t]
+        if not on_side[s] or on_side[t]:
+            raise RuntimeError("the flow's cut side must hold s and not t")
         parent[on_side & (parent == t)] = s
         parent[s] = t
         fl[s] = value

@@ -9,13 +9,22 @@ All cut arithmetic lives here, over node label arrays (a side mask is one;
 an edge crosses when its endpoints' labels differ): ``edge_sums`` is the one
 per-node edge-weight sum, ``crossing_weights`` and ``cut_weight`` give a
 labelling's per-node and total crossing weight, and ``unfriendly_nodes`` is
-the friendliness rule, ``CROSS_DEN * crossing > CROSS_NUM * degree``. Only
-``oracle.cut_table`` restates the rule, vectorised, as the reference.
+the friendliness rule, ``CROSS_DEN * crossing > CROSS_NUM * degree``. For
+integers that is ``crossing > CROSS_NUM * degree // CROSS_DEN``, which is
+how it is evaluated, so that no product exceeds CROSS_NUM times the total
+weight. Only ``oracle.cut_table`` restates the rule, vectorised, as the
+reference.
 
 ``Graph.build`` validates its input and then takes the trusted path,
 ``Graph._trusted``, which only canonicalizes and merges parallel edges; the
-flow graphs that ``maxflow`` and ``isolating`` derive from a valid graph
-take that path directly.
+union flow graphs that ``maxflow`` derives from a valid graph take that
+path directly. Every entry must be an integer (a float is rejected, never
+truncated), and a graph's total edge weight W plus its total extra volume X
+must be at most (2**63 - 1) // CROSS_NUM, else ``build`` raises
+``UnsupportedInput``. The largest int64 quantities the library forms from a
+graph are the friendliness rule's CROSS_NUM * degree, at most CROSS_NUM * W,
+and volumes, at most 2W + X; every degree, cut value and flow value is at
+most W. Contraction never raises W + X.
 
 Two per-graph arrays are computed on first use and then kept on the graph
 (``functools.cached_property``), since a graph never changes: the degrees
@@ -28,6 +37,7 @@ other graph each access raises ``UnsupportedInput`` and nothing is kept.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -74,6 +84,10 @@ CROSS_DEN = 5
 # The flow engine (scipy's maximum_flow) computes in int32.
 MAX_CAPACITY = int(np.iinfo(np.int32).max)
 
+# The largest total edge weight plus extra volume for which CROSS_NUM times
+# it, and so every int64 quantity formed from the graph, fits in int64.
+_MAX_TOTAL = int(np.iinfo(np.int64).max) // CROSS_NUM
+
 
 class GraphParseError(ValueError):
     """Raised on malformed graph/subset text; carries the 1-based line number."""
@@ -84,16 +98,38 @@ class GraphParseError(ValueError):
 
 
 class UnsupportedInput(ValueError):
-    """Raised when an input lies outside a routine's stated limits (a flow
-    capacity above int32, weights above n^4, a weighted graph given to a
-    simple-graph pipeline, an empty or out-of-range terminal set), as opposed
-    to a failed internal check."""
+    """Raised when an input lies outside a routine's stated limits (a total
+    weight past int64 arithmetic, a flow capacity above int32, weights above
+    n^4, a weighted graph given to a simple-graph pipeline, an empty or
+    out-of-range terminal set), as opposed to a failed internal check."""
+
+
+def _exact_integers(values) -> np.ndarray:
+    """``values`` as an integer array without rounding: an entry that is not
+    an integer raises ValueError, and integers beyond int64 keep their value,
+    in an object array, for the range checks."""
+    arr = values if isinstance(values, np.ndarray) else np.asarray(values)
+    if arr.dtype.kind in "iu":
+        return arr
+    if arr.dtype == object or not isinstance(values, np.ndarray):
+        # inference turns an integer beyond int64 into a float; keep it exact
+        arr = np.asarray(values, dtype=object)
+        if all(isinstance(x, numbers.Integral) for x in arr.flat):
+            return arr
+    raise ValueError("graph entries must be integers")
+
+
+def _exact_sum(values: np.ndarray) -> int:
+    """Sum of non-negative integers, without int64 wrap-around."""
+    if values.dtype != object and values.size * int(values.max(initial=0)) <= _MAX_TOTAL:
+        return int(values.sum())
+    return sum(int(x) for x in values.tolist())
 
 
 def _as_edge_array(edges) -> np.ndarray:
-    arr = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges, dtype=np.int64)
+    arr = _exact_integers(edges if isinstance(edges, np.ndarray) else list(edges))
     if arr.size == 0:
-        return arr.reshape(0, 3)
+        return np.zeros((0, 3), dtype=np.int64)
     if arr.ndim != 2 or arr.shape[1] != 3:
         raise ValueError("edges must be (u, v, weight) triples")
     return arr
@@ -137,12 +173,17 @@ class Graph:
                 raise ValueError("edge weights must be positive")
         xv = None
         if extra_volume is not None:
-            xv = np.asarray(extra_volume, dtype=np.int64).copy()
+            xv = _exact_integers(extra_volume)
             if xv.shape != (n,):
                 raise ValueError("extra_volume must have one entry per node")
             if xv.size and xv.min() < 0:
                 raise ValueError("extra_volume must be non-negative")
-        return Graph._trusted(n, arr, xv)
+        total = _exact_sum(arr[:, 2]) + (0 if xv is None else _exact_sum(xv))
+        if total > _MAX_TOTAL:
+            raise UnsupportedInput(f"total weight plus extra volume {total} exceeds {_MAX_TOTAL}, "
+                                   f"past which int64 cut arithmetic would overflow")
+        return Graph._trusted(n, arr.astype(np.int64, copy=False),
+                              None if xv is None else xv.astype(np.int64))
 
     @staticmethod
     def _trusted(n: int, arcs: np.ndarray, extra_volume: np.ndarray | None = None) -> "Graph":
@@ -398,7 +439,7 @@ def cut_weight(g: Graph, labels: np.ndarray) -> int:
 def unfriendly_nodes(g: Graph, labels: np.ndarray) -> np.ndarray:
     """True for each node sending strictly more than CROSS_NUM/CROSS_DEN of
     its degree to nodes with another label."""
-    return CROSS_DEN * crossing_weights(g, labels) > CROSS_NUM * degrees(g)
+    return crossing_weights(g, labels) > CROSS_NUM * degrees(g) // CROSS_DEN
 
 
 def cut_value(g: Graph, s: Iterable[int]) -> int:

@@ -15,30 +15,16 @@ region is the set of nodes with code i. So one set's regions are the
 intersections of the sides, pairwise disjoint by construction, and terminal
 i lies in region i.
 
-The local flow. Every set's k local problems (terminal i against everything
-outside region i) are answered by one more max-flow, since one set's
-regions are disjoint (the isolating-cuts lemma of Li and Panigrahi,
-FOCS'20):
-
-- the terminals of every set are merged into one shared super-source S, and
-  every node outside its set's regions into one shared super-sink T;
-- every other region node gets its own id per set, so no two sets share a
-  node other than S and T;
-- an edge inside one region is kept;
-- an edge that leaves a region becomes an arc to T from each of its
-  endpoints that lies in a region, since that endpoint's own local problem
-  has everything outside its region merged into its sink;
-- the arcs from a terminal to T join S to T and cross every cut, so they are
-  left out of the graph and their weight is added back to the flow value.
-
-The graph is the union of all the sets' local graphs, which share only S
-and T, so its maximum flow is the sum of the local ones, and its minimal
-source side restricted to one set's region i is that set's terminal i's
-minimal local side. The value of each side is its boundary weight in the
-input graph, and the values of the whole batch must sum to the flow. Every
-capacity equals a merged capacity of one set's local graph, so the int32
-guard accepts every input that one flow per region accepts; a terminal's own
-arcs to T never reach the engine, so their total may exceed int32.
+The local flow. Terminal i's local problem is terminal i against
+everything outside region i. One set's regions are disjoint, so all its k
+local problems are independent (the isolating-cuts lemma of Li and
+Panigrahi, FOCS'20), and every set's problems are answered by one more
+max-flow: a ``maxflow`` union flow (see there) with one row per set, whose
+problems are the set's regions and whose sources are its terminals. Each
+terminal's minimal local side is then its region's part of the union's
+minimal source side. The value of each side is its boundary weight in the
+input graph, and the values of the whole batch must sum to the flow plus
+the S-T weight the union left out.
 
 The direct path runs one max-flow per terminal and serves as the oracle.
 """
@@ -53,7 +39,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .graph import Cut, Graph, UnsupportedInput, crossing_weights
-from .maxflow import max_flow, min_cut_between_sets, min_cuts_between_sets, pairs_per_flow
+from .maxflow import _union_flow, min_cut_between_sets, min_cuts_between_sets, pairs_per_flow
 
 __all__ = ["IsolatingCuts", "isolating_cuts", "isolating_cuts_many", "isolating_cuts_direct"]
 
@@ -124,36 +110,11 @@ def isolating_cuts_many(g: Graph, terminal_sets: Sequence[Iterable[int]]) -> lis
     if not term_sets:
         return []
     region, global_calls = _regions(g, term_sets)
-    # local graph ids: S = 0 and T = 1 are shared, and every set's other
-    # region nodes get their own 2, 3, ...
-    s, t = 0, 1
-    h_of = np.full(region.shape, t, dtype=np.int64)
-    eu, ev, ew = g.edges.T
-    arcs, st_weight, n_ids = [], 0, 2
-    for terms, region_of, ids in zip(term_sets, region, h_of):
-        inner = region_of >= 0
-        inner[terms] = False
-        n_inner = int(inner.sum())
-        ids[inner] = n_ids + np.arange(n_inner)
-        ids[terms] = s
-        n_ids += n_inner
-        ru, rv = region_of[eu], region_of[ev]
-        inside = (ru == rv) & (ru >= 0)
-        leave_u = (ru >= 0) & ~inside
-        leave_v = (rv >= 0) & ~inside
-        tails = np.concatenate([ids[eu[inside]], ids[eu[leave_u]], ids[ev[leave_v]]])
-        heads = np.concatenate([ids[ev[inside]], np.full(int(leave_u.sum() + leave_v.sum()), t)])
-        weights = np.concatenate([ew[inside], ew[leave_u], ew[leave_v]])
-        s_to_t = (tails == s) & (heads == t)
-        st_weight += int(weights[s_to_t].sum())
-        keep = ~s_to_t
-        arcs.append(np.column_stack([tails[keep], heads[keep], weights[keep]]))
-    h = Graph._trusted(n_ids, np.concatenate(arcs))
-    flow, cut = max_flow(h, s, t)
-    # T is never on the minimal source side, so nodes outside all regions drop out
-    in_side = np.zeros(h.n, dtype=bool)
-    in_side[list(cut.side)] = True
-    side_of = np.where(in_side[h_of], region, -1)
+    terminal = np.zeros(region.shape, dtype=bool)
+    for row, terms in zip(terminal, term_sets):
+        row[terms] = True
+    in_side, flow, st_weights = _union_flow(g, region, terminal)
+    side_of = np.where(in_side, region, -1)
     side_of.setflags(write=False)
     results, total = [], 0
     for terms, sides in zip(term_sets, side_of):
@@ -165,7 +126,7 @@ def isolating_cuts_many(g: Graph, terminal_sets: Sequence[Iterable[int]]) -> lis
         total += int(values.sum())
         results.append(IsolatingCuts(terminals=terms, values=values, side_of=sides,
                                      global_flow_calls=global_calls, local_flow_calls=1))
-    if total != flow + st_weight:
+    if total != flow + int(st_weights.sum()):
         raise RuntimeError("isolating cut values do not sum to the local flow value")
     return results
 

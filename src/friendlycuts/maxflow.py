@@ -20,22 +20,41 @@ without the engine or the matrix: the value is the one merged edge's weight
 (0 without an edge) and the side is {s}. It is still one ``max_flow`` call,
 under the same capacity guard.
 
+Union flows. Independent flow problems on one graph are answered by one
+``max_flow`` on their disjoint union, so that the engine's fixed cost per
+call is paid once per union rather than once per problem. A union is given
+as rows over g's nodes: a row holds one or more problems, and a node's entry
+in ``region`` is the index of its problem in that row, or -1 for the row's
+sink; ``source`` marks the nodes merged into the source. All rows share one
+super-source S and one super-sink T, and every other node of a problem gets
+its own id in each row, so two problems share no node but S and T:
+
+- an edge inside one problem is kept, and an edge to a sink node becomes an
+  arc to T;
+- an edge between two problems of one row becomes one arc to T from each
+  end, since each problem has everything outside it merged into its sink;
+- the arcs that join S to T cross every cut, so they are left out of the
+  union, and each row's left-out weight is returned.
+
+T is never reachable from S in the final residual graph, so the union's
+maximum flow is the sum of the problems' own, and its minimal source side
+restricted to one problem is that problem's minimal side. The callers read
+each value back as its side's boundary weight in g and check that the
+values sum to the flow plus the left-out weight. Every capacity of a union
+is a merged capacity of one problem's own graph, so the int32 guard accepts
+a union exactly when it would accept one flow per problem, except that the
+S-T weights never reach the engine and are not checked here. The union's
+arcs come from g's valid edges, so it is built by ``Graph._trusted``, which
+merges parallel arcs without re-checking them.
+
 ``min_cuts_between_sets`` answers independent set-to-set minimum cuts
-(a_i, b_i) together: one ``max_flow`` on a disjoint union of copies of g,
-one copy per pair and at most ceil(log2 n) copies per flow, so that the
-engine's fixed cost per call is paid once per union rather than once per
-pair. In copy i the nodes of a_i merge into a shared source S and those of
-b_i into a shared sink T; every other node is its own. The copies share
-only S and T, and T is never reachable from S in the final residual graph,
-so the union's minimal source side restricted to copy i is pair i's minimal
-side. Every capacity of the union is a merged capacity of one pair's own
-contracted graph, except the a_i-b_i edges, which join S to T, cross every
-cut, and are left out; each value is read back as its side's boundary
-weight in g. So the int32 guard holds exactly where one flow per pair
-would: the a_i-b_i weights are checked on their own. The union's arcs come
-from g's valid edges, so it is built by ``Graph._trusted``, which merges
-parallel arcs without re-checking them. ``min_cut_between_sets``
-is the one-pair case, and makes exactly one ``max_flow`` call.
+(a_i, b_i) in such unions, one pair per row and at most ceil(log2 n) rows
+per flow: a_i is the source and b_i the sink. Its contract is to accept
+exactly what one flow per pair on g with a_i and b_i contracted accepts, so
+it checks each pair's a_i-b_i weight against the int32 limit itself.
+``min_cut_between_sets`` is the one-pair case, and makes exactly one
+``max_flow`` call; ``isolating`` answers all its local problems in one
+union.
 """
 
 from __future__ import annotations
@@ -107,42 +126,35 @@ def _node_array(nodes: Iterable[int]) -> np.ndarray:
     return np.asarray(nodes if isinstance(nodes, np.ndarray) else list(nodes), dtype=np.int64)
 
 
-def _pair_labels(g: Graph, a: Iterable[int], b: Iterable[int]) -> np.ndarray:
-    """0 on the nodes of a, 1 on those of b, -1 elsewhere."""
-    a, b = _node_array(a), _node_array(b)
-    if not a.size or not b.size:
-        raise ValueError("both sides must be non-empty")
-    both = np.concatenate([a, b])
-    if both.min() < 0 or both.max() >= g.n:
-        raise ValueError(f"node {both[(both < 0) | (both >= g.n)][0]} out of range")
-    labels = np.full(g.n, -1, dtype=np.int64)
-    labels[a] = 0
-    labels[b] = 1
-    if labels[a].any():
-        raise ValueError("sides must be disjoint")
-    return labels
-
-
-def _union_flow(g: Graph, labels: np.ndarray) -> tuple[np.ndarray, int, int]:
-    """One max-flow on the union of the copies of g that the rows of
-    ``labels`` describe. Returns each copy's minimal side over g, the flow
-    value and the total a-b weight left out of the union."""
-    # S = 0 and T = 1 are shared; the free nodes of every copy get 2, 3, ...
-    free = labels < 0
-    ids = np.where(free, 1 + np.cumsum(free).reshape(free.shape), labels)
-    tails, heads = ids[:, g.edges[:, 0]], ids[:, g.edges[:, 1]]
-    weights = np.broadcast_to(g.edges[:, 2], tails.shape)
-    cross = tails != heads
-    s_to_t = cross & (tails < 2) & (heads < 2)
-    st_weights = np.where(s_to_t, weights, 0).sum(axis=1)
-    check_capacity(int(st_weights.max()))
-    keep = cross & ~s_to_t
-    h = Graph._trusted(2 + int(free.sum()),
-                       np.column_stack([tails[keep], heads[keep], weights[keep]]))
+def _union_flow(g: Graph, region: np.ndarray, source: np.ndarray,
+                ) -> tuple[np.ndarray, int, np.ndarray]:
+    """One max-flow on the union of the problems that the rows of ``region``
+    and ``source`` describe. Returns each row's minimal side as a mask over
+    g, the flow value and each row's S-T weight left out of the union."""
+    eu, ev, ew = g.edges.T
+    # S = 0 and T = 1 are shared (~source is 0 on a source node, 1 on a sink
+    # node); a problem's other nodes get 2, 3, ...
+    own = (region >= 0) & ~source
+    ids = np.where(own, 1 + np.cumsum(own, dtype=np.int32).reshape(own.shape), ~source)
+    tails, heads = ids[:, eu], ids[:, ev]
+    # an edge between two problems of one row (neither end on T, which is
+    # region -1): its arc from u goes to T, and a second arc goes from v to T
+    split = (region[:, eu] != region[:, ev]) & (tails != 1) & (heads != 1)
+    second_st = split & (heads == 0)
+    second = split & ~second_st
+    v_tails = heads[second]
+    heads[split] = 1
+    st = tails + heads == 1
+    keep = (tails != heads) & ~st
+    weights = np.broadcast_to(ew, tails.shape)
+    h = Graph._trusted(2 + int(own.sum()), np.column_stack([
+        np.concatenate([tails[keep], v_tails]),
+        np.concatenate([heads[keep], np.ones(v_tails.size, dtype=np.int32)]),
+        np.concatenate([weights[keep], weights[second]])]))
     flow, cut = max_flow(h, 0, 1)
     in_side = np.zeros(h.n, dtype=bool)
     in_side[list(cut.side)] = True
-    return in_side[ids], flow, int(st_weights.sum())
+    return in_side[ids], flow, st @ ew + second_st @ ew
 
 
 def pairs_per_flow(n: int) -> int:
@@ -166,14 +178,29 @@ def min_cuts_between_sets(g: Graph, pairs: Sequence[tuple[Iterable[int], Iterabl
     values = np.zeros(len(pairs), dtype=np.int64)
     sides = np.zeros((len(pairs), g.n), dtype=bool)
     for start in range(0, len(pairs), per_flow):
-        labels = np.stack([_pair_labels(g, a, b) for a, b in pairs[start:start + per_flow]])
-        group, flow, st_weight = _union_flow(g, labels)
-        group_values = g.edges[:, 2] @ crossing_rows(g.edges, group.T)
+        group = pairs[start:start + per_flow]
+        region = np.zeros((len(group), g.n), dtype=np.int64)
+        source = np.zeros((len(group), g.n), dtype=bool)
+        for row, (a, b) in enumerate(group):
+            a, b = _node_array(a), _node_array(b)
+            if not a.size or not b.size:
+                raise ValueError("both sides must be non-empty")
+            both = np.concatenate([a, b])
+            if both.min() < 0 or both.max() >= g.n:
+                raise ValueError(f"node {both[(both < 0) | (both >= g.n)][0]} out of range")
+            source[row, a] = True
+            if source[row, b].any():
+                raise ValueError("sides must be disjoint")
+            region[row, b] = -1
+        in_side, flow, st_weights = _union_flow(g, region, source)
+        # the a-b weight, as one contracted flow per pair would see it
+        check_capacity(int(st_weights.max()))
+        group_values = g.edges[:, 2] @ crossing_rows(g.edges, in_side.T)
         # an S-T path stays in one copy, so the flow is the sum of the copies' own
-        if int(group_values.sum()) != flow + st_weight:
+        if int(group_values.sum()) != flow + int(st_weights.sum()):
             raise RuntimeError("minimum cut values do not sum to the union's flow value")
         values[start:start + len(group)] = group_values
-        sides[start:start + len(group)] = group
+        sides[start:start + len(group)] = in_side
     return values, sides
 
 

@@ -92,7 +92,7 @@ def cut_table(g: Graph, with_friendliness: bool = True):
         values[start:stop] = crossing @ ew
         if with_friendliness:
             node_cross = crossing @ inc
-            friendly[start:stop] = ~(CROSS_DEN * node_cross > CROSS_NUM * deg).any(axis=1)
+            friendly[start:stop] = ~(node_cross > CROSS_NUM * deg // CROSS_DEN).any(axis=1)
     return members, values, friendly
 
 
@@ -122,7 +122,8 @@ def min_cut_friendliness(g: Graph, s: int, t: int) -> FriendlinessReport:
     members, values, friendly = cut_table(g)
     separates = members[:, s] != members[:, t]
     at_min = separates & (values == lam)
-    assert at_min.any(), "max-flow value must be achieved by some enumerated cut"
+    if not at_min.any():
+        raise RuntimeError("max-flow value must be achieved by some enumerated cut")
     kinds = friendly[at_min]
     if kinds.all():
         kind = Friendliness.ALL_FRIENDLY

@@ -15,7 +15,8 @@ from friendlycuts.cli import (
     main,
 )
 from friendlycuts.gomory_hu import GHTree
-from friendlycuts.graph import Graph, parse_graph, serialize_graph
+from friendlycuts.graph import CROSS_NUM, Graph, Sparsifier, parse_graph, serialize_graph
+from friendlycuts.sparsify import serialize_sparsifier
 from friendlycuts.generators import clique, clique_of_cliques, dumbbell, path
 
 
@@ -250,6 +251,33 @@ def test_sscut_and_flow_guards_exit_code(tmp_path, capsys):
         assert run(args) == EXIT_PARSE
         captured = capsys.readouterr()
         assert captured.out == "" and "int32" in captured.err
+
+
+def test_total_weight_bound_exit_code(tmp_path, capsys):
+    bound = (2**63 - 1) // CROSS_NUM
+    c = (bound - 2) // 4
+    gpath, hpath = tmp_path / "g.txt", tmp_path / "h.txt"
+    # a 4-cycle of total weight exactly the bound: its two friendly cuts
+    # are found and kept by the identity sparsifier
+    at_bound = Graph.build(4, [(0, 1, c), (1, 2, c), (2, 3, c + 1), (3, 0, c + 1)])
+    assert at_bound.total_weight == bound
+    gpath.write_text(serialize_graph(at_bound))
+    hpath.write_text(serialize_sparsifier(Sparsifier.identity(at_bound)))
+    args = ["verify", "--in", str(gpath), "--artifact", str(hpath), "--w", str(bound)]
+    assert run(args) == EXIT_OK
+    assert f"ok (friendly-w): 2 friendly cuts of value <= {bound}" in capsys.readouterr().out
+    # one more unit, or parallel edges that merge past int64, are rejected
+    # before any arithmetic; so is a single weight of 2**63
+    for text in (f"4 4\n0 1 {c}\n1 2 {c}\n2 3 {c + 1}\n3 0 {c + 2}\n",
+                 f"3 3\n0 1 {2**62}\n1 0 {2**62}\n1 2 5\n",
+                 f"2 1\n0 1 {2**63}\n"):
+        gpath.write_text(text)
+        for args in (["ghtree", "--in", str(gpath)],
+                     ["sscut", "--in", str(gpath), "--source", "0", "--mode", "exact"],
+                     ["verify", "--in", str(gpath), "--artifact", str(hpath), "--w", "1"]):
+            assert run(args) == EXIT_PARSE
+            captured = capsys.readouterr()
+            assert captured.out == "" and "int64" in captured.err
 
 
 def test_sscut_internal_check_failure_is_not_an_input_error(tmp_path, monkeypatch):

@@ -23,6 +23,7 @@ from friendlycuts.gomory_hu import (
 )
 from friendlycuts.graph import (
     ContractionMap,
+    Cut,
     Graph,
     GraphParseError,
     Sparsifier,
@@ -109,6 +110,17 @@ def test_every_flow_runs_on_the_input_graph(monkeypatch):
         c = component_labels(g.n, g.edges[:, 0], g.edges[:, 1])[0]
         assert len(calls) == g.n - c
         assert all(h is g for h in calls)
+
+
+def test_a_flow_side_without_s_is_an_internal_error(monkeypatch):
+    # a failed internal check raises, also under python -O
+    def sinkside_max_flow(g, s, t):
+        value, _ = max_flow(g, s, t)
+        return value, Cut(side=frozenset({t}), value=value)
+
+    monkeypatch.setattr(gomory_hu_module, "max_flow", sinkside_max_flow)
+    with pytest.raises(RuntimeError, match="must hold s"):
+        gomory_hu(path(4))
 
 
 def test_gusfield_swap_fixture():

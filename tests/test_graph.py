@@ -5,11 +5,14 @@ from hypothesis import given, settings, strategies as st
 from friendlycuts.gomory_hu import GHTree, parse_ghtree, serialize_ghtree
 from friendlycuts.sparsify import parse_sparsifier, serialize_sparsifier
 from friendlycuts.graph import (
+    CROSS_DEN,
+    CROSS_NUM,
     ContractionMap,
     Cut,
     Graph,
     GraphParseError,
     Sparsifier,
+    UnsupportedInput,
     component_labels,
     contract,
     crossing_rows,
@@ -51,6 +54,55 @@ def test_build_rejects_bad_edges():
         Graph.build(2, [(0, 1, 0)])
     with pytest.raises(ValueError):
         Graph.build(2, [(0, 2, 1)])
+    # entries that are not integers are rejected, not truncated
+    for edges in ([(0, 1, 2.7)], [(0.5, 1, 3)], [(0, 1, 2.0)], [(0, 1, "3")],
+                  np.array([[0, 1, 3.0]])):
+        with pytest.raises(ValueError, match="integers"):
+            Graph.build(2, edges)
+    with pytest.raises(ValueError, match="integers"):
+        Graph.build(2, [(0, 1, 1)], extra_volume=[0.5, 0])
+    assert Graph.build(2, [(0, 1, np.int32(3))]).edge_list() == [(0, 1, 3)]
+
+
+INT64_MAX = 2**63 - 1
+MAX_TOTAL = INT64_MAX // CROSS_NUM
+
+
+def test_build_total_weight_bound():
+    # CROSS_NUM times the total weight plus extra volume must fit in int64
+    assert CROSS_NUM * MAX_TOTAL <= INT64_MAX < CROSS_NUM * (MAX_TOTAL + 1)
+    half = MAX_TOTAL // 2
+    for edges, xv in [([(0, 1, MAX_TOTAL)], None),
+                      ([(0, 1, half), (1, 0, MAX_TOTAL - half)], None),
+                      ([(0, 1, MAX_TOTAL - 7)], [3, 4])]:
+        g = Graph.build(2, edges, extra_volume=xv)
+        assert g.total_weight + int(g.extra_volume.sum()) == MAX_TOTAL
+        assert volume(g, [0, 1]) == 2 * g.total_weight + int(g.extra_volume.sum())
+    for edges, xv in [([(0, 1, MAX_TOTAL + 1)], None),
+                      ([(0, 1, half), (1, 0, MAX_TOTAL + 1 - half)], None),
+                      ([(0, 1, MAX_TOTAL - 7)], [4, 4]),
+                      ([(0, 1, 1)], [2**63, 0]),
+                      # merges to 2**63, which int64 would wrap to -2**63
+                      ([(0, 1, 2**62), (1, 0, 2**62)], None),
+                      ([(0, 1, 2**63)], None),
+                      ([(0, 1, 2**70)], None)]:
+        with pytest.raises(UnsupportedInput, match="int64"):
+            Graph.build(2, edges, extra_volume=xv)
+
+
+def test_friendliness_is_exact_at_the_total_weight_bound():
+    # path 0 -a- 1 -b- 2 with a + b at the bound: node 1 sends a across the
+    # cut {0}, a few units below or above 3/5 of its degree, and all of its
+    # degree across the cut {1}, where CROSS_DEN * degree would wrap in int64
+    assert CROSS_DEN * MAX_TOTAL > INT64_MAX
+    threshold = CROSS_NUM * MAX_TOTAL // CROSS_DEN
+    for a, unfriendly in ((threshold, False), (threshold + 1, True)):
+        assert (CROSS_DEN * a > CROSS_NUM * MAX_TOTAL) == unfriendly
+        g = Graph.build(3, [(0, 1, a), (1, 2, MAX_TOTAL - a)])
+        assert g.total_weight == MAX_TOTAL
+        assert unfriendly_nodes(g, np.array([0, 1, 1])).tolist() == [True, unfriendly, False]
+        assert unfriendly_nodes(g, np.array([0, 1, 0])).tolist() == [True, True, True]
+        assert cut_value(g, {1}) == MAX_TOTAL and volume(g, [0, 1, 2]) == 2 * MAX_TOTAL
 
 
 def test_degrees_exclude_extra_volume():

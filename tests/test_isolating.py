@@ -48,6 +48,20 @@ def test_path_alternating_terminals():
     # {2}, {1, 2}, {2, 3} and {1, 2, 3} all cost 2; the minimal side is {2}
     assert res.cuts[2] == Cut(side=frozenset({2}), value=2)
     check_contract(g, r, res)
+    for g, r, expected in [
+        # adjacent terminals: regions {0} and {1, 2}; edge (0, 1) is an S-T
+        # arc of both local problems, left out twice, and the flow is 0
+        (Graph.build(3, [(0, 1, 3), (1, 2, 1)]), [0, 1],
+         {0: Cut(frozenset({0}), 3), 1: Cut(frozenset({1, 2}), 3)}),
+        # regions {0, 1} and {2, 3}; edge (1, 2) joins two non-terminals of
+        # different regions and becomes an arc to T from each end
+        (Graph.build(4, [(0, 1, 5), (1, 2, 1), (2, 3, 5)]), [0, 3],
+         {0: Cut(frozenset({0, 1}), 1), 3: Cut(frozenset({2, 3}), 1)}),
+    ]:
+        for res in (isolating_cuts(g, r), *isolating_cuts_many(g, [r, r])):
+            assert res.cuts == expected
+            check_contract(g, r, res)
+        assert isolating_cuts_direct(g, r).cuts == expected
 
 
 def test_weighted_cycle_pair():
@@ -182,7 +196,6 @@ def test_many_matches_per_set_calls(monkeypatch):
 
     flow = maxflow.max_flow
     monkeypatch.setattr(maxflow, "max_flow", counting_max_flow)
-    monkeypatch.setattr(isolating, "max_flow", counting_max_flow)
     rng = random.Random(5)
     for trial in range(30):
         n = rng.randint(2, 40)
@@ -208,35 +221,35 @@ def test_many_matches_per_set_calls(monkeypatch):
 
 def test_many_of_no_sets_runs_no_flow(monkeypatch):
     monkeypatch.setattr(maxflow, "max_flow", None)
-    monkeypatch.setattr(isolating, "max_flow", None)
     assert isolating_cuts_many(Graph.build(3, [(0, 1, 1)]), []) == []
 
 
 def test_many_local_union_flow_above_int32_is_exact(monkeypatch):
-    local_flows = []
+    flows = []
 
     def recording_max_flow(h, s, t):
         value, cut = flow(h, s, t)
-        local_flows.append(value)
+        flows.append(value)
         return value, cut
 
-    flow = isolating.max_flow
-    monkeypatch.setattr(isolating, "max_flow", recording_max_flow)
+    flow = maxflow.max_flow
+    monkeypatch.setattr(maxflow, "max_flow", recording_max_flow)
     # terminal 2's local graph carries m from S to node 1 and on to T; every
     # copy of it keeps its own node 1, so the capacities stay m while the
     # union's flow is 3m, and terminal 0's m never reaches the engine
     m = MAX_CAPACITY
     g = Graph.build(3, [(0, 1, m), (1, 2, m)])
     batch = isolating_cuts_many(g, [[0, 2]] * 3)
-    assert local_flows == [3 * m]
+    # three 1-bit bipartitions, two per global flow on 3 nodes, then the local flow
+    assert len(flows) == 2 + 1 and flows[-1] == 3 * m
     for res in batch:
         assert res.cuts == {0: Cut(frozenset({0}), m), 2: Cut(frozenset({2}), m)}
         assert res.cuts == isolating_cuts_direct(g, [0, 2]).cuts
     g = Graph.build(5, [(0, 1, m), (1, 2, m), (2, 3, m), (3, 4, m)])
     sets = [[0, 4], [1, 3], [0, 2], [0, 1, 3]]
-    local_flows.clear()
+    flows.clear()
     batch = isolating_cuts_many(g, sets)
-    assert local_flows[0] > m
+    assert flows[-1] > m
     for res, r in zip(batch, sets):
         assert res.cuts == isolating_cuts(g, r).cuts
         check_contract(g, r, res)

@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from friendlycuts import oracle
 from friendlycuts.graph import Graph, cut_value, is_friendly
 from friendlycuts.maxflow import max_flow
 from friendlycuts.oracle import (
@@ -132,3 +133,14 @@ def test_friendly_cuts_up_to_threshold():
     assert frozenset({0, 1, 2}) in sides
     assert frozenset({5, 0, 1}) in sides
     assert frozenset({4, 5, 0}) in sides
+
+
+def test_a_flow_value_no_cut_achieves_is_an_internal_error(monkeypatch):
+    # a failed internal check raises, also under python -O
+    def low_max_flow(g, s, t):
+        value, cut = max_flow(g, s, t)
+        return value - 1, cut
+
+    monkeypatch.setattr(oracle, "max_flow", low_max_flow)
+    with pytest.raises(RuntimeError, match="achieved"):
+        min_cut_friendliness(cycle(5), 0, 2)
