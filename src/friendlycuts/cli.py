@@ -150,8 +150,6 @@ def cmd_ghtree(args) -> int:
 def cmd_sscut(args) -> int:
     g = _load(args.infile, parse_graph)
     p = args.source
-    if not 0 <= p < g.n:
-        raise CliError(f"source {p} out of range", EXIT_PARSE)
     if args.mode == "exact":
         table = approx_single_source(g, p)
     else:

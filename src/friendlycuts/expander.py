@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .graph import Graph, crossing_rows, cut_weight, degrees, edge_sums, proper_side_mask
+from .graph import Graph, crossing_rows, cut_weight, degrees, edge_sums, node_ids, proper_side_mask
 
 __all__ = [
     "K_EXACT_DEFAULT",
@@ -363,7 +363,7 @@ def certify_cluster(g: Graph, cluster: Iterable[int], phi, d: DemandVector | Non
     phi = Fraction(phi)
     if not 0 < phi <= 1:
         raise ValueError("phi must be in (0, 1]")
-    nodes = np.array(sorted(int(v) for v in cluster), dtype=np.int64)
+    nodes = np.sort(node_ids(g.n, cluster))
     if len(nodes) == 0:
         raise ValueError("cluster must be non-empty")
     if len(nodes) == 1:

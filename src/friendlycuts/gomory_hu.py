@@ -34,6 +34,8 @@ from .graph import (
     content_lines,
     contract,
     cut_weight,
+    node_id,
+    node_ids,
     unfriendly_nodes,
 )
 from .maxflow import max_flow
@@ -131,10 +133,8 @@ class PartitionTree:
             seen |= c
         if len(self.edges) != k - 1:
             raise ValueError("partition tree must have k-1 edges")
-        e = np.asarray(self.edges, dtype=np.int64).reshape(-1, 3)
-        if e.size and (e[:, :2].min() < 0 or e[:, :2].max() >= k):
-            raise ValueError("partition tree edge endpoint out of range")
-        if component_labels(k, e[:, 0], e[:, 1])[0] != 1:
+        ends = node_ids(k, np.array(self.edges, dtype=object).reshape(-1, 3)[:, :2], "super-node")
+        if component_labels(k, *ends.T)[0] != 1:
             raise ValueError("partition tree edges contain a cycle")
 
     @property
@@ -185,11 +185,9 @@ def gh_query(t: GHTree, s: int, t2: int) -> tuple[int, Cut]:
     Ties break toward the bottleneck edge nearest s, so answers are
     deterministic. Cross-component pairs get value 0 and s's component.
     """
+    s, t2 = node_id(t.n, s), node_id(t.n, t2)
     if s == t2:
         raise ValueError("query endpoints must differ")
-    for v in (s, t2):
-        if not 0 <= v < t.n:
-            raise ValueError(f"node {v} out of range")
     r = t._rooted
     order, parent, up, tin, tout = r.order_list, r.parent, r.up, r.tin, r.tout
     root = r.root[s]
@@ -231,18 +229,13 @@ def _checked_edge_sides(g: Graph, t: GHTree) -> Iterator[tuple[tuple[int, int, i
     g_count, g_labels = component_labels(g.n, g.edges[:, 0], g.edges[:, 1])
     if len(t.edges) != g.n - g_count:
         raise ValueError("tree edge count does not match component count")
-    seen_pairs = set()
-    for u, v, w in t.edges:
-        if u == v or not (0 <= u < t.n and 0 <= v < t.n):
-            raise ValueError("bad tree edge endpoints")
-        if w <= 0:
-            raise ValueError("tree edge weights must be positive")
-        key = (min(u, v), max(u, v))
-        if key in seen_pairs:
-            raise ValueError("duplicate tree edge")
-        seen_pairs.add(key)
-    t_edges = np.asarray(t.edges, dtype=np.int64).reshape(-1, 3)
-    if not np.array_equal(g_labels, component_labels(t.n, t_edges[:, 0], t_edges[:, 1])[1]):
+    e = np.array(t.edges, dtype=object).reshape(-1, 3)
+    ends = node_ids(t.n, e[:, :2])
+    if (e[:, 2] <= 0).any():
+        raise ValueError("tree edge weights must be positive")
+    # with n - c edges, a self-loop or a repeated edge leaves more than c
+    # components, so it fails this comparison
+    if not np.array_equal(g_labels, component_labels(t.n, *ends.T)[1]):
         raise ValueError("tree components do not match graph components")
     for (u, v, w), mask in _tree_edge_sides(t):
         if cut_weight(g, mask) != w:
@@ -331,8 +324,7 @@ def build_sparsified_cag(h: Sparsifier, pt: PartitionTree, i: int) -> Graph:
     """CAG construction applied to a sparsifier: contract each tree component
     away from super-node i inside h's graph. A sparsifier class straddling
     two components forces those components to merge."""
-    if not 0 <= i < pt.k:
-        raise ValueError(f"super-node index {i} out of range")
+    i = node_id(pt.k, i, "super-node")
     if pt.n != h.map.n_original:
         raise ValueError("partition tree does not cover the sparsifier's base graph")
     # one labelling over h's super-nodes 0..hn-1 and the tree's super-nodes

@@ -15,6 +15,15 @@ how it is evaluated, so that no product exceeds CROSS_NUM times the total
 weight. Only ``oracle.cut_table`` restates the rule, vectorised, as the
 reference.
 
+Node ids that callers give (cut sides, node sets, terminals, pivots, query
+endpoints) are read by one rule, here and nowhere else: an id is an
+integer in 0..n-1, by the integer rule that ``Graph.build`` applies to its
+entries (a float is rejected, 2.0 included, and so are a single bool and
+a bool array, so a mask is never read as ids). ``node_ids`` reads a
+collection of ids and ``node_id`` a single one; any other id raises
+``UnsupportedInput``, a ``ValueError``. Checks that belong to one problem
+(a non-empty side, disjoint sides, distinct endpoints) stay with it.
+
 ``Graph.build`` validates its input and then takes the trusted path,
 ``Graph._trusted``, which only canonicalizes and merges parallel edges; the
 union flow graphs that ``maxflow`` derives from a valid graph take that
@@ -56,6 +65,8 @@ __all__ = [
     "CROSS_NUM",
     "CROSS_DEN",
     "MAX_CAPACITY",
+    "node_id",
+    "node_ids",
     "degree",
     "degrees",
     "volume",
@@ -98,25 +109,63 @@ class GraphParseError(ValueError):
 
 
 class UnsupportedInput(ValueError):
-    """Raised when an input lies outside a routine's stated limits (a total
-    weight past int64 arithmetic, a flow capacity above int32, weights above
-    n^4, a weighted graph given to a simple-graph pipeline, an empty or
-    out-of-range terminal set), as opposed to a failed internal check."""
+    """Raised when an input lies outside a routine's stated limits (a graph
+    entry that is not an integer, a total weight past int64 arithmetic, a
+    flow capacity above int32, weights above n^4, a weighted graph given to
+    a simple-graph pipeline, an empty terminal set, a node id that is not an
+    integer in 0..n-1: a float, 2.0 included, a bool or a bool mask, or an
+    id out of range), as opposed to a failed internal check."""
 
 
-def _exact_integers(values) -> np.ndarray:
+def _is_integer(x) -> bool:
+    """The integer rule: a Python or numpy integer, not a bool."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def _exact_integers(values, what: str) -> np.ndarray:
     """``values`` as an integer array without rounding: an entry that is not
-    an integer raises ValueError, and integers beyond int64 keep their value,
-    in an object array, for the range checks."""
+    an integer raises UnsupportedInput naming ``what``, and integers beyond
+    int64 keep their value, in an object array, for the range checks."""
     arr = values if isinstance(values, np.ndarray) else np.asarray(values)
     if arr.dtype.kind in "iu":
         return arr
     if arr.dtype == object or not isinstance(values, np.ndarray):
         # inference turns an integer beyond int64 into a float; keep it exact
         arr = np.asarray(values, dtype=object)
-        if all(isinstance(x, numbers.Integral) for x in arr.flat):
+        if all(_is_integer(x) for x in arr.flat):
             return arr
-    raise ValueError("graph entries must be integers")
+    raise UnsupportedInput(f"{what} must be integers")
+
+
+def node_id(n: int, v, what: str = "node") -> int:
+    """A caller's single node id ``v`` as an int, once it is an integer in
+    0..n-1; else UnsupportedInput, naming the id as a ``what``. An int in
+    range costs one type test and one comparison."""
+    if type(v) is int and 0 <= v < n:
+        return v
+    if not _is_integer(v):
+        raise UnsupportedInput(f"{what} id {v!r} must be an integer")
+    if not 0 <= v < n:
+        raise UnsupportedInput(f"{what} {v} out of range for {n} nodes")
+    return int(v)
+
+
+def node_ids(n: int, ids, what: str = "node") -> np.ndarray:
+    """A caller's collection of node ids as an int64 array, in its order
+    (duplicates kept), once each id passes ``node_id``'s rule; else
+    UnsupportedInput. Arrays are read without iterating them."""
+    if isinstance(ids, np.ndarray):
+        arr = _exact_integers(ids, f"{what} ids")
+        bad = arr.size and (arr.min() < 0 or arr.max() >= n)
+    else:
+        # a side is often one or two nodes (single-source witnesses), where
+        # Python's min and max cost far less than numpy's
+        ids = list(ids)
+        arr = _exact_integers(ids, f"{what} ids")
+        bad = ids and (min(ids) < 0 or max(ids) >= n)
+    if bad:
+        node_id(n, next(x for x in arr.flat if not 0 <= x < n), what)  # raises
+    return arr.astype(np.int64, copy=False)
 
 
 def _exact_sum(values: np.ndarray) -> int:
@@ -127,7 +176,7 @@ def _exact_sum(values: np.ndarray) -> int:
 
 
 def _as_edge_array(edges) -> np.ndarray:
-    arr = _exact_integers(edges if isinstance(edges, np.ndarray) else list(edges))
+    arr = _exact_integers(edges if isinstance(edges, np.ndarray) else list(edges), "graph entries")
     if arr.size == 0:
         return np.zeros((0, 3), dtype=np.int64)
     if arr.ndim != 2 or arr.shape[1] != 3:
@@ -173,7 +222,7 @@ class Graph:
                 raise ValueError("edge weights must be positive")
         xv = None
         if extra_volume is not None:
-            xv = _exact_integers(extra_volume)
+            xv = _exact_integers(extra_volume, "graph entries")
             if xv.shape != (n,):
                 raise ValueError("extra_volume must have one entry per node")
             if xv.size and xv.min() < 0:
@@ -247,8 +296,8 @@ class Cut:
 
     @staticmethod
     def of(g: Graph, side: Iterable[int]) -> "Cut":
-        fs = frozenset(int(v) for v in side)
-        return Cut(side=fs, value=cut_value(g, fs))
+        ids = node_ids(g.n, side)
+        return Cut(side=frozenset(ids.tolist()), value=cut_value(g, ids))
 
 
 @dataclass(frozen=True)
@@ -260,8 +309,9 @@ class ContractionMap:
 
     @staticmethod
     def from_labels(labels: Sequence[int]) -> "ContractionMap":
-        """Normalize arbitrary labels to dense super ids (order of first appearance)."""
-        lab = np.asarray(labels, dtype=np.int64)
+        """Normalize arbitrary integer labels to dense super ids (order of
+        first appearance)."""
+        lab = _exact_integers(labels, "labels")
         _, first, inverse = np.unique(lab, return_index=True, return_inverse=True)
         # relabel so that super ids follow first appearance order
         rank = np.argsort(np.argsort(first))
@@ -311,11 +361,7 @@ class ContractionMap:
 
 
 def _resolve_labels(n: int, classes: Iterable[Iterable[int]]) -> np.ndarray:
-    chains = [np.fromiter(cls, dtype=np.int64) for cls in classes] or [np.zeros(0, dtype=np.int64)]
-    members = np.concatenate(chains)
-    bad = members[(members < 0) | (members >= n)]
-    if bad.size:
-        raise ValueError(f"node {bad[0]} out of range")
+    chains = [node_ids(n, cls) for cls in classes] or [np.zeros(0, dtype=np.int64)]
     # each class becomes a path through its members
     u = np.concatenate([c[:-1] for c in chains])
     v = np.concatenate([c[1:] for c in chains])
@@ -381,25 +427,19 @@ def _capacity_matrix(g: Graph) -> csr_matrix:
 
 
 def degree(g: Graph, v: int) -> int:
-    if not 0 <= v < g.n:
-        raise ValueError(f"node {v} out of range for graph on {g.n} nodes")
-    return int(degrees(g)[v])
+    return int(degrees(g)[node_id(g.n, v)])
 
 
 def _side_mask(g: Graph, s: Iterable[int]) -> np.ndarray:
     mask = np.zeros(g.n, dtype=bool)
-    for v in s:
-        v = int(v)
-        if not 0 <= v < g.n:
-            raise ValueError(f"node {v} out of range for graph on {g.n} nodes")
-        mask[v] = True
+    mask[node_ids(g.n, s)] = True
     return mask
 
 
 def proper_side_mask(g: Graph, s: Iterable[int]) -> np.ndarray:
     """Boolean mask of a cut side, which must be a proper non-empty subset."""
     mask = _side_mask(g, s)
-    k = int(mask.sum())
+    k = np.count_nonzero(mask)
     if k == 0 or k == g.n:
         raise ValueError("cut side must be a proper non-empty subset")
     return mask

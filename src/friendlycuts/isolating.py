@@ -38,7 +38,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .graph import Cut, Graph, UnsupportedInput, crossing_weights
+from .graph import Cut, Graph, UnsupportedInput, crossing_weights, node_ids
 from .maxflow import _union_flow, min_cut_between_sets, min_cuts_between_sets, pairs_per_flow
 
 __all__ = ["IsolatingCuts", "isolating_cuts", "isolating_cuts_many", "isolating_cuts_direct"]
@@ -70,12 +70,9 @@ class IsolatingCuts:
 
 
 def _check_terminals(g: Graph, r: Iterable[int]) -> np.ndarray:
-    terms = np.unique(np.asarray(r if isinstance(r, np.ndarray) else list(r), dtype=np.int64))
+    terms = np.unique(node_ids(g.n, r, "terminal"))
     if terms.size < 2:
         raise UnsupportedInput("need at least 2 terminals")
-    bad = terms[(terms < 0) | (terms >= g.n)]
-    if bad.size:
-        raise UnsupportedInput(f"terminal {bad[0]} out of range")
     terms.setflags(write=False)
     return terms
 

@@ -66,7 +66,8 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order
 from scipy.sparse.csgraph import maximum_flow as _scipy_maximum_flow
 
-from .graph import MAX_CAPACITY, Cut, Graph, check_capacities, check_capacity, crossing_rows
+from .graph import (MAX_CAPACITY, Cut, Graph, check_capacities, check_capacity, crossing_rows,
+                    node_id, node_ids)
 
 __all__ = [
     "max_flow",
@@ -104,26 +105,18 @@ def max_flow(g: Graph, s: int, t: int) -> tuple[int, Cut]:
 
     Raises UnsupportedInput when an edge capacity exceeds ``MAX_CAPACITY``.
     """
+    s, t = node_id(g.n, s), node_id(g.n, t)
     if s == t:
         raise ValueError("source and sink must differ")
-    for v in (s, t):
-        if not 0 <= v < g.n:
-            raise ValueError(f"node {v} out of range")
     if g.n == 2:
         # the only cut is {s} against {t}, crossed by the one merged edge
         check_capacities(g)
-        return g.total_weight, Cut(side=frozenset({int(s)}), value=g.total_weight)
+        return g.total_weight, Cut(side=frozenset({s}), value=g.total_weight)
     cap = g.capacity_matrix
     result = _scipy_maximum_flow(cap, s, t)
     seen = _residual_reachable(cap, result.flow, s)
     side = frozenset(np.flatnonzero(seen).tolist())
     return int(result.flow_value), Cut(side=side, value=int(result.flow_value))
-
-
-def _node_array(nodes: Iterable[int]) -> np.ndarray:
-    # arrays pass through: iterating one element by element costs more than the
-    # rest of the set-up on the isolating-cuts path
-    return np.asarray(nodes if isinstance(nodes, np.ndarray) else list(nodes), dtype=np.int64)
 
 
 def _union_flow(g: Graph, region: np.ndarray, source: np.ndarray,
@@ -182,12 +175,9 @@ def min_cuts_between_sets(g: Graph, pairs: Sequence[tuple[Iterable[int], Iterabl
         region = np.zeros((len(group), g.n), dtype=np.int64)
         source = np.zeros((len(group), g.n), dtype=bool)
         for row, (a, b) in enumerate(group):
-            a, b = _node_array(a), _node_array(b)
+            a, b = node_ids(g.n, a), node_ids(g.n, b)
             if not a.size or not b.size:
                 raise ValueError("both sides must be non-empty")
-            both = np.concatenate([a, b])
-            if both.min() < 0 or both.max() >= g.n:
-                raise ValueError(f"node {both[(both < 0) | (both >= g.n)][0]} out of range")
             source[row, a] = True
             if source[row, b].any():
                 raise ValueError("sides must be disjoint")

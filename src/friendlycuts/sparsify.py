@@ -36,6 +36,7 @@ from .graph import (
     cut_weight,
     degrees,
     graph_from_lines,
+    node_ids,
     serialize_graph,
 )
 
@@ -215,12 +216,9 @@ def terminal_sparsify(g: Graph, terminals: Iterable[int], w: int,
     phi^{-1} sqrt(w)."""
     cfg = cfg or SparsifyConfig()
     _require_simple(g, "terminal_sparsify")
-    terms = frozenset(int(v) for v in terminals)
+    terms = set(node_ids(g.n, terminals, "terminal").tolist())
     if not terms:
         raise UnsupportedInput("terminal set must be non-empty")
-    for v in terms:
-        if not 0 <= v < g.n:
-            raise UnsupportedInput(f"terminal {v} out of range")
     w = _threshold(w)
     phi = default_phi(g.n)
     base = sqrt_upper(Fraction(w)) / phi

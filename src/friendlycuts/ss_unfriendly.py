@@ -19,7 +19,8 @@ from typing import Callable
 
 import numpy as np
 
-from .graph import Cut, Graph, UnsupportedInput, cut_weight, proper_side_mask, unfriendly_nodes
+from .graph import (Cut, Graph, UnsupportedInput, cut_weight, node_id, proper_side_mask,
+                    unfriendly_nodes)
 from .isolating import isolating_cuts_many
 from .maxflow import max_flow, min_cuts_between_sets
 
@@ -51,12 +52,14 @@ class EstimateTable:
     levels: tuple[frozenset[int], ...] = field(default_factory=tuple)
 
     def estimate(self, v: int) -> int:
+        v = node_id(self.estimates.size, v)
         if v == self.pivot:
             raise ValueError("no estimate for the pivot itself")
         return int(self.estimates[v])
 
     def update(self, v: int, value: int, witness: Cut) -> None:
         """Min-merge one estimate; keeps the old witness when not improved."""
+        v = node_id(self.estimates.size, v)
         if value < self.estimates[v]:
             if self.pivot in witness.side or v not in witness.side:
                 raise ValueError("witness side must contain v and exclude the pivot")
@@ -77,8 +80,7 @@ def approx_single_source(g: Graph, p: int, eps: Fraction = EPS_DEFAULT, *,
     each v's witness being its minimal side. A caller-supplied
     ``estimator(g, p, eps)`` replaces them.
     """
-    if not 0 <= p < g.n:
-        raise ValueError(f"pivot {p} out of range")
+    p = node_id(g.n, p, "pivot")
     if estimator is not None:
         return estimator(g, p, eps)
     others = [v for v in range(g.n) if v != p]
@@ -157,8 +159,7 @@ def single_source_unfriendly(g: Graph, p: int, *, eps: Fraction = EPS_DEFAULT,
     estimate. It does work only behind an ``estimator`` that returns values
     above lambda(p, v).
     """
-    if not 0 <= p < g.n:
-        raise ValueError(f"pivot {p} out of range")
+    p = node_id(g.n, p, "pivot")
     if g.edges.size and int(g.edges[:, 2].max()) > g.n ** 4:
         raise UnsupportedInput("edge weights must be at most n^4")
     table = approx_single_source(g, p, eps, estimator=estimator)
@@ -185,6 +186,7 @@ def _lemma_unfriendly(g: Graph, p: int, v: int, s: Cut, heavy: int) -> bool:
     """Both lemmas: S must be a minimum p,v-cut in which node ``heavy`` (v
     or p) sends more than 0.6 of its degree across; check that the heavy
     node's side without it has cut value at most 0.8 * delta(S)."""
+    p, v = node_id(g.n, p, "pivot"), node_id(g.n, v)
     if p == v:
         raise ValueError("pivot and node must differ")
     if v not in s.side or p in s.side:

@@ -345,10 +345,15 @@ def test_sparsify_report_line(tmp_path, capsys):
     assert capsys.readouterr().err == "super-nodes 72 weighted-edges 754\n"
 
 
-def test_sscut_source_range(tmp_path):
+def test_sscut_source_range(tmp_path, capsys):
     gpath = tmp_path / "g.txt"
     gpath.write_text(serialize_graph(path(4)))
     assert run(["sscut", "--in", str(gpath), "--source", "9"]) == EXIT_PARSE
+    for mode in ("exact", "unfriendly"):
+        capsys.readouterr()
+        assert run(["sscut", "--in", str(gpath), "--source", "9", "--mode", mode]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == "" and "pivot 9 out of range" in captured.err
 
 
 def test_sscut_on_one_node_writes_nothing(tmp_path, capsys):

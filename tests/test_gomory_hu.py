@@ -280,6 +280,11 @@ def test_validate_rejects_corrupt_tree():
         validate_ghtree(g, bad)
     with pytest.raises(ValueError, match="wrong value"):
         friendly_mincut_sparsifier_from_gh(g, bad)
+    # the right number of edges, but one repeated or one a self-loop
+    e = good.edges
+    for corrupt in ((e[0], e[0], e[2]), ((2, 2, 1),) + e[1:]):
+        with pytest.raises(ValueError, match="components"):
+            validate_ghtree(g, GHTree(n=4, edges=corrupt))
 
 
 def test_friendly_sparsifier_clique_collapses():

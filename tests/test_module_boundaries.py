@@ -2,8 +2,9 @@
 are read only where the rule lives, every flow reaches scipy's engine
 through ``maxflow.max_flow`` (the one binding that tracing and the
 flow-count tests wrap), graphs are made only through ``Graph.build`` and,
-for the flow graphs the library derives itself, ``Graph._trusted``, and no
-module imports a name it never uses."""
+for the flow graphs the library derives itself, ``Graph._trusted``, only
+``graph`` range-checks node ids, and no module imports a name it never
+uses."""
 
 import ast
 import itertools
@@ -75,6 +76,14 @@ def test_only_graph_calls_the_graph_class():
                and (getattr(node.func, "id", None) == "Graph"
                     or getattr(node.func, "attr", None) == "Graph")}
     assert callers == {"graph"}
+
+
+def test_only_graph_builds_an_out_of_range_message():
+    builders = {path.stem for path in MODULES for node in ast.walk(parse(path))
+                if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                and "out of range" in node.value}
+    # every other module reads caller node ids through graph.node_id(s)
+    assert builders == {"graph"}
 
 
 def test_only_flow_graphs_skip_validation():
