@@ -34,8 +34,8 @@ from .graph import (
     content_lines,
     contract,
     cut_weight,
+    edge_rows,
     node_id,
-    node_ids,
     unfriendly_nodes,
 )
 from .maxflow import max_flow
@@ -61,7 +61,8 @@ class _Rooted(NamedTuple):
     the virtual root n. Node x's subtree is ``order[tin[x]:tout[x]]`` in the
     preorder; ``order_list`` holds it as Python ints, so a query side is a
     list slice that allocates no int objects. ``up`` is the weight of the
-    edge to the parent and ``root`` labels each node's component."""
+    edge to the parent, ``root`` labels each node's component and
+    ``members`` maps each component's root to its node set."""
 
     order: np.ndarray
     order_list: list[int]
@@ -70,6 +71,7 @@ class _Rooted(NamedTuple):
     tin: list[int]
     tout: list[int]
     root: list[int]
+    members: dict[int, frozenset[int]]
 
 
 @dataclass(frozen=True)
@@ -89,10 +91,11 @@ class GHTree:
 
     @cached_property
     def _rooted(self) -> _Rooted:
-        """Built once. Raises ValueError when the edges are not a forest: a
-        DFS tree would silently drop the extra edges."""
+        """Built once. Raises UnsupportedInput when an edge breaks graph's
+        integer or node-id rule, and ValueError when the edges are not a
+        forest: a DFS tree would silently drop the extra edges."""
         n = self.n
-        e = np.asarray(self.edges, dtype=np.int64).reshape(-1, 3)
+        e = edge_rows(n, self.edges)
         count, labels = component_labels(n, e[:, 0], e[:, 1])
         if len(e) != n - count:
             raise ValueError("tree edges do not form a forest")
@@ -111,8 +114,10 @@ class GHTree:
         size = [1] * (n + 1)
         for x in reversed(order_list):  # children come after their parent
             size[parent_list[x]] += size[x]
-        return _Rooted(order, order_list, parent_list, up.tolist(), tin.tolist(),
-                       (tin + size[:n]).tolist(), roots[labels].tolist())
+        tin_list, tout_list = tin.tolist(), (tin + size[:n]).tolist()
+        members = {x: frozenset(order_list[tin_list[x]:tout_list[x]]) for x in roots.tolist()}
+        return _Rooted(order, order_list, parent_list, up.tolist(), tin_list, tout_list,
+                       roots[labels].tolist(), members)
 
 
 @dataclass(frozen=True)
@@ -133,8 +138,8 @@ class PartitionTree:
             seen |= c
         if len(self.edges) != k - 1:
             raise ValueError("partition tree must have k-1 edges")
-        ends = node_ids(k, np.array(self.edges, dtype=object).reshape(-1, 3)[:, :2], "super-node")
-        if component_labels(k, *ends.T)[0] != 1:
+        e = edge_rows(k, self.edges, "super-node")
+        if component_labels(k, e[:, 0], e[:, 1])[0] != 1:
             raise ValueError("partition tree edges contain a cycle")
 
     @property
@@ -183,7 +188,13 @@ def gh_query(t: GHTree, s: int, t2: int) -> tuple[int, Cut]:
     """Min s,t value and the cut induced by the bottleneck tree edge.
 
     Ties break toward the bottleneck edge nearest s, so answers are
-    deterministic. Cross-component pairs get value 0 and s's component.
+    deterministic. Cross-component pairs get value 0 and s's component,
+    as the one node set that every such answer in that component shares.
+
+    Cost, after the tree's rooted form is built once: an O(depth) walk up
+    from s and t2, then s's side, built from whichever part of the
+    component is smaller. That hashes the smaller part's nodes, plus one
+    copy of the component's set when s's side is the larger part.
     """
     s, t2 = node_id(t.n, s), node_id(t.n, t2)
     if s == t2:
@@ -192,7 +203,7 @@ def gh_query(t: GHTree, s: int, t2: int) -> tuple[int, Cut]:
     order, parent, up, tin, tout = r.order_list, r.parent, r.up, r.tin, r.tout
     root = r.root[s]
     if r.root[t2] != root:
-        return 0, Cut(side=frozenset(order[tin[root]:tout[root]]), value=0)
+        return 0, Cut(side=r.members[root], value=0)
     climb, x = [], s
     while not tin[x] <= tin[t2] < tout[x]:  # x is not yet an ancestor of t2
         climb.append(x)
@@ -203,9 +214,21 @@ def gh_query(t: GHTree, s: int, t2: int) -> tuple[int, Cut]:
         y = parent[y]
     path = climb + descent[::-1]  # the child end of each path edge, in s -> t2 order
     below = min(path, key=up.__getitem__)  # min keeps the first of tied edges
-    lo, hi = tin[below], tout[below]
-    side = order[lo:hi] if lo <= tin[s] < hi else order[tin[root]:lo] + order[hi:tout[root]]
-    return up[below], Cut(side=frozenset(side), value=up[below])
+    # s's side is below's subtree or the rest of the component; it is built
+    # directly when it is at most half the component, else as the component
+    # minus the other part
+    lo, hi, first, last = tin[below], tout[below], tin[root], tout[root]
+    twice_below = 2 * (hi - lo)
+    if lo <= tin[s] < hi:  # the subtree
+        if twice_below <= last - first:
+            side = frozenset(order[lo:hi])
+        else:
+            side = r.members[root].difference(order[first:lo], order[hi:last])
+    elif twice_below >= last - first:  # the rest, at most half
+        side = frozenset(order[first:lo] + order[hi:last])
+    else:
+        side = r.members[root].difference(order[lo:hi])
+    return up[below], Cut(side=side, value=up[below])
 
 
 def validate_ghtree(g: Graph, t: GHTree) -> None:
@@ -229,13 +252,12 @@ def _checked_edge_sides(g: Graph, t: GHTree) -> Iterator[tuple[tuple[int, int, i
     g_count, g_labels = component_labels(g.n, g.edges[:, 0], g.edges[:, 1])
     if len(t.edges) != g.n - g_count:
         raise ValueError("tree edge count does not match component count")
-    e = np.array(t.edges, dtype=object).reshape(-1, 3)
-    ends = node_ids(t.n, e[:, :2])
+    e = edge_rows(t.n, t.edges)
     if (e[:, 2] <= 0).any():
         raise ValueError("tree edge weights must be positive")
     # with n - c edges, a self-loop or a repeated edge leaves more than c
     # components, so it fails this comparison
-    if not np.array_equal(g_labels, component_labels(t.n, *ends.T)[1]):
+    if not np.array_equal(g_labels, component_labels(t.n, e[:, 0], e[:, 1])[1]):
         raise ValueError("tree components do not match graph components")
     for (u, v, w), mask in _tree_edge_sides(t):
         if cut_weight(g, mask) != w:
@@ -394,7 +416,7 @@ def parse_ghtree(text: str) -> GHTree:
         raise GraphParseError(
             f"expected {n - c} edges for {n} nodes in {c} components, got {len(edges)}",
             last + 1)
-    e = np.asarray(edges, dtype=np.int64).reshape(-1, 3)
+    e = edge_rows(n, edges)
     if component_labels(n, e[:, 0], e[:, 1])[0] != c:
         raise GraphParseError("edge list does not form the declared components", last + 1)
     return GHTree(n=n, edges=tuple(edges))

@@ -16,11 +16,12 @@ weight. Only ``oracle.cut_table`` restates the rule, vectorised, as the
 reference.
 
 Node ids that callers give (cut sides, node sets, terminals, pivots, query
-endpoints) are read by one rule, here and nowhere else: an id is an
-integer in 0..n-1, by the integer rule that ``Graph.build`` applies to its
-entries (a float is rejected, 2.0 included, and so are a single bool and
-a bool array, so a mask is never read as ids). ``node_ids`` reads a
-collection of ids and ``node_id`` a single one; any other id raises
+endpoints, the ends of hand-built tree edges) are read by one rule, here
+and nowhere else: an id is an integer in 0..n-1, by the integer rule that
+``Graph.build`` applies to its entries (a float is rejected, 2.0 included,
+and so is a bool, alone, in a list or as an array, so a mask is never read
+as ids). ``node_ids`` reads a collection of ids, ``node_id`` a single one
+and ``edge_rows`` (u, v, weight) rows; any other id raises
 ``UnsupportedInput``, a ``ValueError``. Checks that belong to one problem
 (a non-empty side, disjoint sides, distinct endpoints) stay with it.
 
@@ -46,6 +47,7 @@ other graph each access raises ``UnsupportedInput`` and nothing is kept.
 
 from __future__ import annotations
 
+import itertools
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
@@ -67,6 +69,7 @@ __all__ = [
     "MAX_CAPACITY",
     "node_id",
     "node_ids",
+    "edge_rows",
     "degree",
     "degrees",
     "volume",
@@ -95,9 +98,11 @@ CROSS_DEN = 5
 # The flow engine (scipy's maximum_flow) computes in int32.
 MAX_CAPACITY = int(np.iinfo(np.int32).max)
 
+_INT64 = np.iinfo(np.int64)
+
 # The largest total edge weight plus extra volume for which CROSS_NUM times
 # it, and so every int64 quantity formed from the graph, fits in int64.
-_MAX_TOTAL = int(np.iinfo(np.int64).max) // CROSS_NUM
+_MAX_TOTAL = int(_INT64.max) // CROSS_NUM
 
 
 class GraphParseError(ValueError):
@@ -122,13 +127,32 @@ def _is_integer(x) -> bool:
     return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
+_BOOL_TYPES = frozenset({bool, np.bool_})
+
+
+def _entries(values, ndim: int):
+    """The entries of a nested sequence that numpy reads as an ndim array."""
+    if ndim == 1:
+        return values
+    if ndim == 2:
+        return itertools.chain.from_iterable(values)
+    return np.asarray(values, dtype=object).flat
+
+
 def _exact_integers(values, what: str) -> np.ndarray:
     """``values`` as an integer array without rounding: an entry that is not
-    an integer raises UnsupportedInput naming ``what``, and integers beyond
-    int64 keep their value, in an object array, for the range checks."""
-    arr = values if isinstance(values, np.ndarray) else np.asarray(values)
-    if arr.dtype.kind in "iu":
-        return arr
+    an integer, a bool among ints included, raises UnsupportedInput naming
+    ``what``, and integers beyond int64 keep their value, in an object
+    array, for the range checks."""
+    if isinstance(values, np.ndarray):
+        arr = values
+        if arr.dtype.kind in "iu":
+            return arr
+    else:
+        arr = np.asarray(values)
+        # numpy reads ints mixed with bools as ints, so look for the bools
+        if arr.dtype.kind in "iu" and _BOOL_TYPES.isdisjoint(map(type, _entries(values, arr.ndim))):
+            return arr
     if arr.dtype == object or not isinstance(values, np.ndarray):
         # inference turns an integer beyond int64 into a float; keep it exact
         arr = np.asarray(values, dtype=object)
@@ -175,8 +199,20 @@ def _exact_sum(values: np.ndarray) -> int:
     return sum(int(x) for x in values.tolist())
 
 
-def _as_edge_array(edges) -> np.ndarray:
-    arr = _exact_integers(edges if isinstance(edges, np.ndarray) else list(edges), "graph entries")
+def edge_rows(n: int, rows, what: str = "node") -> np.ndarray:
+    """A caller's (u, v, weight) rows, such as tree edges, as an int64
+    (k, 3) array, once each endpoint passes ``node_id``'s rule and each
+    weight the integer rule within int64; else UnsupportedInput."""
+    arr = _as_edge_array(rows, "edge entries")
+    node_ids(n, arr[:, :2], what)
+    w = arr[:, 2]
+    if w.size and not (_INT64.min <= w.min() and w.max() <= _INT64.max):
+        raise UnsupportedInput("edge weights must fit in int64")
+    return arr.astype(np.int64, copy=False)
+
+
+def _as_edge_array(edges, what: str = "graph entries") -> np.ndarray:
+    arr = _exact_integers(edges if isinstance(edges, np.ndarray) else list(edges), what)
     if arr.size == 0:
         return np.zeros((0, 3), dtype=np.int64)
     if arr.ndim != 2 or arr.shape[1] != 3:

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -171,18 +172,27 @@ def test_query_tiebreak_is_nearest_source():
     assert cut.side == frozenset({3})
 
 
+@functools.cache
+def _reference_labels(t):
+    """Component labels of t, and of t minus each edge in turn, with its weight."""
+    e = np.asarray(t.edges, dtype=np.int64).reshape(-1, 3)
+    labels = component_labels(t.n, e[:, 0], e[:, 1])[1]
+    removals = []
+    for i, w in enumerate(e[:, 2].tolist()):
+        rest = np.delete(e, i, axis=0)
+        removals.append((w, component_labels(t.n, rest[:, 0], rest[:, 1])[1]))
+    return labels, removals
+
+
 def _reference_query(t, s, t2):
     """gh_query from component labels alone: the s,t path edges are the tree
     edges whose removal separates s from t2, ordered from s by the size of
     s's side, which grows along the path."""
-    e = np.asarray(t.edges, dtype=np.int64).reshape(-1, 3)
-    labels = component_labels(t.n, e[:, 0], e[:, 1])[1]
+    labels, removals = _reference_labels(t)
     if labels[s] != labels[t2]:
         return 0, frozenset(np.flatnonzero(labels == labels[s]).tolist())
     cuts = []
-    for i, w in enumerate(e[:, 2].tolist()):
-        rest = np.delete(e, i, axis=0)
-        lab = component_labels(t.n, rest[:, 0], rest[:, 1])[1]
+    for w, lab in removals:
         if lab[s] != lab[t2]:
             side = frozenset(np.flatnonzero(lab == lab[s]).tolist())
             cuts.append((w, len(side), side))
@@ -191,20 +201,37 @@ def _reference_query(t, s, t2):
 
 
 def test_query_matches_reference_on_random_forests():
-    # tied weights, several components and isolated nodes; every ordered pair
+    # tied weights, several components and isolated nodes; every ordered pair.
+    # Larger forests, and path-like ones that hang each node from one of the
+    # two before it, make s's side often the larger part of its component.
     rng = random.Random(80)
-    for _ in range(40):
-        n = rng.randint(2, 16)
-        nodes = list(range(n))
-        rng.shuffle(nodes)
-        edges = [(nodes[i], nodes[rng.randrange(i)], rng.randint(1, 3))
-                 for i in range(1, n) if rng.random() < 0.8]
-        rng.shuffle(edges)
-        t = GHTree(n=n, edges=tuple(edges))
-        for s, t2 in itertools.permutations(range(n), 2):
-            val, cut = gh_query(t, s, t2)
-            assert (val, cut.side) == _reference_query(t, s, t2), (t, s, t2)
-            assert cut.value == val
+    kinds = set()
+    for count, largest, span in ((40, 16, None), (6, 40, None), (6, 40, 2)):
+        for _ in range(count):
+            n = rng.randint(2, largest)
+            nodes = list(range(n))
+            rng.shuffle(nodes)
+            edges = [(nodes[i], nodes[rng.randrange(max(0, i - span) if span else 0, i)],
+                      rng.randint(1, 3))
+                     for i in range(1, n) if rng.random() < 0.8]
+            rng.shuffle(edges)
+            t = GHTree(n=n, edges=tuple(edges))
+            labels = _reference_labels(t)[0]
+            for s, t2 in itertools.permutations(range(n), 2):
+                val, cut = gh_query(t, s, t2)
+                assert (val, cut.side) == _reference_query(t, s, t2), (t, s, t2)
+                assert cut.value == val
+                if labels[s] != labels[t2]:
+                    kinds.add("other component")
+                    continue
+                # s's side is the subtree below the bottleneck edge unless it
+                # holds the component's root, its smallest node; the side is
+                # built directly when at most half the component
+                size = np.count_nonzero(labels == labels[s])
+                kinds.add(("rest" if t._rooted.root[s] in cut.side else "subtree",
+                           "direct" if 2 * len(cut.side) <= size else "difference"))
+    assert kinds == {"other component", ("subtree", "direct"), ("subtree", "difference"),
+                     ("rest", "direct"), ("rest", "difference")}
 
 
 def test_query_rejects_edges_that_are_not_a_forest():
@@ -224,6 +251,10 @@ def test_rooted_form_is_built_once():
     assert [r.order_list[r.tin[x]:r.tout[x]] for x in range(6)] == [
         [0, 1, 3, 5], [1, 3, 5], [2], [3], [4], [5]]
     assert r.root == [0, 0, 2, 0, 4, 0]
+    assert r.members == {0: frozenset({0, 1, 3, 5}), 2: frozenset({2}), 4: frozenset({4})}
+    # a cross-component answer is its component's set itself
+    assert gh_query(t, 3, 2)[1].side is gh_query(t, 5, 4)[1].side is r.members[0]
+    assert gh_query(t, 2, 0)[1].side is r.members[2]
     assert t == GHTree(n=6, edges=t.edges)
 
 
@@ -257,6 +288,12 @@ def test_parse_rejects_bad_endpoints(text):
     with pytest.raises(GraphParseError) as info:
         parse_ghtree(text)
     assert info.value.line == len(text.splitlines())  # each input's last line is the bad one
+
+
+def test_parse_rejects_weights_beyond_int64():
+    assert parse_ghtree(f"2 1\n0 1 {2**63 - 1}\n").edges == ((0, 1, 2**63 - 1),)
+    with pytest.raises(UnsupportedInput, match="int64"):  # was a bare OverflowError
+        parse_ghtree(f"2 1\n0 1 {2**63}\n")
 
 
 def test_partition_tree_rejects_out_of_range_endpoints():

@@ -54,13 +54,16 @@ def test_build_rejects_bad_edges():
         Graph.build(2, [(0, 1, 0)])
     with pytest.raises(ValueError):
         Graph.build(2, [(0, 2, 1)])
-    # entries that are not integers are rejected, not truncated
+    # entries that are not integers are rejected, not truncated; numpy reads
+    # a bool among ints as an int, so it is looked for
     for edges in ([(0, 1, 2.7)], [(0.5, 1, 3)], [(0, 1, 2.0)], [(0, 1, "3")],
-                  np.array([[0, 1, 3.0]])):
+                  np.array([[0, 1, 3.0]]), [(0, 1, True)], [(0, 1, np.True_)],
+                  [(0, True, 3)], [np.array([0, 1, 3]), np.array([True, False, True])]):
         with pytest.raises(ValueError, match="integers"):
             Graph.build(2, edges)
-    with pytest.raises(ValueError, match="integers"):
-        Graph.build(2, [(0, 1, 1)], extra_volume=[0.5, 0])
+    for xv in ([0.5, 0], [True, 0], [np.True_, 0]):
+        with pytest.raises(ValueError, match="integers"):
+            Graph.build(2, [(0, 1, 1)], extra_volume=xv)
     assert Graph.build(2, [(0, 1, np.int32(3))]).edge_list() == [(0, 1, 3)]
 
 

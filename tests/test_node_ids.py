@@ -1,7 +1,9 @@
 """Every routine that reads node ids from its caller rejects, with
 UnsupportedInput, an id that is not an integer in 0..n-1: a float (2.0
-included), a bool or a bool mask, -1 and n. None of them truncates a float
-or reads a mask as the ids of its set entries."""
+included), a bool, alone or among ints in a list, a bool mask, -1 and n.
+None of them truncates a float or reads a mask as the ids of its set
+entries. The weights of hand-built tree edges are read by the same
+integer rule."""
 
 from fractions import Fraction
 
@@ -48,11 +50,14 @@ PT = PartitionTree(classes=tuple(frozenset({v}) for v in range(N)), edges=TREE.e
 
 # Each bad id, in scalar form and in set form. A set holds the bad id and
 # node 3, so that a truncated float is read as a valid set of two nodes;
-# the mask marks nodes 0 and 1, a valid set when read as ids.
+# the mask marks nodes 0 and 1, a valid set when read as ids. numpy reads
+# a list of ints and bools as ints, so [True, 3] is the set {1, 3} once read.
 BAD = {
     "0.5": (0.5, [0.5, 3]),
     "2.0": (2.0, [2.0, 3]),
     "bool": (True, np.array([True, True, False, False, False])),
+    "bool in a list": (True, [True, 3]),
+    "numpy bool in a list": (np.True_, [np.True_, 3]),
     "-1": (-1, [-1, 3]),
     "n": (N, [N, 3]),
 }
@@ -71,6 +76,8 @@ SCALAR_INTAKES = {
     "build_sparsified_cag": lambda v: build_sparsified_cag(Sparsifier.identity(G), PT, v),
     "validate_ghtree endpoint": lambda v: validate_ghtree(
         G, GHTree(n=N, edges=((v, 4, 4),) + TREE.edges[1:])),
+    "gh_query on a tree endpoint": lambda v: gh_query(
+        GHTree(n=N, edges=((v, 4, 4),) + TREE.edges[1:]), 0, 4),
     "PartitionTree endpoint": lambda v: PartitionTree(
         classes=PT.classes, edges=((v, 4, 4),) + PT.edges[1:]),
 }
@@ -92,13 +99,23 @@ SET_INTAKES = {
     "certify_cluster": lambda s: certify_cluster(G, s, Fraction(1, 10)),
 }
 
-# labels need not be node ids, so only the integer rule applies to them
-LABEL_INTAKES = {"ContractionMap.from_labels": ContractionMap.from_labels}
+# labels and tree edge weights need not be node ids, so only the integer
+# rule applies to them; a weight is read in scalar form
+NOT_INTEGERS = ("0.5", "2.0", "bool", "bool in a list", "numpy bool in a list")
+INTEGER_INTAKES = {
+    "ContractionMap.from_labels": (ContractionMap.from_labels, 1),
+    "gh_query on a tree weight": (
+        lambda w: gh_query(GHTree(n=N, edges=((TREE.edges[0][:2] + (w,)),) + TREE.edges[1:]),
+                           0, 4), 0),
+    "validate_ghtree weight": (
+        lambda w: validate_ghtree(
+            G, GHTree(n=N, edges=((TREE.edges[0][:2] + (w,)),) + TREE.edges[1:])), 0),
+}
 
 CASES = ([(name, bad, fn, 0) for name, fn in SCALAR_INTAKES.items() for bad in BAD]
          + [(name, bad, fn, 1) for name, fn in SET_INTAKES.items() for bad in BAD]
-         + [(name, bad, fn, 1) for name, fn in LABEL_INTAKES.items()
-            for bad in ("0.5", "2.0", "bool")])
+         + [(name, bad, fn, form) for name, (fn, form) in INTEGER_INTAKES.items()
+            for bad in NOT_INTEGERS])
 
 
 @pytest.mark.parametrize("name, bad, intake, form", CASES,
