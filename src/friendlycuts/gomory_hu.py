@@ -38,7 +38,7 @@ from .graph import (
     node_id,
     unfriendly_nodes,
 )
-from .maxflow import max_flow
+from .maxflow import DegreeCuts, max_flow
 
 __all__ = [
     "GHTree",
@@ -92,10 +92,13 @@ class GHTree:
     @cached_property
     def _rooted(self) -> _Rooted:
         """Built once. Raises UnsupportedInput when an edge breaks graph's
-        integer or node-id rule, and ValueError when the edges are not a
+        integer or node-id rule, and ValueError when a weight is not
+        positive, a cut value no graph has, or when the edges are not a
         forest: a DFS tree would silently drop the extra edges."""
         n = self.n
         e = edge_rows(n, self.edges)
+        if (e[:, 2] <= 0).any():
+            raise ValueError("tree edge weights must be positive")
         count, labels = component_labels(n, e[:, 0], e[:, 1])
         if len(e) != n - count:
             raise ValueError("tree edges do not form a forest")
@@ -153,22 +156,34 @@ class PartitionTree:
 
 def gomory_hu(g: Graph) -> GHTree:
     """Cut-equivalent tree by Gusfield's contraction-free method (1990):
-    n - c max-flows, all in g.
+    n - c ``max_flow`` calls, all in g.
 
     Every node starts hung from the first node of its connected component.
-    Each other node s, in order, takes one minimum (s, t)-cut of g itself
-    against its current parent t; the nodes on s's side that hang from t
-    move to s, and when t's own parent lies on s's side too, s takes t's
-    place in the tree.
+    Each other node s, in order, takes the minimal minimum (s, t)-cut of g
+    itself against its current parent t; the nodes on s's side that hang
+    from t move to s, and when t's own parent lies on s's side too, s takes
+    t's place in the tree.
+
+    Most steps' cut is s's degree cut {s}. Every step shares one
+    ``maxflow.DegreeCuts`` of g: each component's largest-degree node is a
+    hub, and a node a is proven once a batched flow shows
+    lambda(a, hub) >= deg(a). When s and t are both proven, in one
+    component, with deg(t) >= deg(s), then lambda(s, t) >=
+    min(lambda(s, hub), lambda(hub, t)) >= deg(s), so {s} is the minimal
+    minimum cut and ``max_flow`` returns it without the engine. The tree is
+    the one the engine's cuts alone would give. Cost: at most
+    2 ceil(log2 n) proving flows on n + 2 nodes, plus one flow per step
+    that is not proven.
     """
     labels = component_labels(g.n, g.edges[:, 0], g.edges[:, 1])[1]
     parent = np.unique(labels, return_index=True)[1][labels]
     fl = np.zeros(g.n, dtype=np.int64)
+    degree_cuts = DegreeCuts(g)
     for s in range(g.n):
         t = int(parent[s])
         if t == s:
             continue  # the root of its component
-        value, cut = max_flow(g, s, t)
+        value, cut = max_flow(g, s, t, degree_cuts=degree_cuts)
         on_side = np.zeros(g.n, dtype=bool)
         on_side[list(cut.side)] = True
         if not on_side[s] or on_side[t]:

@@ -5,7 +5,7 @@ computes in int32: every capacity, after parallel edges are merged, must be
 at most 2**31 - 1, and a flow call on a graph with a larger one raises
 ``UnsupportedInput`` (a ``ValueError``). The engine reads the graph's
 capacity matrix, ``Graph.capacity_matrix``, which is built once per
-``Graph`` and shared by every flow on it (Gusfield's n - 1 flows run on one
+``Graph`` and shared by every flow on it (every Gusfield step runs on one
 graph).
 
 The cut side is the set of nodes reachable from the source over the arcs
@@ -55,6 +55,29 @@ it checks each pair's a_i-b_i weight against the int32 limit itself.
 ``min_cut_between_sets`` is the one-pair case, and makes exactly one
 ``max_flow`` call; ``isolating`` answers all its local problems in one
 union.
+
+Degree cuts. A node's degree cut {s} is often the minimum (s, t)-cut, and
+``DegreeCuts(g)`` proves that for most nodes of g in a few batched flows,
+so ``max_flow(g, s, t, degree_cuts=...)`` answers those pairs without the
+engine. Each component's hub, its largest-degree node (smallest id on
+ties), counts as proven; a node a is proven once lambda(a, hub) >= deg(a)
+is shown. A round feeds a batch of pending, pairwise non-adjacent nodes a
+from a super-source by arcs of capacity deg(a), into one sink merging the
+hubs and every proven node of degree at least the batch's largest.
+
+- A batch node a off the round's minimal source side had its arc
+  saturated, so lambda(a, sinks) >= deg(a).
+- Then lambda(a, hub) >= deg(a). Within a's component, an a-hub cut that
+  holds no sink is an a-sinks cut, of weight at least deg(a); one that
+  holds a sink b separates b from the hub, so its weight is at least
+  lambda(b, hub) >= deg(b) >= deg(a).
+- For proven s and t of one component with deg(t) >= deg(s),
+  lambda(s, t) >= min(lambda(s, hub), lambda(hub, t)) >= deg(s). So {s}
+  is a minimum (s, t)-cut, and as it lies in every side holding s it is
+  the minimal one: exactly the engine's answer.
+
+Proving costs at most 2 ceil(log2 n) flows on n + 2 nodes, all run inside
+the first ``max_flow`` call that is given the certificate.
 """
 
 from __future__ import annotations
@@ -66,8 +89,8 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order
 from scipy.sparse.csgraph import maximum_flow as _scipy_maximum_flow
 
-from .graph import (MAX_CAPACITY, Cut, Graph, check_capacities, check_capacity, crossing_rows,
-                    node_id, node_ids)
+from .graph import (MAX_CAPACITY, Cut, Graph, check_capacities, check_capacity, component_labels,
+                    crossing_rows, degrees, node_id, node_ids)
 
 __all__ = [
     "max_flow",
@@ -100,23 +123,113 @@ def _residual_reachable(cap: csr_matrix, flow, s: int) -> np.ndarray:
     return seen
 
 
-def max_flow(g: Graph, s: int, t: int) -> tuple[int, Cut]:
+def max_flow(g: Graph, s: int, t: int, *, degree_cuts: DegreeCuts | None = None,
+             ) -> tuple[int, Cut]:
     """Max s,t-flow value and the inclusion-minimal source side of a min cut.
+
+    With ``degree_cuts``, a ``DegreeCuts`` of g, the certificate's pending
+    proving rounds run first, and a pair it proves is answered with
+    (deg s, {s}) without the engine.
 
     Raises UnsupportedInput when an edge capacity exceeds ``MAX_CAPACITY``.
     """
     s, t = node_id(g.n, s), node_id(g.n, t)
     if s == t:
         raise ValueError("source and sink must differ")
+    if degree_cuts is not None and degree_cuts.graph is not g:
+        raise ValueError("degree_cuts was built for another graph")
     if g.n == 2:
         # the only cut is {s} against {t}, crossed by the one merged edge
         check_capacities(g)
         return g.total_weight, Cut(side=frozenset({s}), value=g.total_weight)
     cap = g.capacity_matrix
+    if degree_cuts is not None:
+        while (h := degree_cuts.next_round()) is not None:
+            result = _scipy_maximum_flow(h.capacity_matrix, 0, 1)
+            degree_cuts.settle(_residual_reachable(h.capacity_matrix, result.flow, 0))
+        if degree_cuts.proves(s, t):
+            value = int(degree_cuts.degree[s])
+            return value, Cut(side=frozenset({s}), value=value)
     result = _scipy_maximum_flow(cap, s, t)
     seen = _residual_reachable(cap, result.flow, s)
     side = frozenset(np.flatnonzero(seen).tolist())
     return int(result.flow_value), Cut(side=side, value=int(result.flow_value))
+
+
+class DegreeCuts:
+    """A certificate, built in batched flows, that {s} is the minimal
+    minimum (s, t)-cut of g for most pairs; see the module docstring.
+
+    ``max_flow`` drives it: while ``next_round`` gives a round graph, it
+    runs one flow from node 0 (the super-source) to node 1 (the merged
+    sink) and passes the minimal source side to ``settle``. Node v of g is
+    node v + 2 of a round graph. The pending nodes, those of positive
+    degree other than the hubs, wait in order of degree descending, then
+    id; a round takes up to max(1, floor(proven / 2)) of them, skipping any
+    node adjacent to one it has taken, and each node is tried once.
+    Proving stops after a round that proves fewer than half its batch,
+    after 2 ceil(log2 n) rounds, or at a round graph with a merged capacity
+    above ``MAX_CAPACITY``; it never raises.
+    """
+
+    def __init__(self, g: Graph):
+        self.graph = g
+        self.degree = degrees(g)
+        self.component = component_labels(g.n, g.edges[:, 0], g.edges[:, 1])[1]
+        # degree descending, then id
+        order = np.lexsort((np.arange(g.n), -self.degree))
+        # each component's hub is its first node in that order
+        self.hub = np.zeros(g.n, dtype=bool)
+        self.hub[order[np.unique(self.component[order], return_index=True)[1]]] = True
+        self.proven = self.hub.copy()
+        self._pending = order[(self.degree[order] > 0) & ~self.hub[order]].tolist()
+        self._rounds_left = 2 * (g.n - 1).bit_length()
+        self._batch = np.zeros(0, dtype=np.int64)
+
+    def next_round(self) -> Graph | None:
+        """The next round's flow graph, or None once proving has stopped.
+        Reads g's capacity matrix, so call it only after the int32 guard."""
+        if not self._rounds_left or not self._pending:
+            return None
+        g, deg = self.graph, self.degree
+        cap = g.capacity_matrix
+        size = max(1, int(self.proven.sum()) // 2)
+        taken, kept = [], []
+        beside = np.zeros(g.n, dtype=bool)  # adjacent to a node already taken
+        for v in self._pending:
+            if len(taken) < size and not beside[v]:
+                taken.append(v)
+                beside[cap.indices[cap.indptr[v]:cap.indptr[v + 1]]] = True
+            else:
+                kept.append(v)
+        self._pending = kept
+        batch = self._batch = np.array(taken, dtype=np.int64)
+        # S = 0, the merged sink T = 1, node v of g becomes v + 2
+        ids = np.arange(2, g.n + 2)
+        ids[self.hub | (self.proven & (deg >= deg[batch].max()))] = 1
+        u, v = ids[g.edges[:, 0]], ids[g.edges[:, 1]]
+        inside = u != v
+        h = Graph._trusted(g.n + 2, np.concatenate([
+            np.column_stack([u[inside], v[inside], g.edges[inside, 2]]),
+            np.column_stack([np.zeros_like(batch), batch + 2, deg[batch]])]))
+        if h.edges[:, 2].max() > MAX_CAPACITY:
+            self._rounds_left = 0
+            return None
+        return h
+
+    def settle(self, seen: np.ndarray) -> None:
+        """Take a round's minimal source side, a mask over the round graph:
+        every batch node off it is proven."""
+        proved = self._batch[~seen[self._batch + 2]]
+        self.proven[proved] = True
+        self._rounds_left -= 1
+        if 2 * proved.size < self._batch.size:
+            self._rounds_left = 0
+
+    def proves(self, s: int, t: int) -> bool:
+        """Whether {s} is certified as the minimal minimum (s, t)-cut."""
+        return bool(self.proven[s] and self.proven[t] and self.component[s] == self.component[t]
+                    and self.degree[t] >= self.degree[s])
 
 
 def _union_flow(g: Graph, region: np.ndarray, source: np.ndarray,

@@ -98,9 +98,9 @@ def test_random_trees_match_oracle():
 def test_every_flow_runs_on_the_input_graph(monkeypatch):
     calls = []
 
-    def counting_max_flow(g, s, t):
+    def counting_max_flow(g, s, t, **kwargs):
         calls.append(g)
-        return max_flow(g, s, t)
+        return max_flow(g, s, t, **kwargs)
 
     monkeypatch.setattr(gomory_hu_module, "max_flow", counting_max_flow)
     rng = random.Random(3)
@@ -115,8 +115,8 @@ def test_every_flow_runs_on_the_input_graph(monkeypatch):
 
 def test_a_flow_side_without_s_is_an_internal_error(monkeypatch):
     # a failed internal check raises, also under python -O
-    def sinkside_max_flow(g, s, t):
-        value, _ = max_flow(g, s, t)
+    def sinkside_max_flow(g, s, t, **kwargs):
+        value, _ = max_flow(g, s, t, **kwargs)
         return value, Cut(side=frozenset({t}), value=value)
 
     monkeypatch.setattr(gomory_hu_module, "max_flow", sinkside_max_flow)
@@ -322,6 +322,13 @@ def test_validate_rejects_corrupt_tree():
     for corrupt in ((e[0], e[0], e[2]), ((2, 2, 1),) + e[1:]):
         with pytest.raises(ValueError, match="components"):
             validate_ghtree(g, GHTree(n=4, edges=corrupt))
+    # a weight of 0 or less is a cut value no graph has: queries reject it too
+    for w in (0, -5):
+        corrupt = GHTree(n=4, edges=(e[0][:2] + (w,),) + e[1:])
+        with pytest.raises(ValueError, match="positive"):
+            validate_ghtree(g, corrupt)
+        with pytest.raises(ValueError, match="positive"):
+            gh_query(GHTree(n=3, edges=((0, 1, w), (1, 2, 1))), 0, 2)
 
 
 def test_friendly_sparsifier_clique_collapses():

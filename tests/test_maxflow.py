@@ -8,10 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from friendlycuts import graph as graph_module
 from friendlycuts import maxflow
-from friendlycuts.generators import gnp
+from friendlycuts.generators import dumbbell, gnp, star
 from friendlycuts.gomory_hu import gomory_hu
 from friendlycuts.graph import Cut, Graph, UnsupportedInput, component_labels, cut_value
-from friendlycuts.maxflow import MAX_CAPACITY, max_flow, min_cut_between_sets, min_cuts_between_sets
+from friendlycuts.maxflow import (MAX_CAPACITY, DegreeCuts, max_flow, min_cut_between_sets,
+                                  min_cuts_between_sets)
 from friendlycuts.oracle import cut_table
 
 
@@ -297,9 +298,14 @@ def test_one_capacity_matrix_per_graph(monkeypatch):
     g = gnp(40, 0.2, seed=2)
     assert component_labels(g.n, g.edges[:, 0], g.edges[:, 1])[0] == 1
     gomory_hu(g)
-    assert len(builds) == 1 and builds[0] is g
+    assert sum(h is g for h in builds) == 1
+    # every other matrix is one degree-cut proving round's own graph
+    rounds = [h for h in builds if h is not g]
+    assert rounds and all(h.n == g.n + 2 for h in rounds)
+    assert len({id(h) for h in rounds}) == len(rounds)
+    built = len(builds)
     max_flow(g, 0, 1)
-    assert len(builds) == 1
+    assert len(builds) == built
 
 
 def test_capacity_over_int32_rejected():
@@ -331,3 +337,98 @@ def test_capacities_up_to_int32_max_are_exact():
         g = random_graph(rng, n, 0.6, wmin=2**30, wmax=MAX_CAPACITY)
         s, t = rng.sample(range(n), 2)
         assert_minimal_min_cut(g, [s], [t], *max_flow(g, s, t))
+
+
+def degree_cut_corpus():
+    """Seeded graphs for the degree-cut certificate: unit and weighted,
+    connected and not, with isolated nodes, and weights whose degrees pass
+    the int32 limit, where proving must stop without raising."""
+    rng = random.Random(53)
+    graphs = []
+    for _ in range(45):
+        graphs.append(random_graph(rng, rng.randint(3, 22), rng.choice([0.1, 0.25, 0.5, 0.9]),
+                                   wmax=rng.choice([1, 1, 4, 2**20])))
+    for _ in range(5):
+        a, b = rng.randint(3, 10), rng.randint(2, 8)
+        edges = random_graph(rng, a, 0.6).edge_list()
+        edges += [(u + a, v + a, w) for u, v, w in random_graph(rng, b, 0.7).edge_list()]
+        graphs.append(Graph.build(a + b + rng.randint(0, 2), edges))
+    graphs.append(Graph.build(4, [(0, 1, 2**30), (0, 2, 2**30), (0, 3, 2**30), (1, 2, 2**30)]))
+    # node 9 (degree 15) is tried after node 1 (degree 4, with 3 of it on
+    # the edge to 9) is proven; were 1 a sink, 9 would pass its round,
+    # though lambda(9, 0) = 13
+    graphs.append(Graph.build(14, [
+        (0, 3, 2), (0, 4, 1), (0, 6, 1), (0, 7, 2), (0, 8, 2), (0, 9, 3), (0, 10, 3), (0, 11, 2),
+        (0, 13, 2), (1, 6, 1), (1, 9, 3), (2, 3, 3), (2, 4, 1), (2, 6, 3), (2, 7, 2), (2, 8, 3),
+        (2, 10, 2), (2, 11, 3), (2, 12, 1), (2, 13, 1), (3, 4, 3), (3, 7, 1), (3, 8, 1), (3, 9, 1),
+        (3, 10, 2), (3, 12, 3), (3, 13, 2), (4, 8, 3), (4, 9, 1), (4, 10, 2), (4, 12, 1), (5, 6, 2),
+        (5, 7, 1), (5, 8, 1), (5, 12, 3), (5, 13, 2), (6, 8, 3), (6, 9, 2), (6, 12, 3), (6, 13, 3),
+        (7, 8, 2), (7, 10, 2), (7, 11, 3), (7, 12, 3), (8, 11, 3), (8, 12, 3), (8, 13, 2),
+        (9, 10, 2), (9, 11, 2), (9, 13, 1), (10, 11, 2), (10, 12, 3), (10, 13, 3)]))
+    graphs.append(random_graph(rng, 8, 0.8, wmin=2**29, wmax=2**30))
+    return graphs
+
+
+def test_degree_cuts_answer_every_pair_as_the_engine_does():
+    proven = cross = 0
+    for g in degree_cut_corpus():
+        cuts = DegreeCuts(g)
+        labels = component_labels(g.n, g.edges[:, 0], g.edges[:, 1])[1]
+        for s, t in itertools.permutations(range(g.n), 2):
+            assert max_flow(g, s, t, degree_cuts=cuts) == max_flow(g, s, t), (g, s, t)
+            proven += cuts.proves(s, t)
+            cross += labels[s] != labels[t]
+    assert proven >= 1800 and cross >= 1000
+
+
+def test_proven_pairs_skip_the_engine(monkeypatch):
+    engine_calls = []
+
+    def engine(*args, **kwargs):
+        engine_calls.append(args[0].shape[0])
+        return scipy_engine(*args, **kwargs)
+
+    scipy_engine = maxflow._scipy_maximum_flow
+    monkeypatch.setattr(maxflow, "_scipy_maximum_flow", engine)
+    for g in (gnp(60, 0.15, seed=3), random_graph(random.Random(5), 40, 0.3, wmax=9)):
+        cuts = DegreeCuts(g)
+        engine_calls.clear()
+        max_flow(g, 0, 1, degree_cuts=cuts)
+        # the proving rounds, on n + 2 nodes, then at most this pair's own flow
+        rounds = [n for n in engine_calls if n == g.n + 2]
+        assert 1 <= len(rounds) <= 2 * math.ceil(math.log2(g.n))
+        assert len(engine_calls) - len(rounds) <= 1
+        pairs = [(s, t) for s, t in itertools.permutations(range(g.n), 2) if cuts.proves(s, t)]
+        assert len(pairs) >= g.n * (g.n - 1) // 4
+        expected = [max_flow(g, s, t) for s, t in pairs]
+        monkeypatch.setattr(maxflow, "_scipy_maximum_flow", None)
+        assert [max_flow(g, s, t, degree_cuts=cuts) for s, t in pairs] == expected
+        monkeypatch.setattr(maxflow, "_scipy_maximum_flow", engine)
+    with pytest.raises(ValueError, match="another graph"):
+        max_flow(gnp(60, 0.15, seed=3), 0, 1, degree_cuts=cuts)
+
+
+PROVES_CONDITIONS = {
+    "both proven": lambda c, s, t: c.proven[s] and c.proven[t],
+    "one component": lambda c, s, t: c.component[s] == c.component[t],
+    "degree order": lambda c, s, t: c.degree[t] >= c.degree[s],
+}
+
+
+@pytest.mark.parametrize("dropped, g, s, t", [
+    # 5 sits beyond the bridge from the hub 3, and its first round fails
+    ("both proven", dumbbell(4), 5, 3),
+    ("one component", Graph.build(6, [(0, 1, 1), (1, 2, 1), (0, 2, 1),
+                                      (3, 4, 1), (4, 5, 1), (3, 5, 1)]), 1, 4),
+    # the hub 0 against a proven leaf
+    ("degree order", star(4), 0, 1),
+], ids=["both-proven", "one-component", "degree-order"])
+def test_each_proves_condition_is_needed(monkeypatch, dropped, g, s, t):
+    cuts = DegreeCuts(g)
+    truth = max_flow(g, s, t)
+    assert max_flow(g, s, t, degree_cuts=cuts) == truth
+    for a, b in itertools.permutations(range(g.n), 2):
+        assert cuts.proves(a, b) == all(rule(cuts, a, b) for rule in PROVES_CONDITIONS.values())
+    monkeypatch.setattr(DegreeCuts, "proves", lambda c, a, b: all(
+        rule(c, a, b) for name, rule in PROVES_CONDITIONS.items() if name != dropped))
+    assert max_flow(g, s, t, degree_cuts=cuts) != truth
