@@ -363,7 +363,7 @@ def certify_cluster(g: Graph, cluster: Iterable[int], phi, d: DemandVector | Non
     phi = Fraction(phi)
     if not 0 < phi <= 1:
         raise ValueError("phi must be in (0, 1]")
-    nodes = np.sort(node_ids(g.n, cluster))
+    nodes = np.unique(node_ids(g.n, cluster))
     if len(nodes) == 0:
         raise ValueError("cluster must be non-empty")
     if len(nodes) == 1:

@@ -34,7 +34,9 @@ from .graph import (
     content_lines,
     contract,
     cut_weight,
+    edge_lines,
     edge_rows,
+    int_fields,
     node_id,
     unfriendly_nodes,
 )
@@ -404,29 +406,10 @@ def parse_ghtree(text: str) -> GHTree:
     if not lines:
         raise GraphParseError("missing header", last + 1)
     (hline, head), body = lines[0], lines[1:]
-    parts = head.split()
-    if len(parts) != 2:
-        raise GraphParseError("expected header 'n components'", hline)
-    try:
-        n, c = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise GraphParseError("header fields must be integers", hline)
+    n, c = int_fields(hline, head, (2,), "header 'n components'")
     if n < 0 or not 0 <= c <= n:
         raise GraphParseError("header needs n >= 0 and 0 <= components <= n", hline)
-    edges = []
-    for lineno, line in body:
-        parts = line.split()
-        if len(parts) != 3:
-            raise GraphParseError("expected 'u v weight'", lineno)
-        try:
-            u, v, w = (int(x) for x in parts)
-        except ValueError:
-            raise GraphParseError("edge fields must be integers", lineno)
-        if u == v or not (0 <= u < n and 0 <= v < n):
-            raise GraphParseError(f"bad tree edge endpoints in {line!r}", lineno)
-        if w <= 0:
-            raise GraphParseError(f"non-positive weight {w}", lineno)
-        edges.append((u, v, w))
+    edges = edge_lines(body, n, (3,))
     if len(edges) != n - c:
         raise GraphParseError(
             f"expected {n - c} edges for {n} nodes in {c} components, got {len(edges)}",

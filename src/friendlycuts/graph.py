@@ -25,6 +25,12 @@ and ``edge_rows`` (u, v, weight) rows; any other id raises
 ``UnsupportedInput``, a ``ValueError``. Checks that belong to one problem
 (a non-empty side, disjoint sides, distinct endpoints) stay with it.
 
+Artifact text (graphs, sparsifiers, Gomory-Hu trees, node subsets) is read
+by three rules, here and nowhere else: ``content_lines`` for lines,
+``int_fields`` for a line's integer fields and ``edge_lines`` for
+``u v [w]`` edge rows. Each rejects input with a ``GraphParseError`` that
+names the file's own line.
+
 ``Graph.build`` validates its input and then takes the trusted path,
 ``Graph._trusted``, which only canonicalizes and merges parallel edges; the
 union flow graphs that ``maxflow`` derives from a valid graph take that
@@ -83,6 +89,8 @@ __all__ = [
     "contract",
     "component_labels",
     "content_lines",
+    "int_fields",
+    "edge_lines",
     "parse_graph",
     "graph_from_lines",
     "serialize_graph",
@@ -575,6 +583,40 @@ def content_lines(text: str) -> tuple[list[tuple[int, str]], int]:
     return out, len(lines)
 
 
+def int_fields(lineno: int, text: str, counts: Sequence[int], form: str) -> list[int]:
+    """The one field rule of every artifact format: the content line
+    ``text`` split on whitespace into one of ``counts`` integer fields, else
+    GraphParseError on line ``lineno``: ``expected <form>, got '<text>'``."""
+    parts = text.split()
+    if len(parts) in counts:
+        try:
+            return [int(x) for x in parts]
+        except ValueError:
+            pass
+    raise GraphParseError(f"expected {form}, got '{text}'", lineno)
+
+
+def edge_lines(lines: Iterable[tuple[int, str]], n: int,
+               counts: Sequence[int]) -> list[tuple[int, int, int]]:
+    """The one edge rule of every artifact format: each content line is a
+    ``u v w`` row, or ``u v`` with weight 1 where ``counts`` allows two
+    fields, with u != v, both in 0..n-1, and w >= 1; else GraphParseError
+    on that line. Returns the (u, v, w) rows."""
+    form = "edge 'u v [w]'" if 2 in counts else "edge 'u v w'"
+    edges = []
+    for lineno, raw in lines:
+        u, v, *rest = int_fields(lineno, raw, counts, form)
+        w = rest[0] if rest else 1
+        if u == v:
+            raise GraphParseError(f"self-loop at node {u}", lineno)
+        if w <= 0:
+            raise GraphParseError(f"non-positive weight {w}", lineno)
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphParseError(f"node id out of range in {raw!r}", lineno)
+        edges.append((u, v, w))
+    return edges
+
+
 def parse_graph(text: str) -> Graph:
     """Parse the edge-list format: header "n m", then m lines "u v [w]"."""
     lines, last = content_lines(text)
@@ -588,32 +630,10 @@ def graph_from_lines(lines: Sequence[tuple[int, str]], first: int, last: int) ->
     if not lines:
         raise GraphParseError("missing header", first)
     (hline, raw), body = lines[0], lines[1:]
-    header = raw.split()
-    if len(header) != 2:
-        raise GraphParseError("header must be 'n m'", hline)
-    try:
-        n, m = int(header[0]), int(header[1])
-    except ValueError:
-        raise GraphParseError("header must contain two integers", hline) from None
+    n, m = int_fields(hline, raw, (2,), "header 'n m'")
     if n < 0 or m < 0:
         raise GraphParseError("header counts must be non-negative", hline)
-    edges = []
-    for lineno, raw in body:
-        parts = raw.split()
-        if len(parts) not in (2, 3):
-            raise GraphParseError(f"malformed edge line {raw!r}", lineno)
-        try:
-            u, v = int(parts[0]), int(parts[1])
-            w = int(parts[2]) if len(parts) == 3 else 1
-        except ValueError:
-            raise GraphParseError(f"malformed edge line {raw!r}", lineno) from None
-        if u == v:
-            raise GraphParseError(f"self-loop at node {u}", lineno)
-        if w <= 0:
-            raise GraphParseError(f"non-positive weight {w}", lineno)
-        if not (0 <= u < n and 0 <= v < n):
-            raise GraphParseError(f"node id out of range in {raw!r}", lineno)
-        edges.append((u, v, w))
+    edges = edge_lines(body, n, (2, 3))
     if len(edges) != m:
         raise GraphParseError(f"expected {m} edges, found {len(edges)}", last)
     return Graph.build(n, edges)
@@ -627,13 +647,8 @@ def serialize_graph(g: Graph) -> str:
 
 def parse_node_subset(text: str) -> frozenset[int]:
     """Node-subset file: one id per line."""
-    out = set()
-    for lineno, raw in content_lines(text)[0]:
-        try:
-            out.add(int(raw))
-        except ValueError:
-            raise GraphParseError(f"malformed node id {raw!r}", lineno) from None
-    return frozenset(out)
+    return frozenset(int_fields(lineno, raw, (1,), "a node id")[0]
+                     for lineno, raw in content_lines(text)[0])
 
 
 def serialize_node_subset(s: Iterable[int]) -> str:

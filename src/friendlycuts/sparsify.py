@@ -36,6 +36,7 @@ from .graph import (
     cut_weight,
     degrees,
     graph_from_lines,
+    int_fields,
     node_ids,
     serialize_graph,
 )
@@ -279,10 +280,8 @@ def parse_sparsifier(text: str, base: Graph) -> Sparsifier:
     if guarantee not in GUARANTEES:
         raise GraphParseError(f"unknown guarantee {guarantee!r}; expected one of "
                               f"{', '.join(GUARANTEES)}", hline)
-    try:
-        n_orig, n_super = int(parts[1]), int(parts[2])
-    except ValueError:
-        raise GraphParseError("header fields must be integers", hline) from None
+    n_orig, n_super = int_fields(hline, " ".join(parts[1:3]), (2,),
+                                 "header counts 'n_orig n_super'")
     if n_orig != base.n:
         raise GraphParseError(
             f"sparsifier is for a {n_orig}-node graph, base has {base.n}", hline)
@@ -290,10 +289,7 @@ def parse_sparsifier(text: str, base: Graph) -> Sparsifier:
         raise GraphParseError("truncated contraction map", last)
     labels, next_id = [], 0
     for lineno, raw in lines[1:1 + n_orig]:
-        try:
-            label = int(raw)
-        except ValueError as exc:
-            raise GraphParseError(f"bad map entry: {exc}", lineno) from None
+        [label] = int_fields(lineno, raw, (1,), "a super-node id")
         if not 0 <= label <= next_id:
             raise GraphParseError(
                 f"map id {label} out of order: ids must number super-nodes "

@@ -78,11 +78,17 @@ def approx_single_source(g: Graph, p: int, eps: Fraction = EPS_DEFAULT, *,
     eps: the n - 1 minimum ({v}, {p})-cuts, answered by
     ``min_cuts_between_sets`` in ceil((n - 1) / ceil(log2 n)) max-flows,
     each v's witness being its minimal side. A caller-supplied
-    ``estimator(g, p, eps)`` replaces them.
+    ``estimator(g, p, eps)`` replaces them; the table it returns must be for
+    pivot p, with one estimate per node of g, else ValueError. Its witness
+    sides are not re-checked.
     """
     p = node_id(g.n, p, "pivot")
     if estimator is not None:
-        return estimator(g, p, eps)
+        table = estimator(g, p, eps)
+        if table.pivot != p or np.shape(table.estimates) != (g.n,):
+            raise ValueError(f"estimator must return a table for pivot {p} "
+                             "with one estimate per node")
+        return table
     others = [v for v in range(g.n) if v != p]
     values, sides = min_cuts_between_sets(g, [([v], [p]) for v in others])
     estimates = np.zeros(g.n, dtype=np.int64)

@@ -337,6 +337,26 @@ def test_sparsify_input_errors_exit_code(tmp_path, capsys):
         assert captured.out == "" and message in captured.err
 
 
+def test_malformed_field_of_each_format_exit_code(tmp_path, capsys):
+    gpath = tmp_path / "g.txt"
+    gpath.write_text(serialize_graph(path(4)))
+    bad = tmp_path / "bad.txt"
+    for args, text, message in (
+            (["ghtree", "--in", str(bad)], "4 3\n0 1\n1 x\n2 3\n",
+             "line 3: expected edge 'u v [w]', got '1 x'"),
+            (["verify", "--in", str(gpath), "--artifact", str(bad)], "4 1\n0 1 1\n1 2\n2 3 1\n",
+             "line 3: expected edge 'u v w', got '1 2'"),
+            (["verify", "--in", str(gpath), "--artifact", str(bad), "--w", "2"],
+             "sparsifier 4 2\n0\n0\n1\nq\n2 1\n0 1 1\n",
+             "line 5: expected a super-node id, got 'q'"),
+            (["sparsify", "--in", str(gpath), "--mode", "terminal", "--terminals", str(bad)],
+             "0\n3 3\n", "line 2: expected a node id, got '3 3'")):
+        bad.write_text(text)
+        assert run(args) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
+
+
 def test_sparsify_report_line(tmp_path, capsys):
     gpath = tmp_path / "g.txt"
     gpath.write_text(serialize_graph(clique_of_cliques(4)))

@@ -116,6 +116,16 @@ def test_certify_disconnected_cluster_fails():
     assert not res.ok
 
 
+@pytest.mark.parametrize("mode", ["exact", "sampled"])
+def test_certify_reads_a_repeated_id_once(mode):
+    # a repeated id is one node, not an extra edgeless one cut off by itself
+    g = complete(6)
+    for cluster, once in (([0, 0, 1, 2], [0, 1, 2]), ([1, 1], [1]), ([2, 0, 2, 1, 0], [0, 1, 2])):
+        assert certify_cluster(g, cluster, Fraction(1, 4), mode=mode) == \
+            certify_cluster(g, once, Fraction(1, 4), mode=mode)
+        assert certify_cluster(g, cluster, Fraction(1, 4), mode=mode).ok
+
+
 def test_refinement_monotone_in_phi():
     """Shrinking phi never increases the number of clusters."""
     rng = random.Random(2)

@@ -370,6 +370,39 @@ def test_every_parser_reads_one_comment_rule(parse, text):
     assert parse(commented) == parse(text)
 
 
+_PARSERS = {"graph": parse_graph, "subset": parse_node_subset, "ghtree": parse_ghtree,
+            "sparsifier": lambda text: parse_sparsifier(text, _BASE)}
+
+
+@pytest.mark.parametrize("fmt, text, line, form, got", [
+    ("graph", "3 x\n0 1\n", 1, "header 'n m'", "3 x"),
+    ("graph", "3\n", 1, "header 'n m'", "3"),
+    ("graph", "3 2\n0 1\n1 y 2\n", 3, "edge 'u v [w]'", "1 y 2"),
+    ("graph", "3 1\n0 1 2 4\n", 2, "edge 'u v [w]'", "0 1 2 4"),
+    ("ghtree", "2 z\n", 1, "header 'n components'", "2 z"),
+    ("ghtree", "2 1 0\n", 1, "header 'n components'", "2 1 0"),
+    ("ghtree", "2 1\n0 1\n", 2, "edge 'u v w'", "0 1"),  # tree edges carry their weight
+    ("ghtree", "2 1\n0 1 1.5\n", 2, "edge 'u v w'", "0 1 1.5"),
+    ("sparsifier", "sparsifier x 2\n0\n0\n1\n1\n2 1\n0 1 1\n", 1,
+     "header counts 'n_orig n_super'", "x 2"),
+    ("sparsifier", "sparsifier 4 2\n0\nq\n1\n1\n2 1\n0 1 1\n", 3, "a super-node id", "q"),
+    ("sparsifier", "sparsifier 4 2\n0\n0 0\n1\n1\n2 1\n0 1 1\n", 3, "a super-node id", "0 0"),
+    ("sparsifier", "sparsifier 4 2\n0\n0\n1\n1\n2 1\n0 1 w\n", 7, "edge 'u v [w]'", "0 1 w"),
+    ("subset", "1\n2 3\n", 2, "a node id", "2 3"),
+    ("subset", "1\nv7\n", 2, "a node id", "v7"),
+], ids=["graph-header", "graph-header-count", "graph-edge", "graph-edge-count",
+        "ghtree-header", "ghtree-header-count", "ghtree-edge-count", "ghtree-edge",
+        "sparsifier-header", "sparsifier-map", "sparsifier-map-count", "sparsifier-edge",
+        "subset-count", "subset-id"])
+def test_every_malformed_field_names_its_line_and_form(fmt, text, line, form, got):
+    # a leading comment and a blank line move every line down by two
+    for prefix, shift in (("", 0), ("# by hand\n\n", 2)):
+        with pytest.raises(GraphParseError) as info:
+            _PARSERS[fmt](prefix + text)
+        assert info.value.line == line + shift
+        assert str(info.value) == f"line {line + shift}: expected {form}, got '{got}'"
+
+
 def test_node_subset_roundtrip():
     s = frozenset({1, 4, 7})
     assert parse_node_subset(serialize_node_subset(s)) == s

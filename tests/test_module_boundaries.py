@@ -3,7 +3,8 @@ are read only where the rule lives, every flow reaches scipy's engine
 through ``maxflow.max_flow`` (the one binding that tracing and the
 flow-count tests wrap), graphs are made only through ``Graph.build`` and,
 for the flow graphs the library derives itself, ``Graph._trusted``, only
-``graph`` range-checks node ids, and no module imports a name it never
+``graph`` range-checks node ids, artifact parsers read integer fields
+only through ``graph.int_fields``, and no module imports a name it never
 uses."""
 
 import ast
@@ -84,6 +85,25 @@ def test_only_graph_builds_an_out_of_range_message():
                 and "out of range" in node.value}
     # every other module reads caller node ids through graph.node_id(s)
     assert builders == {"graph"}
+
+
+def int_callers() -> dict[str, bool]:
+    """Every function of the library, by name, and whether it calls the
+    builtin ``int``."""
+    return {node.name: any(isinstance(n, ast.Call) and getattr(n.func, "id", None) == "int"
+                           for n in ast.walk(node))
+            for path in MODULES for node in ast.walk(parse(path))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+
+
+def test_parsers_read_fields_only_through_int_fields():
+    calls = int_callers()
+    readers = {name for name in calls if name.startswith("parse_")}
+    readers |= {"graph_from_lines", "edge_lines"}
+    assert not {name for name in readers if calls.get(name)}
+    assert readers <= calls.keys()
+    assert {"parse_graph", "parse_node_subset", "parse_ghtree", "parse_sparsifier"} <= readers
+    assert calls["int_fields"]  # the scan sees the one reader's call
 
 
 def test_only_flow_graphs_skip_validation():

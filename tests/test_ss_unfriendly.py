@@ -86,6 +86,23 @@ def test_estimator_replaces_exact_flows():
     assert calls == [(g, 0)]
 
 
+def test_estimator_table_must_fit_the_pivot_and_graph():
+    g = dumbbell()
+    table = approx_single_source(g, 0)
+    # a table built for another pivot, at a pivot inside and across the bridge
+    for p in (1, 7):
+        with pytest.raises(ValueError, match="pivot"):
+            approx_single_source(g, p, estimator=lambda h, q, eps: table)
+        with pytest.raises(ValueError, match="pivot"):
+            single_source_unfriendly(g, p, estimator=lambda h, q, eps: table)
+    # one estimate per node of g, no more and no fewer
+    for size in (g.n - 1, g.n + 1):
+        short = EstimateTable(pivot=0, estimates=np.zeros(size, dtype=np.int64),
+                              witnesses=table.witnesses, eps=table.eps)
+        with pytest.raises(ValueError, match="one estimate per node"):
+            approx_single_source(g, 0, estimator=lambda h, q, eps: short)
+
+
 def test_equal_witness_sides_are_one_object():
     pendant = Graph.build(6, complete(5).edge_list() + [(0, 5, 1)])
     rng = random.Random(11)
