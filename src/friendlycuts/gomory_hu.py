@@ -25,6 +25,7 @@ from scipy.sparse.csgraph import depth_first_order
 
 from . import oracle
 from .graph import (
+    MAX_NODES,
     ContractionMap,
     Cut,
     Graph,
@@ -409,6 +410,8 @@ def parse_ghtree(text: str) -> GHTree:
     n, c = int_fields(hline, head, (2,), "header 'n components'")
     if n < 0 or not 0 <= c <= n:
         raise GraphParseError("header needs n >= 0 and 0 <= components <= n", hline)
+    if n > MAX_NODES:
+        raise GraphParseError(f"node count {n} exceeds {MAX_NODES}", hline)
     edges = edge_lines(body, n, (3,))
     if len(edges) != n - c:
         raise GraphParseError(

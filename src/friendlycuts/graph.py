@@ -35,12 +35,13 @@ names the file's own line.
 ``Graph._trusted``, which only canonicalizes and merges parallel edges; the
 union flow graphs that ``maxflow`` derives from a valid graph take that
 path directly. Every entry must be an integer (a float is rejected, never
-truncated), and a graph's total edge weight W plus its total extra volume X
-must be at most (2**63 - 1) // CROSS_NUM, else ``build`` raises
-``UnsupportedInput``. The largest int64 quantities the library forms from a
-graph are the friendliness rule's CROSS_NUM * degree, at most CROSS_NUM * W,
-and volumes, at most 2W + X; every degree, cut value and flow value is at
-most W. Contraction never raises W + X.
+truncated), a graph's total edge weight W plus its total extra volume X
+must be at most (2**63 - 1) // CROSS_NUM, and its node count at most
+``MAX_NODES`` (2**31 - 1, as scipy's sparse graphs index nodes in int32),
+else ``build`` raises ``UnsupportedInput``. The largest int64 quantities the
+library forms from a graph are the friendliness rule's CROSS_NUM * degree,
+at most CROSS_NUM * W, and volumes, at most 2W + X; every degree, cut value
+and flow value is at most W. Contraction never raises W + X.
 
 Two per-graph arrays are computed on first use and then kept on the graph
 (``functools.cached_property``), since a graph never changes: the degrees
@@ -73,6 +74,7 @@ __all__ = [
     "CROSS_NUM",
     "CROSS_DEN",
     "MAX_CAPACITY",
+    "MAX_NODES",
     "node_id",
     "node_ids",
     "edge_rows",
@@ -106,6 +108,9 @@ CROSS_DEN = 5
 # The flow engine (scipy's maximum_flow) computes in int32.
 MAX_CAPACITY = int(np.iinfo(np.int32).max)
 
+# scipy's sparse graphs, the flow engine's included, index nodes in int32.
+MAX_NODES = int(np.iinfo(np.int32).max)
+
 _INT64 = np.iinfo(np.int64)
 
 # The largest total edge weight plus extra volume for which CROSS_NUM times
@@ -124,10 +129,11 @@ class GraphParseError(ValueError):
 class UnsupportedInput(ValueError):
     """Raised when an input lies outside a routine's stated limits (a graph
     entry that is not an integer, a total weight past int64 arithmetic, a
-    flow capacity above int32, weights above n^4, a weighted graph given to
-    a simple-graph pipeline, an empty terminal set, a node id that is not an
-    integer in 0..n-1: a float, 2.0 included, a bool or a bool mask, or an
-    id out of range), as opposed to a failed internal check."""
+    node count above ``MAX_NODES``, a flow capacity above int32, weights
+    above n^4, a weighted graph given to a simple-graph pipeline, an empty
+    terminal set, a node id that is not an integer in 0..n-1: a float, 2.0
+    included, a bool or a bool mask, or an id out of range), as opposed to a
+    failed internal check."""
 
 
 def _is_integer(x) -> bool:
@@ -256,6 +262,9 @@ class Graph:
         """Validate and canonicalize raw edge triples into a Graph."""
         if n < 0:
             raise ValueError("node count must be non-negative")
+        if n > MAX_NODES:
+            raise UnsupportedInput(f"node count {n} exceeds {MAX_NODES}, the int32 node index "
+                                   "limit of scipy's sparse graphs")
         arr = _as_edge_array(edges)
         if arr.shape[0]:
             if arr[:, :2].min() < 0 or arr[:, :2].max() >= n:

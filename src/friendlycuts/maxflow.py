@@ -60,24 +60,36 @@ Degree cuts. A node's degree cut {s} is often the minimum (s, t)-cut, and
 ``DegreeCuts(g)`` proves that for most nodes of g in a few batched flows,
 so ``max_flow(g, s, t, degree_cuts=...)`` answers those pairs without the
 engine. Each component's hub, its largest-degree node (smallest id on
-ties), counts as proven; a node a is proven once lambda(a, hub) >= deg(a)
-is shown. A round feeds a batch of pending, pairwise non-adjacent nodes a
-from a super-source by arcs of capacity deg(a), into one sink merging the
-hubs and every proven node of degree at least the batch's largest.
+ties), counts as proven. Every node a of a hub's component has a capacity
+c(a), here deg(a), and is proven once lambda(a, hub) >= c(a) is shown. A
+round feeds a batch of pending, pairwise non-adjacent nodes a from a
+super-source by arcs of capacity c(a), into one sink merging the hubs and
+every proven node of capacity at least the batch's largest.
 
 - A batch node a off the round's minimal source side had its arc
-  saturated, so lambda(a, sinks) >= deg(a).
-- Then lambda(a, hub) >= deg(a). Within a's component, an a-hub cut that
-  holds no sink is an a-sinks cut, of weight at least deg(a); one that
-  holds a sink b separates b from the hub, so its weight is at least
-  lambda(b, hub) >= deg(b) >= deg(a).
-- For proven s and t of one component with deg(t) >= deg(s),
+  saturated, so lambda(a, sinks) >= c(a).
+- Then lambda(a, hub) >= c(a). Within a's component, an a-hub cut that
+  holds no sink is an a-sinks cut, of weight at least c(a); one that holds
+  a sink b separates b from the hub, so its weight is at least
+  lambda(b, hub) >= c(b) >= c(a).
+- For proven s and t of one component with min(c(s), c(t)) >= deg(s),
   lambda(s, t) >= min(lambda(s, hub), lambda(hub, t)) >= deg(s). So {s}
   is a minimum (s, t)-cut, and as it lies in every side holding s it is
-  the minimal one: exactly the engine's answer.
+  the minimal one: exactly the engine's answer. With c = deg the condition
+  reads deg(t) >= deg(s).
+
+``DegreeCuts(g, hub=p)`` is the single-source form: p is the only hub, and
+only p's component is proven, with the capped capacity
+c(a) = min(deg(a), deg(p)). The lemma above holds for any capacity, so a
+proven a has lambda(a, p) = c(a): {a} or V - {p} is a cut of that weight.
+Without ``hub`` the cap changes nothing, as each hub has its component's
+largest degree.
 
 Proving costs at most 2 ceil(log2 n) flows on n + 2 nodes, all run inside
-the first ``max_flow`` call that is given the certificate.
+the first ``max_flow`` call that is given the certificate. The certificate
+accepts only a graph the engine accepts: ``DegreeCuts(g)`` raises
+``UnsupportedInput`` where a flow on g would, so no answer bypasses the
+int32 guard.
 """
 
 from __future__ import annotations
@@ -164,34 +176,48 @@ class DegreeCuts:
     runs one flow from node 0 (the super-source) to node 1 (the merged
     sink) and passes the minimal source side to ``settle``. Node v of g is
     node v + 2 of a round graph. The pending nodes, those of positive
-    degree other than the hubs, wait in order of degree descending, then
-    id; a round takes up to max(1, floor(proven / 2)) of them, skipping any
-    node adjacent to one it has taken, and each node is tried once.
-    Proving stops after a round that proves fewer than half its batch,
-    after 2 ceil(log2 n) rounds, or at a round graph with a merged capacity
-    above ``MAX_CAPACITY``; it never raises.
+    capacity in a hub's component other than the hubs, wait in order of
+    capacity descending, then id; a round takes up to
+    max(1, floor(proven / 2)) of them, skipping any node adjacent to one it
+    has taken, and each node is tried once. Proving stops after a round
+    that proves fewer than half its batch, after 2 ceil(log2 n) rounds, or
+    at a round graph with a merged capacity above ``MAX_CAPACITY``.
+
+    With ``hub``, that node is the only hub and the capacities are
+    min(deg, deg(hub)); without it, each component's largest-degree node is
+    a hub and the capacities are the degrees. Raises UnsupportedInput when
+    a capacity of g exceeds ``MAX_CAPACITY``, as a flow on g would.
     """
 
-    def __init__(self, g: Graph):
+    def __init__(self, g: Graph, hub: int | None = None):
+        check_capacities(g)
         self.graph = g
         self.degree = degrees(g)
         self.component = component_labels(g.n, g.edges[:, 0], g.edges[:, 1])[1]
-        # degree descending, then id
-        order = np.lexsort((np.arange(g.n), -self.degree))
-        # each component's hub is its first node in that order
         self.hub = np.zeros(g.n, dtype=bool)
-        self.hub[order[np.unique(self.component[order], return_index=True)[1]]] = True
+        if hub is None:
+            self.capacity = self.degree
+        else:
+            hub = node_id(g.n, hub, "hub")
+            self.hub[hub] = True
+            self.capacity = np.minimum(self.degree, self.degree[hub])
+        # capacity descending, then id
+        order = np.lexsort((np.arange(g.n), -self.capacity))
+        if hub is None:
+            # each component's hub is its first node in that order
+            self.hub[order[np.unique(self.component[order], return_index=True)[1]]] = True
         self.proven = self.hub.copy()
-        self._pending = order[(self.degree[order] > 0) & ~self.hub[order]].tolist()
+        pending = (self.capacity > 0) & ~self.hub & np.isin(self.component,
+                                                            self.component[self.hub])
+        self._pending = order[pending[order]].tolist()
         self._rounds_left = 2 * (g.n - 1).bit_length()
         self._batch = np.zeros(0, dtype=np.int64)
 
     def next_round(self) -> Graph | None:
-        """The next round's flow graph, or None once proving has stopped.
-        Reads g's capacity matrix, so call it only after the int32 guard."""
+        """The next round's flow graph, or None once proving has stopped."""
         if not self._rounds_left or not self._pending:
             return None
-        g, deg = self.graph, self.degree
+        g, c = self.graph, self.capacity
         cap = g.capacity_matrix
         size = max(1, int(self.proven.sum()) // 2)
         taken, kept = [], []
@@ -206,12 +232,12 @@ class DegreeCuts:
         batch = self._batch = np.array(taken, dtype=np.int64)
         # S = 0, the merged sink T = 1, node v of g becomes v + 2
         ids = np.arange(2, g.n + 2)
-        ids[self.hub | (self.proven & (deg >= deg[batch].max()))] = 1
+        ids[self.hub | (self.proven & (c >= c[batch].max()))] = 1
         u, v = ids[g.edges[:, 0]], ids[g.edges[:, 1]]
         inside = u != v
         h = Graph._trusted(g.n + 2, np.concatenate([
             np.column_stack([u[inside], v[inside], g.edges[inside, 2]]),
-            np.column_stack([np.zeros_like(batch), batch + 2, deg[batch]])]))
+            np.column_stack([np.zeros_like(batch), batch + 2, c[batch]])]))
         if h.edges[:, 2].max() > MAX_CAPACITY:
             self._rounds_left = 0
             return None
@@ -229,7 +255,7 @@ class DegreeCuts:
     def proves(self, s: int, t: int) -> bool:
         """Whether {s} is certified as the minimal minimum (s, t)-cut."""
         return bool(self.proven[s] and self.proven[t] and self.component[s] == self.component[t]
-                    and self.degree[t] >= self.degree[s])
+                    and min(self.capacity[s], self.capacity[t]) >= self.degree[s])
 
 
 def _union_flow(g: Graph, region: np.ndarray, source: np.ndarray,

@@ -1,8 +1,10 @@
 import csv
 import io
 import itertools
+import math
 import random
 
+import numpy as np
 import pytest
 
 from friendlycuts import cli
@@ -17,7 +19,8 @@ from friendlycuts.cli import (
 from friendlycuts.gomory_hu import GHTree
 from friendlycuts.graph import CROSS_NUM, Graph, Sparsifier, parse_graph, serialize_graph
 from friendlycuts.sparsify import serialize_sparsifier
-from friendlycuts.generators import clique, clique_of_cliques, dumbbell, path
+from friendlycuts.generators import clique, clique_of_cliques, dumbbell, gnp, path
+from friendlycuts.maxflow import min_cuts_between_sets
 
 
 def run(args):
@@ -355,6 +358,42 @@ def test_malformed_field_of_each_format_exit_code(tmp_path, capsys):
         assert run(args) == EXIT_PARSE
         captured = capsys.readouterr()
         assert captured.out == "" and message in captured.err
+
+
+def test_huge_node_count_exit_code(tmp_path, capsys):
+    # a node count past scipy's int32 node index is rejected before any
+    # array of that size is made: in a graph, a sparsifier's graph section
+    # and a tree header
+    gpath = tmp_path / "g.txt"
+    gpath.write_text(serialize_graph(path(4)))
+    bad = tmp_path / "bad.txt"
+    for args, text in (
+            (["ghtree", "--in", str(bad)], f"{2**63} 1\n0 1\n"),
+            (["ghtree", "--in", str(bad)], f"{2**63} 0\n"),
+            (["ghtree", "--in", str(bad)], f"{2**31} 0\n"),
+            (["verify", "--in", str(gpath), "--artifact", str(bad), "--w", "2"],
+             f"sparsifier 4 1\n0\n0\n0\n0\n{2**31} 0\n"),
+            (["verify", "--in", str(gpath), "--artifact", str(bad)], f"{2**31} {2**31}\n")):
+        bad.write_text(text)
+        assert run(args) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert f"exceeds {2**31 - 1}" in captured.err
+
+
+def test_sscut_exact_output_equals_the_plain_cuts(tmp_path, capsys):
+    # at n >= 100 the degree-cut certificate answers most nodes; the
+    # printed values are the n - 1 plain minimum cuts all the same
+    base = gnp(150, 2 * math.log(150) / 149, seed=3)
+    weights = np.random.default_rng(3).integers(1, 65, size=base.edge_count)
+    g = Graph.build(base.n, np.column_stack([base.edges[:, :2], weights]))
+    gpath = tmp_path / "g.txt"
+    gpath.write_text(serialize_graph(g))
+    for p in (0, 75, 149):
+        assert run(["sscut", "--in", str(gpath), "--source", str(p), "--mode", "exact"]) == EXIT_OK
+        others = [v for v in range(g.n) if v != p]
+        values, _ = min_cuts_between_sets(g, [([v], [p]) for v in others])
+        assert capsys.readouterr().out == "".join(f"{v} {x}\n" for v, x in zip(others, values))
 
 
 def test_sparsify_report_line(tmp_path, capsys):

@@ -432,3 +432,41 @@ def test_each_proves_condition_is_needed(monkeypatch, dropped, g, s, t):
     monkeypatch.setattr(DegreeCuts, "proves", lambda c, a, b: all(
         rule(c, a, b) for name, rule in PROVES_CONDITIONS.items() if name != dropped))
     assert max_flow(g, s, t, degree_cuts=cuts) != truth
+
+
+def test_hub_certificate_answers_every_pair_as_the_engine_does():
+    # the single-source form: one hub, capacities min(deg, deg(hub)); every
+    # pair it proves must get the engine's answer, at hubs of low, middle
+    # and high degree (an unproven pair goes to the engine itself)
+    proven = 0
+    for g in degree_cut_corpus():
+        truth = {}
+        order = np.argsort(graph_module.degrees(g), kind="stable")
+        for hub in {int(order[0]), int(order[g.n // 2]), int(order[-1])}:
+            cuts = DegreeCuts(g, hub=hub)
+            max_flow(g, hub, (hub + 1) % g.n, degree_cuts=cuts)  # runs the proving rounds
+            for s, t in itertools.permutations(range(g.n), 2):
+                if cuts.proves(s, t):
+                    if (s, t) not in truth:
+                        truth[s, t] = max_flow(g, s, t)
+                    assert max_flow(g, s, t, degree_cuts=cuts) == truth[s, t], (g, hub, s, t)
+                    proven += 1
+            # only the hub's component is proven
+            assert not cuts.proven[cuts.component != cuts.component[hub]].any()
+    assert proven >= 3000
+
+
+def test_hub_proves_needs_the_capped_capacity(monkeypatch):
+    # hub 0 has degree 1, so every node is proven at capacity 1; nodes 1
+    # and 2 have degree 7 but lambda(1, 2) = 1 across the edge 1-2
+    g = Graph.build(5, [(0, 1, 1), (1, 2, 1), (1, 3, 5), (2, 4, 6)])
+    cuts = DegreeCuts(g, hub=0)
+    truth = max_flow(g, 1, 2)
+    assert truth[0] == 1
+    assert max_flow(g, 1, 2, degree_cuts=cuts) == truth
+    assert cuts.proven.all() and not cuts.proves(1, 2)
+    # the global rule alone (both proven, one component, deg(t) >= deg(s))
+    monkeypatch.setattr(DegreeCuts, "proves", lambda c, a, b: all(
+        rule(c, a, b) for rule in PROVES_CONDITIONS.values()))
+    assert max_flow(g, 1, 2, degree_cuts=cuts) != truth
+

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from friendlycuts import maxflow
-from friendlycuts.generators import gnp
-from friendlycuts.graph import CROSS_DEN, CROSS_NUM, Cut, Graph, crossing_weights, cut_value, degrees
-from friendlycuts.maxflow import max_flow
+from friendlycuts.generators import gnp, random_regular
+from friendlycuts.graph import (CROSS_DEN, CROSS_NUM, Cut, Graph, UnsupportedInput,
+                               crossing_weights, cut_value, degrees)
+from friendlycuts.maxflow import DegreeCuts, max_flow, min_cuts_between_sets
 from friendlycuts.oracle import Friendliness, all_pairs_min_cut, cut_table, min_cut_friendliness
 from friendlycuts.ss_unfriendly import (
     EstimateTable,
@@ -156,6 +157,112 @@ def test_exact_estimates_match_one_flow_per_node(monkeypatch, g, p):
     # equal sides are one object in both, and only equal sides
     for u, v in itertools.combinations(witnesses, 2):
         assert (table.witnesses[u] is table.witnesses[v]) == (witnesses[u] is witnesses[v])
+
+
+def check_soundness_at(g, table):
+    """Every witness holds its node, not the pivot, and has the estimate's
+    value; for graphs beyond the enumeration oracle."""
+    for v in range(g.n):
+        if v != table.pivot:
+            w = table.witnesses[v]
+            assert v in w.side and table.pivot not in w.side
+            assert cut_value(g, w.side) == w.value == table.estimate(v)
+    return table
+
+
+def degree_rank_pivots(g, ranks=9):
+    """Pivots at evenly spaced degree ranks, from the least to the largest
+    degree (ties broken by id)."""
+    order = np.lexsort((np.arange(g.n), degrees(g)))
+    return [int(order[i * (g.n - 1) // (ranks - 1)]) for i in range(ranks)]
+
+
+def certified_corpus():
+    """Seeded graphs of at least 100 nodes, where ``approx_single_source``
+    runs the pivot-rooted degree-cut certificate, with their pivots."""
+    weighted = weighted_gnp(100, 3)
+    unit = gnp(128, 2 * math.log(128) / 127, seed=5)
+    heavy = weighted_gnp(110, 6, max_weight=2**20)
+    a, b = weighted_gnp(70, 8), weighted_gnp(50, 9)
+    # two weighted parts and three isolated nodes, 120..122
+    split = Graph.build(123, np.concatenate([a.edges, b.edges + [a.n, a.n, 0]]))
+    split_pivots = [degree_rank_pivots(a, 3)[1], a.n + degree_rank_pivots(b, 3)[1], 121]
+    # every degree ties
+    regular = random_regular(120, 5, seed=2)
+    return [(weighted, degree_rank_pivots(weighted)), (unit, degree_rank_pivots(unit)),
+            (heavy, degree_rank_pivots(heavy, 3)), (split, split_pivots),
+            (regular, [0, 77])]
+
+
+def test_certified_estimates_equal_the_plain_cuts():
+    certified = ties = 0
+    for g, pivots in certified_corpus():
+        deg = degrees(g)
+        for p in pivots:
+            table = check_soundness_at(g, approx_single_source(g, p))
+            others = [v for v in range(g.n) if v != p]
+            values, _ = min_cuts_between_sets(g, [([v], [p]) for v in others])
+            assert table.estimates[others].tolist() == values.tolist(), (g.n, p)
+            cuts = DegreeCuts(g, hub=p)
+            max_flow(g, others[0], p, degree_cuts=cuts)  # runs the proving rounds
+            proven = [v for v in others if cuts.proves(v, p) or cuts.proves(p, v)]
+            certified += len(proven)
+            ties += sum(deg[v] == deg[p] for v in proven)
+    assert certified >= 2000 and ties >= 150
+
+
+def test_certified_witness_above_the_pivot_degree_is_all_but_the_pivot():
+    # lambda(v, p) = deg(p) < deg(v) for a proven v of larger degree, so
+    # its witness is V - {p}; {v} would have the wrong value
+    g = weighted_gnp(200, 4)
+    deg = degrees(g)
+    p = degree_rank_pivots(g, 3)[1]
+    table = check_soundness_at(g, approx_single_source(g, p))
+    all_but_p = frozenset(range(g.n)) - {p}
+    above = [v for v in range(g.n) if deg[v] > deg[p] and table.estimate(v) == deg[p]]
+    assert len(above) >= 80
+    assert all(table.witnesses[v].side == all_but_p for v in above)
+
+
+def test_hub_capacity_is_capped_at_the_hubs_degree():
+    # a weighted G(200) from a median-degree pivot: capped at deg(p), a
+    # node of larger degree can saturate its arc, and nearly every node is
+    # proven; with c = deg the first such node fails its round, which ends
+    # proving
+    g = weighted_gnp(200, 4)
+    deg = degrees(g)
+    p = degree_rank_pivots(g, 3)[1]
+
+    def certified(cuts):
+        max_flow(g, 0 if p else 1, p, degree_cuts=cuts)  # runs the proving rounds
+        return sum(cuts.proves(v, p) or cuts.proves(p, v) for v in range(g.n) if v != p)
+
+    capped = certified(DegreeCuts(g, hub=p))
+    uncapped = DegreeCuts(g, hub=p)
+    uncapped.capacity = deg
+    uncapped._pending.sort(key=lambda v: (-deg[v], v))
+    assert capped >= 170 and certified(uncapped) <= 20
+
+
+def test_certified_estimates_keep_the_int32_guard(monkeypatch):
+    # from a star's centre the certificate proves every leaf, so no flow
+    # runs on g or on a union of its copies
+    engine_calls = []
+
+    def counting_engine(*args, **kwargs):
+        engine_calls.append(args[0].shape[0])
+        return engine(*args, **kwargs)
+
+    engine = maxflow._scipy_maximum_flow
+    monkeypatch.setattr(maxflow, "_scipy_maximum_flow", counting_engine)
+    edges = [(0, v, 1) for v in range(1, 128)]
+    table = approx_single_source(Graph.build(128, edges), 0)
+    assert table.estimates[1:].tolist() == [1] * 127
+    assert engine_calls and set(engine_calls) == {130}
+    # one edge past the int32 limit: the plain cuts would reject the graph
+    edges[40] = (0, 41, 2**31)
+    with pytest.raises(UnsupportedInput, match="int32"):
+        approx_single_source(Graph.build(128, edges), 0)
 
 
 def test_unfriendly_clique_all_exact():
