@@ -65,11 +65,12 @@ def conductance(g: Graph, s: Iterable[int]):
 
 def demand_conductance(g: Graph, d: DemandVector, s: Iterable[int]):
     """Conductance with a node demand vector in place of volumes."""
-    if g.n == 1:
-        return Fraction(1)  # singleton-graph convention
-    mask = proper_side_mask(g, s)
     if len(d) != g.n:
         raise ValueError("demand vector must have one entry per node")
+    if g.n == 1:
+        node_ids(g.n, s)  # the side is still read by the node-id rule
+        return Fraction(1)  # singleton-graph convention
+    mask = proper_side_mask(g, s)
     num = cut_weight(g, mask)
     d_in = sum(Fraction(d[v]) for v in np.flatnonzero(mask))
     d_out = sum(Fraction(d[v]) for v in np.flatnonzero(~mask))
@@ -103,13 +104,11 @@ def _integerize_demands(g: Graph, d: DemandVector | None) -> tuple[np.ndarray, i
 class _ClusterSplitter:
     """Shared state for the recursive decomposition of one graph."""
 
-    def __init__(self, g: Graph, phi: Fraction, base_dem: np.ndarray, scale: int,
-                 k_exact: int, seed: int):
+    def __init__(self, g: Graph, phi: Fraction, base_dem: np.ndarray, scale: int, seed: int):
         self.g = g
         self.phi = phi
         self.base_dem = base_dem
         self.scale = scale
-        self.k_exact = k_exact
         self.seed = seed
         self.edges = g.edges
 
@@ -179,7 +178,7 @@ class _ClusterSplitter:
         return side, best[1]
 
     def _sweep_candidate(self, order: np.ndarray, local_edges: np.ndarray, eff: np.ndarray):
-        """Best prefix cut of an ordering; returns (side, (delta, den)) or None."""
+        """Best prefix cut of an ordering, as (side, (delta, den))."""
         size = len(order)
         pos = np.empty(size, dtype=np.int64)
         pos[order] = np.arange(size)
@@ -226,13 +225,12 @@ class _ClusterSplitter:
         return np.argsort(x, kind="stable")
 
     def _improve(self, side: np.ndarray, score: tuple[int, int],
-                 local_edges: np.ndarray, deg_sub: np.ndarray, eff: np.ndarray,
-                 passes: int = 2):
-        """Greedy single-node moves that lower conductance; ``deg_sub`` holds
-        the cluster's local degrees."""
+                 local_edges: np.ndarray, deg_sub: np.ndarray, eff: np.ndarray):
+        """Greedy single-node moves that lower conductance, at most one per
+        pass and two passes; ``deg_sub`` holds the cluster's local degrees."""
         size = len(side)
         total = int(eff.sum())
-        for _ in range(passes):
+        for _ in range(2):
             improved = False
             cross = edge_sums(size, local_edges[crossing_rows(local_edges, side)])
             delta, _ = score
@@ -260,30 +258,17 @@ class _ClusterSplitter:
 
     def _sampled_candidate(self, size: int, local_edges: np.ndarray, deg_sub: np.ndarray,
                            eff: np.ndarray, rng):
-        """Best cut found by spectral sweep, singleton scan, and local search."""
-        candidates = []
+        """Best of a Fiedler-order sweep and a singleton scan, improved by local
+        moves. (A reversed sweep's cuts are the complements, with equal scores.)"""
         order = self._fiedler_order(size, local_edges, rng)
-        candidates.append(self._sweep_candidate(order, local_edges, eff))
-        candidates.append(self._sweep_candidate(order[::-1], local_edges, eff))
-        # singleton cuts
-        total = int(eff.sum())
-        dens = np.minimum(eff, total - eff)
+        side, score = self._sweep_candidate(order, local_edges, eff)
+        dens = np.minimum(eff, int(eff.sum()) - eff)
         with np.errstate(divide="ignore"):
             ratios = np.where(dens > 0, deg_sub / np.maximum(dens, 1), np.inf)
         v = int(np.argmin(ratios))
-        single = np.zeros(size, dtype=bool)
-        single[v] = True
-        candidates.append((single, (int(deg_sub[v]), int(dens[v]))))
-        # a couple of random sweep orders for robustness
-        for _ in range(2):
-            candidates.append(
-                self._sweep_candidate(rng.permutation(size), local_edges, eff)
-            )
-        best = candidates[0]
-        for cand in candidates[1:]:
-            if self._ratio_less(cand[1], best[1]):
-                best = cand
-        side, score = best
+        single = (int(deg_sub[v]), int(dens[v]))
+        if self._ratio_less(single, score):
+            side, score = np.arange(size) == v, single
         return self._improve(side, score, local_edges, deg_sub, eff)
 
     def _cluster_rng(self, nodes: np.ndarray):
@@ -317,7 +302,7 @@ class _ClusterSplitter:
         """Recursively partition; returns (cluster nodes, certified) leaves."""
         if len(nodes) == 1:
             return [(nodes, True)]
-        exact = len(nodes) <= self.k_exact
+        exact = len(nodes) <= K_EXACT_DEFAULT
         parts = self.parts(nodes, exact)
         if not parts:
             return [(nodes, exact)]  # a sweep that found no cut certifies nothing
@@ -325,14 +310,14 @@ class _ClusterSplitter:
 
 
 def decompose(g: Graph, phi, d: DemandVector | None = None, *,
-              seed: int = 0, k_exact: int = K_EXACT_DEFAULT) -> Decomposition:
+              seed: int = 0) -> Decomposition:
     """Partition V into clusters with no internal cut of conductance < phi.
 
-    Clusters of at most ``k_exact`` nodes are certified exactly by enumeration;
-    larger ones only pass the randomized sweep search, which proves nothing,
-    so their ``certified`` entry is False. Demands, when given, are
-    boundary-augmented per cluster; otherwise volumes (with the boundary
-    self-loop convention) are used.
+    Clusters of at most ``K_EXACT_DEFAULT`` nodes are certified exactly by
+    enumeration; larger ones only pass the sampled search (a Fiedler-order
+    sweep, a singleton scan and local moves), which proves nothing, so their
+    ``certified`` entry is False. Demands, when given, are boundary-augmented
+    per cluster; otherwise volumes (with the boundary self-loop convention).
     """
     phi = Fraction(phi)
     if not 0 < phi <= 1:
@@ -340,7 +325,7 @@ def decompose(g: Graph, phi, d: DemandVector | None = None, *,
     if g.n == 0:
         return Decomposition(clusters=[], phi=phi, outer_edges=0, certified=[])
     base_dem, scale = _integerize_demands(g, d)
-    splitter = _ClusterSplitter(g, phi, base_dem, scale, k_exact, seed)
+    splitter = _ClusterSplitter(g, phi, base_dem, scale, seed)
     leaves = splitter.split(np.arange(g.n))
     clusters = [frozenset(int(v) for v in nodes) for nodes, _ in leaves]
     certified = [bool(c) for _, c in leaves]
@@ -352,28 +337,27 @@ def decompose(g: Graph, phi, d: DemandVector | None = None, *,
 
 
 def certify_cluster(g: Graph, cluster: Iterable[int], phi, d: DemandVector | None = None,
-                    mode: str = "exact", *, seed: int = 0,
-                    k_exact: int = K_EXACT_DEFAULT) -> CertificateResult:
+                    mode: str = "exact", *, seed: int = 0) -> CertificateResult:
     """Check that no internal cut of the cluster has conductance below phi.
 
     Exact mode enumerates all internal cuts (cluster must have at most
-    ``k_exact`` nodes); sampled mode runs the randomized sweep search and
-    reports False only with a concrete witness cut.
+    ``K_EXACT_DEFAULT`` nodes); sampled mode runs ``decompose``'s sampled
+    search and reports False only with a concrete witness cut.
     """
     phi = Fraction(phi)
     if not 0 < phi <= 1:
         raise ValueError("phi must be in (0, 1]")
+    if mode not in ("exact", "sampled"):
+        raise ValueError(f"unknown mode {mode!r}")
     nodes = np.unique(node_ids(g.n, cluster))
     if len(nodes) == 0:
         raise ValueError("cluster must be non-empty")
+    base_dem, scale = _integerize_demands(g, d)
     if len(nodes) == 1:
         return CertificateResult(ok=True)
-    if mode not in ("exact", "sampled"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "exact" and len(nodes) > k_exact:
-        raise ValueError(f"exact certification limited to {k_exact} nodes")
-    base_dem, scale = _integerize_demands(g, d)
-    splitter = _ClusterSplitter(g, phi, base_dem, scale, k_exact, seed)
+    if mode == "exact" and len(nodes) > K_EXACT_DEFAULT:
+        raise ValueError(f"exact certification limited to {K_EXACT_DEFAULT} nodes")
+    splitter = _ClusterSplitter(g, phi, base_dem, scale, seed)
     parts = splitter.parts(nodes, mode == "exact")
     if parts:
         return CertificateResult(ok=False, witness=frozenset(int(v) for v in nodes[parts[0]]))

@@ -7,10 +7,11 @@ queries and tree-edge sides (both read one cached rooted preorder of the
 tree, in which every subtree is a slice), the friendly minimum-cut
 sparsifier obtained by contracting unfriendly-only tree components,
 and capacitated auxiliary graphs of a partition tree and their sparsified
-variant. Nothing here runs a Gomory-Hu tree of a friendly cut sparsifier:
-merged with the unfriendly-exact single-source routine, such a tree first
-pays for that routine's n - 1 exact max-flows, so it cannot beat them
-until a cheaper estimator replaces those flows.
+variant. Nothing here runs a Gomory-Hu tree of a friendly cut sparsifier
+merged with the unfriendly-exact single-source routine. That routine's
+estimates come from a pivot-rooted degree-cut certificate and union flows
+of ceil(log2 n) pairs each, not from n - 1 exact max-flows, but no
+measurement yet shows such a tree beating Gusfield's method.
 """
 
 from __future__ import annotations
@@ -396,6 +397,7 @@ def cag_totals(source: Graph | Sparsifier, pt: PartitionTree) -> tuple[int, int]
 
 
 def serialize_ghtree(t: GHTree) -> str:
+    t._rooted  # the one tree check: refuse what gh_query refuses
     lines = [f"{t.n} {t.component_count}"]
     for u, v, w in t.edges:
         lines.append(f"{u} {v} {w}")

@@ -453,17 +453,11 @@ def check_capacity(c: int) -> None:
         raise UnsupportedInput(f"edge capacity {c} exceeds the int32 flow limit {MAX_CAPACITY}")
 
 
-def check_capacities(g: Graph) -> None:
-    """Reject a graph whose largest merged capacity does not fit in int32."""
-    if g.edge_count:
-        check_capacity(int(g.edges[:, 2].max()))
-
-
 def _capacity_matrix(g: Graph) -> csr_matrix:
     """Symmetric int32 capacity matrix of g, built from its canonical edge
     array (sorted by (u, v), u < v). The guard runs before the cast, so a
     capacity is never wrapped."""
-    check_capacities(g)
+    check_capacity(int(g.edges[:, 2].max(initial=0)))
     u, v, w = g.edges.astype(np.int32).T
     rows = np.concatenate([v, u])
     # reversed pairs first: a row's smaller neighbours (ascending) precede its
@@ -552,14 +546,10 @@ def contract(g: Graph, cmap: ContractionMap) -> Graph:
     k = cmap.n_super
     xv = np.zeros(k, dtype=np.int64)
     np.add.at(xv, cmap.super_of, g.extra_volume)
-    if g.edges.size:
-        su = cmap.super_of[g.edges[:, 0]]
-        sv = cmap.super_of[g.edges[:, 1]]
-        keep = su != sv
-        mapped = np.column_stack([su[keep], sv[keep], g.edges[keep, 2]])
-    else:
-        mapped = g.edges
-    return Graph.build(k, mapped, xv)
+    su = cmap.super_of[g.edges[:, 0]]
+    sv = cmap.super_of[g.edges[:, 1]]
+    keep = su != sv
+    return Graph.build(k, np.column_stack([su[keep], sv[keep], g.edges[keep, 2]]), xv)
 
 
 def component_labels(n: int, u, v) -> tuple[int, np.ndarray]:

@@ -15,11 +15,6 @@ source, that set is {s} and is read off the source's row without a search;
 otherwise a scipy csgraph breadth-first search on the residual graph finds
 it.
 
-A graph with two nodes has one cut, so ``max_flow`` answers it directly,
-without the engine or the matrix: the value is the one merged edge's weight
-(0 without an edge) and the side is {s}. It is still one ``max_flow`` call,
-under the same capacity guard.
-
 Union flows. Independent flow problems on one graph are answered by one
 ``max_flow`` on their disjoint union, so that the engine's fixed cost per
 call is paid once per union rather than once per problem. A union is given
@@ -101,8 +96,8 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order
 from scipy.sparse.csgraph import maximum_flow as _scipy_maximum_flow
 
-from .graph import (MAX_CAPACITY, Cut, Graph, check_capacities, check_capacity, component_labels,
-                    crossing_rows, degrees, node_id, node_ids)
+from .graph import (MAX_CAPACITY, Cut, Graph, check_capacity, component_labels, crossing_rows,
+                    degrees, node_id, node_ids)
 
 __all__ = [
     "max_flow",
@@ -150,10 +145,6 @@ def max_flow(g: Graph, s: int, t: int, *, degree_cuts: DegreeCuts | None = None,
         raise ValueError("source and sink must differ")
     if degree_cuts is not None and degree_cuts.graph is not g:
         raise ValueError("degree_cuts was built for another graph")
-    if g.n == 2:
-        # the only cut is {s} against {t}, crossed by the one merged edge
-        check_capacities(g)
-        return g.total_weight, Cut(side=frozenset({s}), value=g.total_weight)
     cap = g.capacity_matrix
     if degree_cuts is not None:
         while (h := degree_cuts.next_round()) is not None:
@@ -190,7 +181,7 @@ class DegreeCuts:
     """
 
     def __init__(self, g: Graph, hub: int | None = None):
-        check_capacities(g)
+        g.capacity_matrix  # raises UnsupportedInput as a flow on g would; rounds read it
         self.graph = g
         self.degree = degrees(g)
         self.component = component_labels(g.n, g.edges[:, 0], g.edges[:, 1])[1]

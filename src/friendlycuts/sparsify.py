@@ -92,8 +92,8 @@ def _threshold(w) -> int:
     return int(w)
 
 
-def sqrt_upper(w: Fraction, prec: int = 1 << 10) -> Fraction:
-    """Smallest rational of the form k/prec whose square is >= w (exact on
+def sqrt_upper(w: Fraction) -> Fraction:
+    """Smallest rational of the form k/1024 whose square is >= w (exact on
     perfect squares of rationals)."""
     w = Fraction(w)
     if w < 0:
@@ -101,6 +101,7 @@ def sqrt_upper(w: Fraction, prec: int = 1 << 10) -> Fraction:
     rn, rd = math.isqrt(w.numerator), math.isqrt(w.denominator)
     if rn * rn == w.numerator and rd * rd == w.denominator:
         return Fraction(rn, rd)
+    prec = 1 << 10
     k = math.isqrt((w.numerator * prec * prec) // w.denominator)
     while Fraction(k, prec) ** 2 < w:
         k += 1

@@ -52,6 +52,13 @@ def test_conductance_isolated_side_infinite():
     assert conductance(g, {0}) == INFINITE_CONDUCTANCE
 
 
+def test_one_node_demand_vector_needs_one_entry():
+    g = Graph.build(1, [])
+    assert demand_conductance(g, [3], [0]) == 1
+    with pytest.raises(ValueError, match="one entry per node"):
+        demand_conductance(g, [1, 2, 3], [0])
+
+
 def test_demand_conductance_overrides_volumes():
     g = Graph.build(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1)])
     assert demand_conductance(g, [1, 1, 1, 1], {0, 1}) == Fraction(1, 2)
@@ -67,10 +74,11 @@ def test_decompose_keeps_expander_whole():
 
 
 def test_decompose_certifies_only_enumerated_clusters():
-    # the sweep finds no sparse cut in K_8, but with k_exact=4 no cut was
-    # enumerated, so the cluster it keeps whole is not certified
-    dec = decompose(complete(8), Fraction(1, 10), k_exact=4)
-    assert dec.clusters == [frozenset(range(8))]
+    # the sampled search finds no sparse cut in K_16, but K_16 is above the
+    # enumeration limit, so the cluster it keeps whole is not certified
+    n = K_EXACT_DEFAULT + 1
+    dec = decompose(complete(n), Fraction(1, 10))
+    assert dec.clusters == [frozenset(range(n))]
     assert dec.certified == [False]
 
 
@@ -114,6 +122,16 @@ def test_certify_disconnected_cluster_fails():
     g = Graph.build(4, [(0, 1, 1), (2, 3, 1)])
     res = certify_cluster(g, range(4), Fraction(1, 100), mode="exact")
     assert not res.ok
+
+
+def test_certify_checks_its_arguments_before_the_single_node_answer():
+    g = Graph.build(3, [(0, 1, 1), (1, 2, 1)])
+    with pytest.raises(ValueError, match="unknown mode"):
+        certify_cluster(g, [0], Fraction(1, 2), mode="bogus")
+    with pytest.raises(ValueError, match="one entry per node"):
+        certify_cluster(g, [0], Fraction(1, 2), [1, 2, 3, 4, 5])
+    with pytest.raises(ValueError, match="non-negative"):
+        certify_cluster(g, [0], Fraction(1, 2), [-1, 2, 3])
 
 
 @pytest.mark.parametrize("mode", ["exact", "sampled"])

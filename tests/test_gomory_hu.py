@@ -277,6 +277,24 @@ def test_serialization_roundtrip():
     assert parse_ghtree(serialize_ghtree(t)) == t
 
 
+@pytest.mark.parametrize("edges", [((0, 1, 1), (1, 2, 1), (2, 0, 1)), ((0, 1, -5), (1, 2, 1))],
+                         ids=["cycle", "negative-weight"])
+def test_serialize_refuses_a_tree_that_query_refuses(edges):
+    with pytest.raises(ValueError):
+        gh_query(GHTree(n=3, edges=edges), 0, 1)
+    with pytest.raises(ValueError):
+        serialize_ghtree(GHTree(n=3, edges=edges))
+
+
+def test_gomory_hu_trees_round_trip_byte_identically():
+    rng = random.Random(11)
+    graphs = [path(5), dumbbell(4), alt_cycle(10), Graph.build(7, [(0, 1, 2), (4, 5, 3)])]
+    graphs += [random_graph(rng, n, 0.3) for n in (2, 9, 14)]
+    for g in graphs:
+        text = serialize_ghtree(gomory_hu(g))
+        assert serialize_ghtree(parse_ghtree(text)) == text
+
+
 def test_parse_rejects_wrong_edge_count():
     with pytest.raises(GraphParseError):
         parse_ghtree("3 1\n0 1 5\n")

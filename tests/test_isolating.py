@@ -114,7 +114,7 @@ def test_global_call_accounting(monkeypatch):
         # all ceil(log2 k) bipartitions are one union flow
         assert res.global_flow_calls == 1
         assert union_sizes == [math.ceil(math.log2(k))]
-        # all k local problems are one flow; 2-node flows skip the engine
+        # all k local problems are one flow, so at most two engine calls in all
         assert res.local_flow_calls == 1
         assert len(engine_calls) <= 2
         direct = isolating_cuts_direct(g, r)

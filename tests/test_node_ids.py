@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from friendlycuts.expander import certify_cluster
+from friendlycuts.expander import certify_cluster, conductance, demand_conductance
 from friendlycuts.generators import clique
 from friendlycuts.gomory_hu import (
     GHTree,
@@ -23,6 +23,7 @@ from friendlycuts.gomory_hu import (
 from friendlycuts.graph import (
     ContractionMap,
     Cut,
+    Graph,
     Sparsifier,
     UnsupportedInput,
     cut_value,
@@ -43,6 +44,7 @@ from friendlycuts.ss_unfriendly import (
 
 G = clique(5)
 N = G.n
+ONE = Graph.build(1, [])  # conductance is 1 by convention, but the side is still read
 TREE = gomory_hu(G)
 CUT = Cut.of(G, [4])
 TABLE = approx_single_source(G, 0)
@@ -97,6 +99,10 @@ SET_INTAKES = {
     "isolating_cuts_direct": lambda s: isolating_cuts_direct(G, s),
     "terminal_sparsify": lambda s: terminal_sparsify(G, s, 2),
     "certify_cluster": lambda s: certify_cluster(G, s, Fraction(1, 10)),
+    "conductance": lambda s: conductance(G, s),
+    "demand_conductance": lambda s: demand_conductance(G, [1] * N, s),
+    "conductance on one node": lambda s: conductance(ONE, s),
+    "demand_conductance on one node": lambda s: demand_conductance(ONE, [1], s),
 }
 
 # labels and tree edge weights need not be node ids, so only the integer

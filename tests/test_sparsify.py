@@ -1,10 +1,14 @@
+import hashlib
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from friendlycuts.expander import decompose
+from friendlycuts.generators import clique_of_cliques, gnp
 from friendlycuts.graph import Graph, GraphParseError, Sparsifier, cut_value, is_friendly
 from friendlycuts.maxflow import min_cut_between_sets
 from friendlycuts.oracle import cut_table
@@ -204,3 +208,34 @@ def test_seed_determinism():
     a = friendly_sparsify(g, 2, SparsifyConfig(seed=3))
     b = friendly_sparsify(g, 2, SparsifyConfig(seed=3))
     assert a.graph == b.graph and a.map == b.map
+
+
+def _digest(labels):
+    return hashlib.sha256(np.asarray(labels, dtype="<i8").tobytes()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("make, w, n_super, pin", [
+    (lambda: clique_of_cliques(9), 4, 270, "e46f8f2335e35520"),
+    (lambda: clique_of_cliques(9), 16, 270, "e46f8f2335e35520"),
+    (lambda: clique_of_cliques(16), 4, 16, "296ae76c053f3f89"),
+    (lambda: gnp(250, 2 * math.log(250) / 249, seed=7), 4, 250, "b7e4004a0c57b348"),
+], ids=["coc9-w4", "coc9-w16", "coc16-w4", "gnp250-w4"])
+def test_sparsifier_outputs_are_pinned_at_fixed_seeds(make, w, n_super, pin):
+    """The sparsifier's contraction map at seed 7, pinned across code
+    versions: a change to the expander decomposition or to the rounds must
+    leave it as it is. A change meant to alter outputs must update these
+    pins (and the decomposition pin below) and say so in CHANGES.md."""
+    h = friendly_sparsify(make(), w, SparsifyConfig(seed=7))
+    assert (h.map.n_super, _digest(h.map.super_of)) == (n_super, pin)
+
+
+def test_decomposition_is_pinned_at_a_fixed_seed():
+    """The clusters, in order, that the sampled search finds in
+    clique_of_cliques(9) at seed 7; see the sparsifier pins above."""
+    g = clique_of_cliques(9)
+    dec = decompose(g, Fraction(1, 10), seed=7)
+    labels = np.zeros(g.n, dtype=np.int64)
+    for i, cluster in enumerate(dec.clusters):
+        labels[sorted(cluster)] = i
+    assert (_digest(labels), dec.outer_edges, dec.certified) == (
+        "eae2412769bcd38e", 36, [False] * 9)
