@@ -176,8 +176,9 @@ def gomory_hu(g: Graph) -> GHTree:
     min(lambda(s, hub), lambda(hub, t)) >= deg(s), so {s} is the minimal
     minimum cut and ``max_flow`` returns it without the engine. The tree is
     the one the engine's cuts alone would give. Cost: at most
-    2 ceil(log2 n) proving flows on n + 2 nodes, plus one flow per step
-    that is not proven.
+    3 ceil(log2 n) proving flows on n + 2 nodes (a node that fails its
+    first round is retried once), plus one flow per step that is not
+    proven.
     """
     labels = component_labels(g.n, g.edges[:, 0], g.edges[:, 1])[1]
     parent = np.unique(labels, return_index=True)[1][labels]

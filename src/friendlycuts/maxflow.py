@@ -80,16 +80,21 @@ proven a has lambda(a, p) = c(a): {a} or V - {p} is a cut of that weight.
 Without ``hub`` the cap changes nothing, as each hub has its component's
 largest degree.
 
-Proving costs at most 2 ceil(log2 n) flows on n + 2 nodes, all run inside
-the first ``max_flow`` call that is given the certificate. The certificate
-accepts only a graph the engine accepts: ``DegreeCuts(g)`` raises
+A first pass tries each pending node at most once, and a node that fails
+its round, most often because its batch competed for the same paths, is
+retried once in a second pass whose rounds take nodes of one capacity
+only. Proving costs at most 3 ceil(log2 n) flows on n + 2 nodes:
+2 ceil(log2 n) in the first pass and ceil(log2 n) in the second.
+``DegreeCuts.prove()`` runs them, and so does the first ``max_flow`` call
+that is given the certificate, inside that call. The certificate accepts
+only a graph the engine accepts: ``DegreeCuts(g)`` raises
 ``UnsupportedInput`` where a flow on g would, so no answer bypasses the
 int32 guard.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -145,14 +150,14 @@ def max_flow(g: Graph, s: int, t: int, *, degree_cuts: DegreeCuts | None = None,
         raise ValueError("source and sink must differ")
     if degree_cuts is not None and degree_cuts.graph is not g:
         raise ValueError("degree_cuts was built for another graph")
-    cap = g.capacity_matrix
     if degree_cuts is not None:
-        while (h := degree_cuts.next_round()) is not None:
-            result = _scipy_maximum_flow(h.capacity_matrix, 0, 1)
-            degree_cuts.settle(_residual_reachable(h.capacity_matrix, result.flow, 0))
+        # the rounds run inside this call, so a pair costs one max_flow call
+        degree_cuts._prove(lambda h: _residual_reachable(
+            h.capacity_matrix, _scipy_maximum_flow(h.capacity_matrix, 0, 1).flow, 0))
         if degree_cuts.proves(s, t):
             value = int(degree_cuts.degree[s])
             return value, Cut(side=frozenset({s}), value=value)
+    cap = g.capacity_matrix
     result = _scipy_maximum_flow(cap, s, t)
     seen = _residual_reachable(cap, result.flow, s)
     side = frozenset(np.flatnonzero(seen).tolist())
@@ -163,16 +168,24 @@ class DegreeCuts:
     """A certificate, built in batched flows, that {s} is the minimal
     minimum (s, t)-cut of g for most pairs; see the module docstring.
 
-    ``max_flow`` drives it: while ``next_round`` gives a round graph, it
-    runs one flow from node 0 (the super-source) to node 1 (the merged
-    sink) and passes the minimal source side to ``settle``. Node v of g is
-    node v + 2 of a round graph. The pending nodes, those of positive
-    capacity in a hub's component other than the hubs, wait in order of
-    capacity descending, then id; a round takes up to
-    max(1, floor(proven / 2)) of them, skipping any node adjacent to one it
-    has taken, and each node is tried once. Proving stops after a round
-    that proves fewer than half its batch, after 2 ceil(log2 n) rounds, or
-    at a round graph with a merged capacity above ``MAX_CAPACITY``.
+    ``prove`` runs its rounds, and ``max_flow`` runs them first when given
+    the certificate. Each round is one flow from node 0 (the super-source)
+    to node 1 (the merged sink) on a round graph, in which node v of g is
+    node v + 2. The pending nodes, those of positive capacity in a hub's
+    component other than the hubs, wait in order of capacity descending,
+    then id; a round takes up to max(1, floor(proven / 2)) of them, skipping
+    any node adjacent to one it has taken.
+
+    Proving runs in two passes. The first tries the pending nodes in that
+    order, each at most once, and a node left on its round's minimal source
+    side waits for the second; nodes it never tries are not retried. The
+    first pass ends when no node is pending, after 2 ceil(log2 n) rounds,
+    or after a round that proves fewer than half its batch; the second then
+    retries the waiting nodes, in the same order, in rounds that each take
+    nodes of one capacity only, so that the sink holds every proven node of
+    at least that capacity. It ends the same way, with a budget of
+    ceil(log2 n) rounds. A round graph with a merged capacity above
+    ``MAX_CAPACITY`` ends proving in either pass.
 
     With ``hub``, that node is the only hub and the capacities are
     min(deg, deg(hub)); without it, each component's largest-degree node is
@@ -201,20 +214,45 @@ class DegreeCuts:
         pending = (self.capacity > 0) & ~self.hub & np.isin(self.component,
                                                             self.component[self.hub])
         self._pending = order[pending[order]].tolist()
+        self._failed: list[int] = []  # first-pass nodes left on their round's source side
+        self._retrying = False
         self._rounds_left = 2 * (g.n - 1).bit_length()
         self._batch = np.zeros(0, dtype=np.int64)
 
-    def next_round(self) -> Graph | None:
+    def prove(self) -> None:
+        """Run the proving rounds still pending, each as one ``max_flow`` on
+        its round graph; once proving has stopped this does nothing."""
+        def side(h: Graph) -> np.ndarray:
+            seen = np.zeros(h.n, dtype=bool)
+            seen[list(max_flow(h, 0, 1)[1].side)] = True
+            return seen
+
+        self._prove(side)
+
+    def _prove(self, side: Callable[[Graph], np.ndarray]) -> None:
+        """Run the pending rounds, with ``side(h)`` the minimal source side
+        of a maximum flow from 0 to 1 on round graph h, as a mask."""
+        while (h := self._next_round()) is not None:
+            self._settle(side(h))
+
+    def _next_round(self) -> Graph | None:
         """The next round's flow graph, or None once proving has stopped."""
-        if not self._rounds_left or not self._pending:
-            return None
         g, c = self.graph, self.capacity
+        if not self._rounds_left or not self._pending:
+            if self._retrying or not self._failed:
+                return None
+            failed = np.array(self._failed)
+            self._pending = failed[np.lexsort((failed, -c[failed]))].tolist()
+            self._retrying = True
+            self._rounds_left = (g.n - 1).bit_length()
         cap = g.capacity_matrix
         size = max(1, int(self.proven.sum()) // 2)
+        # a retry round takes nodes of its first node's capacity only
+        only = c[self._pending[0]] if self._retrying else None
         taken, kept = [], []
         beside = np.zeros(g.n, dtype=bool)  # adjacent to a node already taken
         for v in self._pending:
-            if len(taken) < size and not beside[v]:
+            if len(taken) < size and not beside[v] and (only is None or c[v] == only):
                 taken.append(v)
                 beside[cap.indices[cap.indptr[v]:cap.indptr[v + 1]]] = True
             else:
@@ -230,15 +268,19 @@ class DegreeCuts:
             np.column_stack([u[inside], v[inside], g.edges[inside, 2]]),
             np.column_stack([np.zeros_like(batch), batch + 2, c[batch]])]))
         if h.edges[:, 2].max() > MAX_CAPACITY:
-            self._rounds_left = 0
+            self._rounds_left, self._retrying = 0, True  # and no retry pass follows
             return None
         return h
 
-    def settle(self, seen: np.ndarray) -> None:
+    def _settle(self, seen: np.ndarray) -> None:
         """Take a round's minimal source side, a mask over the round graph:
-        every batch node off it is proven."""
-        proved = self._batch[~seen[self._batch + 2]]
+        every batch node off it is proven, and in the first pass every node
+        on it waits for the second."""
+        on_side = seen[self._batch + 2]
+        proved = self._batch[~on_side]
         self.proven[proved] = True
+        if not self._retrying:
+            self._failed += self._batch[on_side].tolist()
         self._rounds_left -= 1
         if 2 * proved.size < self._batch.size:
             self._rounds_left = 0

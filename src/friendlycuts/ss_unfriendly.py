@@ -75,18 +75,18 @@ def approx_single_source(g: Graph, p: int, eps: Fraction = EPS_DEFAULT, *,
     """(1+eps)-approximate min-cut values from p to every other node.
 
     By default these are the exact values, which are trivially within any
-    eps. Where its 2 ceil(log2 n) proving flows undercut the
-    ceil((n - 1) / ceil(log2 n)) union flows of the n - 1 plain cuts, a
+    eps. Where the 2 ceil(log2 n) flows of its first proving pass undercut
+    the ceil((n - 1) / ceil(log2 n)) union flows of the n - 1 plain cuts, a
     ``maxflow.DegreeCuts(g, hub=p)`` certificate answers most nodes first:
     a proven v has lambda(v, p) = min(deg v, deg p). Its witness is {v},
     the minimal side, when deg v <= deg p, and V - {p}, a minimum cut that
-    need not be the minimal side, otherwise. The first node's pair goes to
-    ``max_flow`` with the certificate, which runs the proving rounds, and
-    every node left unproven to ``min_cuts_between_sets``, ceil(log2 n) to
-    a union flow, with its minimal side as witness. So the cost is at most
-    2 ceil(log2 n) flows on n + 2 nodes, one flow on g and one union flow
-    per ceil(log2 n) unproven nodes. Either way the graph must pass the
-    int32 flow guard, else UnsupportedInput.
+    need not be the minimal side, otherwise. ``DegreeCuts.prove()`` runs
+    the proving rounds, and every node left unproven goes to
+    ``min_cuts_between_sets``, ceil(log2 n) to a union flow, with its
+    minimal side as witness. So the cost is at most 3 ceil(log2 n) flows
+    on n + 2 nodes and one union flow per ceil(log2 n) unproven nodes.
+    Either way the graph must pass the int32 flow guard, else
+    UnsupportedInput.
 
     A caller-supplied ``estimator(g, p, eps)`` replaces them; the table it
     returns must be for pivot p, with one estimate per node of g, else
@@ -112,14 +112,11 @@ def approx_single_source(g: Graph, p: int, eps: Fraction = EPS_DEFAULT, *,
         return shared[key]
 
     per_flow = pairs_per_flow(g.n)
-    # the certificate's round budget must undercut the plain cuts' union flows
+    # the certificate's first-pass budget must undercut the plain cuts'
+    # union flows; its retry pass only runs on nodes that pass left
     if 2 * per_flow < -(-len(others) // per_flow):
         cuts = DegreeCuts(g, hub=p)
-        first, *others = others
-        value, cut = max_flow(g, first, p, degree_cuts=cuts)
-        side = np.zeros(g.n, dtype=bool)
-        side[list(cut.side)] = True
-        estimates[first], witnesses[first] = value, witness(side, value)
+        cuts.prove()
         deg, all_but_p = cuts.degree, np.arange(g.n) != p
         unproven = []
         for v in others:
@@ -195,10 +192,10 @@ def single_source_unfriendly(g: Graph, p: int, *, eps: Fraction = EPS_DEFAULT,
     that lowers an estimate becomes a witness.
 
     Under the default estimator c'(v) is already lambda(p, v) before the
-    levels are formed (``approx_single_source``: where its proving budget
-    undercuts the plain unions, from n = 100 on with n = 129 aside, a
+    levels are formed (``approx_single_source``: where its first proving
+    pass undercuts the plain unions, from n = 100 on with n = 129 aside, a
     degree-cut certificate rooted at p answers most nodes in at most
-    2 ceil(log2 n) flows on n + 2 nodes, and the k nodes left take
+    3 ceil(log2 n) flows on n + 2 nodes, and the k nodes left take
     ceil(k / ceil(log2 n)) union max-flows; elsewhere all n - 1 cuts go to
     the unions). A certified v of degree above deg(p) has
     V - {p} as its witness, which need not be its minimal side. Every cut

@@ -421,6 +421,37 @@ def test_each_proves_condition_is_needed(monkeypatch, dropped, g, s, t):
     assert max_flow(g, s, t, degree_cuts=cuts) != truth
 
 
+def test_retry_pass_proves_nodes_the_first_pass_left(monkeypatch):
+    # hub 6; nodes 3 (capacity 6) and 4 (capacity 5) share the dead end 2,
+    # so in one first-pass round each reaches the sink through 2 only at
+    # the other's expense: both fail, and the first pass ends. Retried one
+    # capacity at a time, 3 passes alone, and then 4 passes with 3 merged
+    # into the sink.
+    g = Graph.build(7, [(0, 1, 2), (0, 6, 4), (1, 3, 1), (1, 6, 4), (2, 3, 2), (2, 4, 2),
+                        (3, 6, 3), (4, 6, 3)])
+    cuts = DegreeCuts(g)
+    for s, t in itertools.permutations(range(g.n), 2):
+        assert max_flow(g, s, t, degree_cuts=cuts) == max_flow(g, s, t), (s, t)
+    assert cuts.proven[[3, 4]].all() and cuts.proves(4, 3)
+    # proving has stopped: neither prove nor a proven pair reaches the engine
+    monkeypatch.setattr(maxflow, "_scipy_maximum_flow", None)
+    cuts.prove()
+    assert max_flow(g, 4, 3, degree_cuts=cuts) == (5, Cut(side=frozenset({4}), value=5))
+    monkeypatch.undo()
+
+    first_pass = DegreeCuts._next_round
+
+    def no_retry(c):
+        h = first_pass(c)
+        return None if c._retrying else h
+
+    monkeypatch.setattr(DegreeCuts, "_next_round", no_retry)
+    cuts = DegreeCuts(g)
+    cuts.prove()
+    assert not cuts.proven[[3, 4]].any() and cuts.proven[[0, 1]].all()
+    assert not cuts.proves(4, 3)
+
+
 def test_hub_certificate_answers_every_pair_as_the_engine_does():
     # the single-source form: one hub, capacities min(deg, deg(hub)); every
     # pair it proves must get the engine's answer, at hubs of low, middle

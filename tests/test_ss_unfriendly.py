@@ -244,6 +244,32 @@ def test_hub_capacity_is_capped_at_the_hubs_degree():
     assert capped >= 170 and certified(uncapped) <= 20
 
 
+def test_certified_estimates_run_no_flow_on_g(monkeypatch):
+    # the proving rounds run without a pair. From this low-degree pivot the
+    # first node, 0, is certified only as proves(p, 0) (its degree is
+    # above deg(p)), which max_flow(g, 0, p) cannot use, so sending it to
+    # max_flow to run the rounds cost one flow on g itself.
+    g, p = weighted_gnp(200, 2), 75
+    on_g = []
+
+    def counting_engine(*args, **kwargs):
+        on_g.append(args[0] is g.capacity_matrix)
+        return engine(*args, **kwargs)
+
+    engine = maxflow._scipy_maximum_flow
+    monkeypatch.setattr(maxflow, "_scipy_maximum_flow", counting_engine)
+    table = check_soundness_at(g, approx_single_source(g, p))
+    assert on_g and not any(on_g)
+    monkeypatch.undo()
+    others = [v for v in range(g.n) if v != p]
+    values, _ = min_cuts_between_sets(g, [([v], [p]) for v in others])
+    assert table.estimates[others].tolist() == values.tolist()
+    cuts = DegreeCuts(g, hub=p)
+    cuts.prove()
+    assert cuts.proves(p, 0) and not cuts.proves(0, p)
+    assert table.witnesses[0].side == frozenset(others)
+
+
 def test_certified_estimates_keep_the_int32_guard(monkeypatch):
     # from a star's centre the certificate proves every leaf, so no flow
     # runs on g or on a union of its copies
