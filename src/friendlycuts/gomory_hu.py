@@ -10,8 +10,9 @@ and capacitated auxiliary graphs of a partition tree and their sparsified
 variant. Nothing here runs a Gomory-Hu tree of a friendly cut sparsifier
 merged with the unfriendly-exact single-source routine. That routine's
 estimates come from a pivot-rooted degree-cut certificate and union flows
-of ceil(log2 n) pairs each, not from n - 1 exact max-flows, but no
-measurement yet shows such a tree beating Gusfield's method.
+sized by an arc budget (``maxflow.pairs_per_flow``), not from n - 1 exact
+max-flows, but no measurement yet shows such a tree beating Gusfield's
+method.
 """
 
 from __future__ import annotations
@@ -178,7 +179,8 @@ def gomory_hu(g: Graph) -> GHTree:
     the one the engine's cuts alone would give. Cost: at most
     3 ceil(log2 n) proving flows on n + 2 nodes (a node that fails its
     first round is retried once), plus one flow per step that is not
-    proven.
+    proven. A step whose side is {s} moves no other node, so it costs O(1)
+    past its ``max_flow`` call.
     """
     labels = component_labels(g.n, g.edges[:, 0], g.edges[:, 1])[1]
     parent = np.unique(labels, return_index=True)[1][labels]
@@ -189,6 +191,14 @@ def gomory_hu(g: Graph) -> GHTree:
         if t == s:
             continue  # the root of its component
         value, cut = max_flow(g, s, t, degree_cuts=degree_cuts)
+        if len(cut.side) == 1 and s in cut.side:
+            # the side {s}: no other node moves, and s takes t's place only
+            # if t hangs from s, as in the general step below
+            fl[s] = value
+            if parent[t] == s:
+                parent[s], parent[t] = parent[t], s
+                fl[s], fl[t] = fl[t], value
+            continue
         on_side = np.zeros(g.n, dtype=bool)
         on_side[list(cut.side)] = True
         if not on_side[s] or on_side[t]:

@@ -32,11 +32,13 @@ by three rules, here and nowhere else: ``content_lines`` for lines,
 names the file's own line.
 
 ``Graph.build`` validates its input and then takes the trusted path,
-``Graph._trusted``, which only canonicalizes and merges parallel edges; the
-union flow graphs that ``maxflow`` derives from a valid graph take that
-path directly. Every entry must be an integer (a float is rejected, never
-truncated), a graph's total edge weight W plus its total extra volume X
-must be at most (2**63 - 1) // CROSS_NUM, and its node count at most
+``Graph._trusted``, which only canonicalizes and merges parallel edges, and
+skips the sort in one O(m) pass when the edges already come in canonical
+(u, v) order, as every flow graph that ``maxflow`` derives from a valid
+graph does; those take the trusted path directly. Every entry must be an
+integer (a float is rejected, never truncated), a graph's total edge
+weight W plus its total extra volume X must be at most
+(2**63 - 1) // CROSS_NUM, and its node count at most
 ``MAX_NODES`` (2**31 - 1, as scipy's sparse graphs index nodes in int32),
 else ``build`` raises ``UnsupportedInput``. The largest int64 quantities the
 library forms from a graph are the friendliness rule's CROSS_NUM * degree,
@@ -241,6 +243,9 @@ def _merge_parallel(n: int, arr: np.ndarray) -> np.ndarray:
     u = np.minimum(arr[:, 0], arr[:, 1])
     v = np.maximum(arr[:, 0], arr[:, 1])
     keys = u * n + v
+    if (keys[1:] > keys[:-1]).all():
+        # already in canonical order with no parallel edge: nothing to sort
+        return np.column_stack([u, v, arr[:, 2]])
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
     # the keys are sorted, so each run of equal keys starts where the key changes

@@ -1,19 +1,19 @@
 """Minimum isolating cuts for terminal sets.
 
 ``isolating_cuts_many`` answers any number of terminal sets of one graph
-together, in ceil(B / ceil(log2 n)) + 1 max-flows in all, where B is the sum
-of ceil(log2 |R|) over the sets R; ``isolating_cuts`` is the one-set case,
-which makes 2 max-flows.
+together, in ceil(B / q) + 1 max-flows in all, where B is the sum of
+ceil(log2 |R|) over the sets R and q = ``maxflow.pairs_per_flow(g)`` is how
+many copies of g fit in one union flow; ``isolating_cuts`` is the one-set
+case, which makes 2 max-flows when q >= ceil(log2 |R|).
 
 The global flows. Set R's cut b separates the terminals whose index within R
 has bit b clear from those whose bit b is set. Every set's bipartitions go
-to one ``maxflow.min_cuts_between_sets`` call, which answers ceil(log2 n) of
-them per max-flow on a disjoint union of copies of the graph (|R| <= n, so
-one set's fit in one union). For each set, each node x gets the code whose
-bit b is set when x is not on cut b's minimal source side, and terminal i's
-region is the set of nodes with code i. So one set's regions are the
-intersections of the sides, pairwise disjoint by construction, and terminal
-i lies in region i.
+to one ``maxflow.min_cuts_between_sets`` call, which answers q of them per
+max-flow on a disjoint union of copies of the graph. For each set, each
+node x gets the code whose bit b is set when x is not on cut b's minimal
+source side, and terminal i's region is the set of nodes with code i. So
+one set's regions are the intersections of the sides, pairwise disjoint by
+construction, and terminal i lies in region i.
 
 The local flow. Terminal i's local problem is terminal i against
 everything outside region i. One set's regions are disjoint, so all its k
@@ -94,12 +94,12 @@ def _regions(g: Graph, term_sets: list[np.ndarray]) -> tuple[np.ndarray, int]:
         if not np.array_equal(code[terms], np.arange(terms.size)):
             raise RuntimeError("a terminal is not in its own region")
         row[:] = np.where(code < terms.size, code, -1)
-    return region, math.ceil(len(pairs) / pairs_per_flow(g.n))
+    return region, math.ceil(len(pairs) / pairs_per_flow(g))
 
 
 def isolating_cuts_many(g: Graph, terminal_sets: Sequence[Iterable[int]]) -> list[IsolatingCuts]:
     """The minimum isolating cuts of every set in ``terminal_sets``, each as
-    ``isolating_cuts`` returns it, in ceil(B / ceil(log2 n)) global
+    ``isolating_cuts`` returns it, in ceil(B / pairs_per_flow(g)) global
     max-flows (B: the sum of ceil(log2 |R|) over the sets R) and one local
     max-flow in all; none for an empty list. Raises UnsupportedInput
     exactly when ``isolating_cuts`` would on some set."""

@@ -40,13 +40,19 @@ is a merged capacity of one problem's own graph, so the int32 guard accepts
 a union exactly when it would accept one flow per problem, except that the
 S-T weights never reach the engine and are not checked here. The union's
 arcs come from g's valid edges, so it is built by ``Graph._trusted``, which
-merges parallel arcs without re-checking them.
+checks nothing. It is built in canonical (u, v) order, so ``_trusted`` need
+not sort it: the arcs from S and those into T, each merged per node, and
+then the inner arcs, which follow g's own sorted edges row by row.
 
 ``min_cuts_between_sets`` answers independent set-to-set minimum cuts
-(a_i, b_i) in such unions, one pair per row and at most ceil(log2 n) rows
-per flow: a_i is the source and b_i the sink. Its contract is to accept
-exactly what one flow per pair on g with a_i and b_i contracted accepts, so
-it checks each pair's a_i-b_i weight against the int32 limit itself.
+(a_i, b_i) in such unions, one pair per row and ``pairs_per_flow(g)`` rows
+per flow: as many copies of g as fit in ``UNION_ARCS`` arcs, a copy
+counting as g's m edges or, where they are more, its n nodes, so small
+graphs share one engine call among many pairs and graphs of more than
+``UNION_ARCS`` edges take one pair per flow. a_i is the source and b_i
+the sink. Its contract is to accept exactly what one flow per pair on g
+with a_i and b_i contracted accepts, so it checks each pair's a_i-b_i
+weight against the int32 limit itself.
 ``min_cut_between_sets`` is the one-pair case, and makes exactly one
 ``max_flow`` call; ``isolating`` answers all its local problems in one
 union.
@@ -59,7 +65,9 @@ ties), counts as proven. Every node a of a hub's component has a capacity
 c(a), here deg(a), and is proven once lambda(a, hub) >= c(a) is shown. A
 round feeds a batch of pending, pairwise non-adjacent nodes a from a
 super-source by arcs of capacity c(a), into one sink merging the hubs and
-every proven node of capacity at least the batch's largest.
+every proven node of capacity at least the batch's largest. Its flow graph
+too is built in canonical order: the batch's arcs from S, the arcs into the
+sink merged per node, then g's edges away from the sink in g's own order.
 
 - A batch node a off the round's minimal source side had its arc
   saturated, so lambda(a, sinks) >= c(a).
@@ -110,7 +118,17 @@ __all__ = [
     "min_cuts_between_sets",
     "pairs_per_flow",
     "MAX_CAPACITY",
+    "UNION_ARCS",
 ]
+
+# A union flow's size budget, in arcs: pairs_per_flow fits this many arcs of
+# copies of g in one union. Per cut, a union gets cheaper with more copies
+# until the engine's fixed cost per call is shared out, then dearer as every
+# copy pays for the Dinitz phases of the slowest. Timed per cut at 1 to 128
+# copies (BENCH_3.json), 2**15's 30 copies on weighted G(200) run near the
+# fastest count, and its 8 and 2 copies on unit G(600) and G(1500) match
+# ceil(log2 n) copies there within noise.
+UNION_ARCS = 32768
 
 
 def _residual_reachable(cap: csr_matrix, flow, s: int) -> np.ndarray:
@@ -194,7 +212,9 @@ class DegreeCuts:
     """
 
     def __init__(self, g: Graph, hub: int | None = None):
-        g.capacity_matrix  # raises UnsupportedInput as a flow on g would; rounds read it
+        cap = g.capacity_matrix  # raises UnsupportedInput as a flow on g would
+        ptr, nbr = cap.indptr.tolist(), cap.indices.tolist()
+        self._neighbours = [nbr[ptr[v]:ptr[v + 1]] for v in range(g.n)]
         self.graph = g
         self.degree = degrees(g)
         self.component = component_labels(g.n, g.edges[:, 0], g.edges[:, 1])[1]
@@ -205,6 +225,7 @@ class DegreeCuts:
             hub = node_id(g.n, hub, "hub")
             self.hub[hub] = True
             self.capacity = np.minimum(self.degree, self.degree[hub])
+        self._capacity = self.capacity.tolist()  # read node by node while batching
         # capacity descending, then id
         order = np.lexsort((np.arange(g.n), -self.capacity))
         if hub is None:
@@ -245,28 +266,37 @@ class DegreeCuts:
             self._pending = failed[np.lexsort((failed, -c[failed]))].tolist()
             self._retrying = True
             self._rounds_left = (g.n - 1).bit_length()
-        cap = g.capacity_matrix
         size = max(1, int(self.proven.sum()) // 2)
+        pending, capacity = self._pending, self._capacity
         # a retry round takes nodes of its first node's capacity only
-        only = c[self._pending[0]] if self._retrying else None
+        only = capacity[pending[0]] if self._retrying else None
         taken, kept = [], []
-        beside = np.zeros(g.n, dtype=bool)  # adjacent to a node already taken
-        for v in self._pending:
-            if len(taken) < size and not beside[v] and (only is None or c[v] == only):
-                taken.append(v)
-                beside[cap.indices[cap.indptr[v]:cap.indptr[v + 1]]] = True
-            else:
+        beside: set[int] = set()  # adjacent to a node already taken
+        for i, v in enumerate(pending):
+            if len(taken) == size:
+                kept += pending[i:]
+                break
+            if v in beside or (only is not None and capacity[v] != only):
                 kept.append(v)
+            else:
+                taken.append(v)
+                beside.update(self._neighbours[v])
         self._pending = kept
         batch = self._batch = np.array(taken, dtype=np.int64)
-        # S = 0, the merged sink T = 1, node v of g becomes v + 2
-        ids = np.arange(2, g.n + 2)
-        ids[self.hub | (self.proven & (c >= c[batch].max()))] = 1
-        u, v = ids[g.edges[:, 0]], ids[g.edges[:, 1]]
-        inside = u != v
+        # S = 0, the merged sink T = 1, node v of g becomes v + 2; the arcs
+        # come in canonical order: S's by node, T's merged per node, then
+        # g's edges away from the sink, in g's own order
+        sink = self.hub | (self.proven & (c >= c[batch].max()))
+        eu, ev, ew = g.edges.T
+        inner = ~sink[eu] & ~sink[ev]
+        to_sink = sink[eu] != sink[ev]
+        to_t = np.zeros(g.n + 2, dtype=np.int64)
+        np.add.at(to_t, np.where(sink[eu], ev, eu)[to_sink] + 2, ew[to_sink])
+        fed, into = np.sort(batch), np.flatnonzero(to_t)
         h = Graph._trusted(g.n + 2, np.concatenate([
-            np.column_stack([u[inside], v[inside], g.edges[inside, 2]]),
-            np.column_stack([np.zeros_like(batch), batch + 2, c[batch]])]))
+            np.column_stack([np.zeros_like(fed), fed + 2, c[fed]]),
+            np.column_stack([np.ones_like(into), into, to_t[into]]),
+            np.column_stack([eu[inner] + 2, ev[inner] + 2, ew[inner]])]))
         if h.edges[:, 2].max() > MAX_CAPACITY:
             self._rounds_left, self._retrying = 0, True  # and no retry pass follows
             return None
@@ -294,44 +324,58 @@ class DegreeCuts:
 def _union_flow(g: Graph, region: np.ndarray, source: np.ndarray,
                 ) -> tuple[np.ndarray, int, np.ndarray]:
     """One max-flow on the union of the problems that the rows of ``region``
-    and ``source`` describe. Returns each row's minimal side as a mask over
-    g, the flow value and each row's S-T weight left out of the union."""
+    and ``source`` describe, built in canonical (u, v) order. Returns each
+    row's minimal side as a mask over g, the flow value and each row's S-T
+    weight left out of the union."""
     eu, ev, ew = g.edges.T
     # S = 0 and T = 1 are shared (~source is 0 on a source node, 1 on a sink
-    # node); a problem's other nodes get 2, 3, ...
+    # node); a problem's other nodes get 2, 3, ..., growing with the row and,
+    # within a row, with the node
     own = (region >= 0) & ~source
     ids = np.where(own, 1 + np.cumsum(own, dtype=np.int32).reshape(own.shape), ~source)
-    tails, heads = ids[:, eu], ids[:, ev]
+    # take, not fancy indexing: several times faster along a row's axis
+    tails, heads = ids.take(eu, axis=1), ids.take(ev, axis=1)
     # an edge between two problems of one row (neither end on T, which is
     # region -1): its arc from u goes to T, and a second arc goes from v to T
-    split = (region[:, eu] != region[:, ev]) & (tails != 1) & (heads != 1)
+    split = ((region.take(eu, axis=1) != region.take(ev, axis=1)) & (tails != 1)
+             & (heads != 1))
     second_st = split & (heads == 0)
     second = split & ~second_st
     v_tails = heads[second]
     heads[split] = 1
     st = tails + heads == 1
-    keep = (tails != heads) & ~st
     weights = np.broadcast_to(ew, tails.shape)
-    h = Graph._trusted(2 + int(own.sum()), np.column_stack([
-        np.concatenate([tails[keep], v_tails]),
-        np.concatenate([heads[keep], np.ones(v_tails.size, dtype=np.int32)]),
-        np.concatenate([weights[keep], weights[second]])]))
+    # as eu < ev, an arc between two own nodes has tails < heads, and those
+    # arcs come row by row in g's edge order: already sorted and distinct
+    inner = (tails > 1) & (heads > 1)
+    # every other arc joins S or T to an own node, merged per node
+    outer = ~inner & ~st & (tails != heads)
+    ends = np.zeros((2, 2 + int(own.sum())), dtype=np.int64)
+    np.add.at(ends, (np.minimum(tails, heads)[outer], np.maximum(tails, heads)[outer]),
+              weights[outer])
+    np.add.at(ends[1], v_tails, weights[second])
+    to_s, to_t = np.flatnonzero(ends[0]), np.flatnonzero(ends[1])
+    h = Graph._trusted(ends.shape[1], np.concatenate([
+        np.column_stack([np.zeros_like(to_s), to_s, ends[0, to_s]]),
+        np.column_stack([np.ones_like(to_t), to_t, ends[1, to_t]]),
+        np.column_stack([tails[inner], heads[inner], weights[inner]])]))
     flow, cut = max_flow(h, 0, 1)
     in_side = np.zeros(h.n, dtype=bool)
     in_side[list(cut.side)] = True
     return in_side[ids], flow, st @ ew + second_st @ ew
 
 
-def pairs_per_flow(n: int) -> int:
-    """How many pairs ``min_cuts_between_sets`` answers per max-flow on a
-    graph of n nodes: ceil(log2 n), and at least 1."""
-    return max(1, (n - 1).bit_length())
+def pairs_per_flow(g: Graph) -> int:
+    """How many pairs ``min_cuts_between_sets`` answers per max-flow on g:
+    as many copies of g as fit in ``UNION_ARCS``, a copy counting as g's
+    edges or, where they are more, its nodes; and at least 1."""
+    return max(1, UNION_ARCS // max(g.edge_count, g.n, 1))
 
 
 def min_cuts_between_sets(g: Graph, pairs: Sequence[tuple[Iterable[int], Iterable[int]]],
                           ) -> tuple[np.ndarray, np.ndarray]:
     """Independent minimum cuts separating a_i from b_i, for every pair
-    (a_i, b_i) in ``pairs``, with one ``max_flow`` per at most ceil(log2 n)
+    (a_i, b_i) in ``pairs``, with one ``max_flow`` per ``pairs_per_flow(g)``
     pairs.
 
     Returns the int64 cut values and a bool array with one row per pair,
@@ -339,7 +383,7 @@ def min_cuts_between_sets(g: Graph, pairs: Sequence[tuple[Iterable[int], Iterabl
     Raises UnsupportedInput where one pair's contracted graph would have a
     capacity above ``MAX_CAPACITY``.
     """
-    per_flow = pairs_per_flow(g.n)
+    per_flow = pairs_per_flow(g)
     values = np.zeros(len(pairs), dtype=np.int64)
     sides = np.zeros((len(pairs), g.n), dtype=bool)
     for start in range(0, len(pairs), per_flow):

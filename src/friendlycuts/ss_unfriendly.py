@@ -12,7 +12,6 @@ from the two case-analysis predicates exposed below.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
@@ -22,7 +21,7 @@ import numpy as np
 from .graph import (Cut, Graph, UnsupportedInput, cut_weight, node_id, proper_side_mask,
                     unfriendly_nodes)
 from .isolating import isolating_cuts_many
-from .maxflow import DegreeCuts, max_flow, min_cuts_between_sets, pairs_per_flow
+from .maxflow import DegreeCuts, max_flow, min_cuts_between_sets
 
 __all__ = [
     "EstimateTable",
@@ -75,18 +74,20 @@ def approx_single_source(g: Graph, p: int, eps: Fraction = EPS_DEFAULT, *,
     """(1+eps)-approximate min-cut values from p to every other node.
 
     By default these are the exact values, which are trivially within any
-    eps. Where the 2 ceil(log2 n) flows of its first proving pass undercut
-    the ceil((n - 1) / ceil(log2 n)) union flows of the n - 1 plain cuts, a
+    eps. Where 2 ceil(log2 n) < ceil((n - 1) / ceil(log2 n)), which holds
+    from n = 100 on with n = 129 aside (the first proving pass's budget
+    against the n - 1 cuts' flows at ceil(log2 n) pairs per flow; a fixed
+    rule, kept as it was when the union flows held that many pairs), a
     ``maxflow.DegreeCuts(g, hub=p)`` certificate answers most nodes first:
     a proven v has lambda(v, p) = min(deg v, deg p). Its witness is {v},
     the minimal side, when deg v <= deg p, and V - {p}, a minimum cut that
     need not be the minimal side, otherwise. ``DegreeCuts.prove()`` runs
     the proving rounds, and every node left unproven goes to
-    ``min_cuts_between_sets``, ceil(log2 n) to a union flow, with its
-    minimal side as witness. So the cost is at most 3 ceil(log2 n) flows
-    on n + 2 nodes and one union flow per ceil(log2 n) unproven nodes.
-    Either way the graph must pass the int32 flow guard, else
-    UnsupportedInput.
+    ``min_cuts_between_sets``, ``maxflow.pairs_per_flow(g)`` to a union
+    flow, with its minimal side as witness. So the cost is at most
+    3 ceil(log2 n) flows on n + 2 nodes and one union flow per
+    ``pairs_per_flow(g)`` unproven nodes. Either way the graph must pass
+    the int32 flow guard, else UnsupportedInput.
 
     A caller-supplied ``estimator(g, p, eps)`` replaces them; the table it
     returns must be for pivot p, with one estimate per node of g, else
@@ -111,9 +112,10 @@ def approx_single_source(g: Graph, p: int, eps: Fraction = EPS_DEFAULT, *,
             shared[key] = Cut(side=frozenset(np.flatnonzero(side).tolist()), value=value)
         return shared[key]
 
-    per_flow = pairs_per_flow(g.n)
+    per_flow = max(1, (g.n - 1).bit_length())
     # the certificate's first-pass budget must undercut the plain cuts'
-    # union flows; its retry pass only runs on nodes that pass left
+    # flows at ceil(log2 n) pairs each; its retry pass only runs on nodes
+    # that pass left
     if 2 * per_flow < -(-len(others) // per_flow):
         cuts = DegreeCuts(g, hub=p)
         cuts.prove()
@@ -144,34 +146,26 @@ def _level_sets(table: EstimateTable, delta: Fraction) -> list[frozenset[int]]:
     passes an estimate: the level {v : c'(v) >= u} of a distinct estimate u
     occurs iff some threshold lies in (u', u], u' being the next smaller
     distinct estimate (0 for the smallest). So the walk goes from estimate
-    to estimate, not from threshold to threshold.
+    to estimate, carrying the first threshold above u' as an exact fraction
+    top / bottom, which only ever grows.
     """
     base = Fraction(1 + delta)
     if base <= 1:
         raise ValueError("delta must be positive")
+    num, den = base.numerator, base.denominator
     p = table.pivot
     est = np.array(table.estimates, dtype=np.int64)
     est[p] = 0  # every threshold is at least 1, so the pivot joins only as itself
     levels: list[frozenset[int]] = []
+    top = bottom = 1  # (1+delta)^0
     below = 0
     for u in np.unique(est[est > 0]).tolist():
-        top, bottom = _first_power_above(base, below)
+        while top <= below * bottom:  # the first threshold above below
+            top, bottom = top * num, bottom * den
         if top <= u * bottom:
             levels.append(frozenset(np.flatnonzero(est >= u).tolist()) | {p})
         below = u
     return levels
-
-
-def _first_power_above(base: Fraction, x: int) -> tuple[int, int]:
-    """The numerator and denominator of base^i for the smallest i >= 0 with
-    base^i > x, for base > 1; exact, from a floating-point first guess."""
-    num, den = base.numerator, base.denominator
-    i = int(math.log(x) / math.log(base)) if x >= 1 else 0
-    while i > 0 and num ** (i - 1) > x * den ** (i - 1):
-        i -= 1
-    while num ** i <= x * den ** i:
-        i += 1
-    return num ** i, den ** i
 
 
 def single_source_unfriendly(g: Graph, p: int, *, eps: Fraction = EPS_DEFAULT,
@@ -185,19 +179,19 @@ def single_source_unfriendly(g: Graph, p: int, *, eps: Fraction = EPS_DEFAULT,
     levels stays logarithmic.
 
     The levels are fixed before any isolating cut is found, so one
-    ``isolating_cuts_many`` call answers them all: ceil(B / ceil(log2 n))
-    global max-flows, B being the sum of ceil(log2 |T_i|) over the levels,
-    and one local max-flow. Its cuts are merged level by level, each
+    ``isolating_cuts_many`` call answers them all: ceil(B / q) global
+    max-flows, B being the sum of ceil(log2 |T_i|) over the levels and q
+    the ``maxflow.pairs_per_flow(g)`` copies of g that fit in one union
+    flow, and one local max-flow. Its cuts are merged level by level, each
     terminal's own cut before the pivot's complement side, and only a value
     that lowers an estimate becomes a witness.
 
     Under the default estimator c'(v) is already lambda(p, v) before the
-    levels are formed (``approx_single_source``: where its first proving
-    pass undercuts the plain unions, from n = 100 on with n = 129 aside, a
-    degree-cut certificate rooted at p answers most nodes in at most
-    3 ceil(log2 n) flows on n + 2 nodes, and the k nodes left take
-    ceil(k / ceil(log2 n)) union max-flows; elsewhere all n - 1 cuts go to
-    the unions). A certified v of degree above deg(p) has
+    levels are formed (``approx_single_source``: from n = 100 on, with
+    n = 129 aside, a degree-cut certificate rooted at p answers most nodes
+    in at most 3 ceil(log2 n) flows on n + 2 nodes, and the k nodes left
+    take ceil(k / q) union max-flows; elsewhere all n - 1 cuts go to the
+    unions). A certified v of degree above deg(p) has
     V - {p} as its witness, which need not be its minimal side. Every cut
     the isolating phase offers v separates v from p, so that phase cannot
     lower any estimate. It does work only behind an ``estimator`` that

@@ -13,6 +13,7 @@ from friendlycuts.graph import (
     GraphParseError,
     Sparsifier,
     UnsupportedInput,
+    _merge_parallel,
     component_labels,
     contract,
     crossing_rows,
@@ -418,3 +419,30 @@ def test_cut_of_computes_value():
     g = Graph.build(3, [(0, 1, 2), (1, 2, 3)])
     c = Cut.of(g, {1})
     assert c.value == 5
+
+
+@st.composite
+def canonical_arcs(draw):
+    """Distinct (u, v) pairs with u < v, in increasing (u, v) order, with
+    positive int64 weights: the form every graph's edge array takes."""
+    n = draw(st.integers(0, 40))
+    pairs = draw(st.sets(st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, max(n - 1, 0)))
+                         .filter(lambda e: e[0] < e[1]), max_size=60))
+    rows = [(u, v, draw(st.integers(1, 2**61))) for u, v in sorted(pairs)]
+    return n, np.array(rows, dtype=np.int64).reshape(-1, 3)
+
+
+@given(canonical_arcs())
+@settings(max_examples=200, deadline=None)
+def test_merge_parallel_leaves_canonical_arcs_unchanged(case):
+    n, arcs = case
+    merged = _merge_parallel(n, arcs)
+    assert merged.dtype == np.int64 and np.array_equal(merged, arcs)
+    assert merged is not arcs and not np.shares_memory(merged, arcs)
+    # a repeat, in order or not, and a reversed order are still merged and sorted
+    if len(arcs):
+        expected = arcs.copy()
+        expected[0, 2] *= 2
+        for repeated in (np.concatenate([arcs[:1], arcs]),
+                         np.concatenate([arcs[::-1, [1, 0, 2]], arcs[:1]])):
+            assert np.array_equal(_merge_parallel(n, repeated), expected)

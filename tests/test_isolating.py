@@ -8,7 +8,7 @@ import pytest
 from friendlycuts import isolating, maxflow
 from friendlycuts.graph import MAX_CAPACITY, Cut, Graph, UnsupportedInput, cut_value
 from friendlycuts.isolating import isolating_cuts, isolating_cuts_direct, isolating_cuts_many
-from friendlycuts.maxflow import max_flow
+from friendlycuts.maxflow import max_flow, pairs_per_flow
 
 
 def random_graph(rng, n, p, wmax=6):
@@ -203,10 +203,10 @@ def test_many_matches_per_set_calls(monkeypatch):
         sets = batch_sets(rng, n)
         flows.clear()
         batch = isolating_cuts_many(g, sets)
-        # every set's ceil(log2 k) bipartitions, ceil(log2 n) per union flow,
-        # then one local flow for all sets
+        # every set's ceil(log2 k) bipartitions, pairs_per_flow(g) per union
+        # flow, then one local flow for all sets
         bits = sum(math.ceil(math.log2(len(r))) for r in sets)
-        global_flows = math.ceil(bits / max(1, math.ceil(math.log2(n))))
+        global_flows = math.ceil(bits / pairs_per_flow(g))
         assert len(flows) == global_flows + 1
         assert len(batch) == len(sets)
         for res, r in zip(batch, sets):
@@ -240,8 +240,8 @@ def test_many_local_union_flow_above_int32_is_exact(monkeypatch):
     m = MAX_CAPACITY
     g = Graph.build(3, [(0, 1, m), (1, 2, m)])
     batch = isolating_cuts_many(g, [[0, 2]] * 3)
-    # three 1-bit bipartitions, two per global flow on 3 nodes, then the local flow
-    assert len(flows) == 2 + 1 and flows[-1] == 3 * m
+    # three 1-bit bipartitions, pairs_per_flow(g) per global flow, then the local flow
+    assert len(flows) == math.ceil(3 / pairs_per_flow(g)) + 1 and flows[-1] == 3 * m
     for res in batch:
         assert res.cuts == {0: Cut(frozenset({0}), m), 2: Cut(frozenset({2}), m)}
         assert res.cuts == isolating_cuts_direct(g, [0, 2]).cuts

@@ -12,7 +12,7 @@ from friendlycuts.generators import dumbbell, gnp, star
 from friendlycuts.gomory_hu import gomory_hu
 from friendlycuts.graph import Cut, Graph, UnsupportedInput, component_labels, cut_value
 from friendlycuts.maxflow import (MAX_CAPACITY, DegreeCuts, max_flow, min_cut_between_sets,
-                                  min_cuts_between_sets)
+                                  min_cuts_between_sets, pairs_per_flow)
 from friendlycuts.oracle import cut_table
 
 
@@ -187,7 +187,7 @@ def test_min_cuts_between_sets_flow_count(monkeypatch, n):
     flow = maxflow.max_flow
     monkeypatch.setattr(maxflow, "max_flow", counting_max_flow)
     g = random_graph(random.Random(n), n, 0.5)
-    per_flow = math.ceil(math.log2(n))
+    per_flow = pairs_per_flow(g)
     for count in (0, 1, per_flow, per_flow + 1, 3 * per_flow + 1):
         pairs = [([v % n], [(v + 1) % n]) for v in range(count)]
         flows.clear()
@@ -488,3 +488,163 @@ def test_hub_proves_needs_the_capped_capacity(monkeypatch):
         rule(c, a, b) for rule in PROVES_CONDITIONS.values()))
     assert max_flow(g, 1, 2, degree_cuts=cuts) != truth
 
+
+
+def test_pairs_per_flow_fits_copies_in_the_arc_budget(monkeypatch):
+    # one pair per flow once g alone has more arcs (or nodes) than the budget
+    flows = []
+
+    def counting_max_flow(h, s, t):
+        flows.append(h.n)
+        return flow(h, s, t)
+
+    flow = maxflow.max_flow
+    monkeypatch.setattr(maxflow, "max_flow", counting_max_flow)
+    budget = maxflow.UNION_ARCS
+    pairs_of_nodes = list(itertools.combinations(range(300), 2))
+    for m, per_flow in [(budget // 2, 2), (budget // 2 + 1, 1), (budget - 1, 1), (budget, 1),
+                        (budget + 1, 1)]:
+        g = Graph.build(300, [(u, v, 1) for u, v in pairs_of_nodes[:m]])
+        assert g.edge_count == m and pairs_per_flow(g) == per_flow == max(1, budget // m)
+        flows.clear()
+        values, _ = min_cuts_between_sets(g, [([v], [v + 1]) for v in range(5)])
+        assert len(flows) == math.ceil(5 / per_flow)
+        assert values.tolist() == [max_flow(g, v, v + 1)[0] for v in range(5)]
+    # a copy counts its nodes where they outnumber its edges, and at least 1
+    assert pairs_per_flow(Graph.build(budget + 1, [(0, 1, 1)])) == 1
+    assert pairs_per_flow(Graph.build(budget // 4, [(0, 1, 1)])) == 4
+    assert pairs_per_flow(Graph.build(4)) == budget // 4
+    assert pairs_per_flow(Graph.build(0)) == budget
+
+
+def reference_union_graph(g, region, source):
+    """The union graph as built before it came out in canonical order: the
+    same arcs, listed edge by edge, then sorted and merged by
+    ``Graph._trusted``."""
+    eu, ev, ew = g.edges.T
+    own = (region >= 0) & ~source
+    ids = np.where(own, 1 + np.cumsum(own, dtype=np.int32).reshape(own.shape), ~source)
+    tails, heads = ids[:, eu], ids[:, ev]
+    split = (region[:, eu] != region[:, ev]) & (tails != 1) & (heads != 1)
+    second = split & (heads != 0)
+    v_tails = heads[second]
+    heads[split] = 1
+    keep = (tails != heads) & (tails + heads != 1)
+    weights = np.broadcast_to(ew, tails.shape)
+    return Graph._trusted(2 + int(own.sum()), np.column_stack([
+        np.concatenate([tails[keep], v_tails]),
+        np.concatenate([heads[keep], np.ones(v_tails.size, dtype=np.int32)]),
+        np.concatenate([weights[keep], weights[second]])]))
+
+
+def recording_trusted(monkeypatch):
+    """Record the arcs every ``Graph._trusted`` call is given."""
+    given_arcs = []
+    trusted = Graph._trusted
+
+    def recording(n, arcs, extra_volume=None):
+        given_arcs.append((n, np.array(arcs)))
+        return trusted(n, arcs, extra_volume)
+
+    monkeypatch.setattr(Graph, "_trusted", staticmethod(recording))
+    return given_arcs
+
+
+def assert_canonical(n, arcs):
+    """Arcs (u, v, w) with u < v, in strictly increasing (u, v) order."""
+    keys = arcs[:, 0] * n + arcs[:, 1]
+    assert (arcs[:, 0] < arcs[:, 1]).all() and (keys[1:] > keys[:-1]).all()
+
+
+def test_union_graph_equals_the_sorted_construction(monkeypatch):
+    unions = []
+
+    def recording_max_flow(h, s, t):
+        unions.append(h)  # only the graph is compared; weights may pass int32
+        return 0, Cut(side=frozenset({s}), value=0)
+
+    monkeypatch.setattr(maxflow, "max_flow", recording_max_flow)
+    given_arcs = recording_trusted(monkeypatch)
+    rng = np.random.default_rng(61)
+    for trial in range(150):
+        n = int(rng.integers(2, 30))
+        g = random_graph(random.Random(trial), n, float(rng.choice([0.1, 0.3, 0.7])),
+                         wmax=int(rng.choice([1, 9, 2**40])))
+        rows = int(rng.integers(1, 6))
+        # up to 4 problems per row, as the local isolating flow has; 1 as a pair's
+        region = rng.integers(-1, int(rng.integers(1, 5)), size=(rows, n))
+        source = (rng.random((rows, n)) < 0.3) & (region >= 0)
+        given_arcs.clear()
+        unions.clear()
+        maxflow._union_flow(g, region, source)
+        (h_n, arcs), = given_arcs
+        assert_canonical(h_n, arcs)
+        assert unions == [reference_union_graph(g, region, source)], trial
+
+
+def reference_next_round(cuts):
+    """``DegreeCuts._next_round`` as it was before its round graphs came out
+    in canonical order: the batch picked over a node mask, the arcs listed
+    edge by edge, then sorted and merged by ``Graph._trusted``."""
+    g, c = cuts.graph, cuts.capacity
+    if not cuts._rounds_left or not cuts._pending:
+        if cuts._retrying or not cuts._failed:
+            return None
+        failed = np.array(cuts._failed)
+        cuts._pending = failed[np.lexsort((failed, -c[failed]))].tolist()
+        cuts._retrying = True
+        cuts._rounds_left = (g.n - 1).bit_length()
+    cap = g.capacity_matrix
+    size = max(1, int(cuts.proven.sum()) // 2)
+    only = c[cuts._pending[0]] if cuts._retrying else None
+    taken, kept = [], []
+    beside = np.zeros(g.n, dtype=bool)
+    for v in cuts._pending:
+        if len(taken) < size and not beside[v] and (only is None or c[v] == only):
+            taken.append(v)
+            beside[cap.indices[cap.indptr[v]:cap.indptr[v + 1]]] = True
+        else:
+            kept.append(v)
+    cuts._pending = kept
+    batch = cuts._batch = np.array(taken, dtype=np.int64)
+    ids = np.arange(2, g.n + 2)
+    ids[cuts.hub | (cuts.proven & (c >= c[batch].max()))] = 1
+    u, v = ids[g.edges[:, 0]], ids[g.edges[:, 1]]
+    inside = u != v
+    h = Graph._trusted(g.n + 2, np.concatenate([
+        np.column_stack([u[inside], v[inside], g.edges[inside, 2]]),
+        np.column_stack([np.zeros_like(batch), batch + 2, c[batch]])]))
+    if h.edges[:, 2].max() > MAX_CAPACITY:
+        cuts._rounds_left, cuts._retrying = 0, True
+        return None
+    return h
+
+
+def test_round_graphs_equal_the_sorted_construction(monkeypatch):
+    rounds = stopped = 0
+    for g in degree_cut_corpus():
+        order = np.argsort(graph_module.degrees(g), kind="stable")
+        for hub in (None, int(order[0]), int(order[g.n // 2])):
+            cuts, ref = DegreeCuts(g, hub=hub), DegreeCuts(g, hub=hub)
+            while True:
+                given_arcs = recording_trusted(monkeypatch)
+                h = cuts._next_round()
+                monkeypatch.undo()
+                h_ref = reference_next_round(ref)
+                assert (h is None) == (h_ref is None)
+                assert cuts._batch.tolist() == ref._batch.tolist()
+                assert (cuts._pending, cuts._retrying, cuts._rounds_left) == (
+                    ref._pending, ref._retrying, ref._rounds_left)
+                if given_arcs:
+                    assert_canonical(*given_arcs[0])
+                if h is None:
+                    stopped += bool(given_arcs)  # built, then refused by the int32 limit
+                    break
+                assert h == h_ref
+                rounds += 1
+                seen = np.zeros(h.n, dtype=bool)
+                seen[list(max_flow(h, 0, 1)[1].side)] = True
+                cuts._settle(seen)
+                ref._settle(seen)
+            assert np.array_equal(cuts.proven, ref.proven)
+    assert rounds >= 700 and stopped >= 6, (rounds, stopped)

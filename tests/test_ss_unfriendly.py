@@ -468,3 +468,21 @@ def test_custom_epsilon_delta():
     table = single_source_unfriendly(g, 0, eps=Fraction(1, 10), delta=Fraction(1, 2))
     assert all(table.estimate(v) == 4 for v in range(1, 5))
     assert table.delta == Fraction(1, 2)
+
+
+def test_level_walk_matches_the_definition_on_seeded_tables():
+    # one upward walk over the powers of 1 + delta gives the levels that the
+    # threshold-by-threshold definition does: ties, gaps of many powers,
+    # zero estimates, large estimates and deltas above 1 included
+    rng = random.Random(47)
+    for _ in range(80):
+        n = rng.randint(2, 30)
+        top = rng.choice([3, 100, 10**4, 10**9])
+        pool = [rng.randint(0, top) for _ in range(rng.randint(1, 6))]
+        estimates = [rng.choice(pool) if rng.random() < 0.5 else rng.randint(0, top)
+                     for _ in range(n)]
+        p = rng.randrange(n)
+        delta = rng.choice([Fraction(1, 100), Fraction(1, 3), Fraction(1), Fraction(5, 2)])
+        table = EstimateTable(pivot=p, estimates=np.array(estimates, dtype=np.int64),
+                              witnesses={}, eps=delta)
+        assert _level_sets(table, delta) == definition_levels(estimates, p, delta)
