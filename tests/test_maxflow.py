@@ -489,6 +489,44 @@ def test_hub_proves_needs_the_capped_capacity(monkeypatch):
     assert max_flow(g, 1, 2, degree_cuts=cuts) != truth
 
 
+def proving_batches(monkeypatch, cuts):
+    """The batch size of each round ``cuts.prove()`` runs, read from outside
+    the class as the round graph's arcs out of the super-source 0."""
+    batches = []
+
+    def counting_max_flow(h, s, t):
+        batches.append(int((h.edges[:, 0] == 0).sum()))
+        return flow(h, s, t)
+
+    flow = maxflow.max_flow
+    monkeypatch.setattr(maxflow, "max_flow", counting_max_flow)
+    cuts.prove()
+    monkeypatch.undo()
+    return batches
+
+
+def test_proving_rounds_are_pinned_at_benchmark_sizes(monkeypatch):
+    # the gh-gnp graph shape: unit G(800, 2 ln n/(n - 1)) at seed 7, global
+    # certificate; the first pass ends after 19 rounds, the retry pass
+    # takes the other 10
+    g = gnp(800, 2 * math.log(800) / 799, seed=7)
+    cuts = DegreeCuts(g)
+    assert proving_batches(monkeypatch, cuts) == [
+        1, 1, 1, 2, 3, 4, 6, 9, 14, 21, 31, 47, 70, 105, 150, 146, 117, 60, 11,
+        1, 3, 3, 2, 12, 1, 5, 2, 1, 1]
+    assert int(cuts.proven.sum()) == 798
+    # the ssu-wgnp graph shape: weighted G(200) at seed 4, weights in
+    # [1, 64], from its median-degree pivot
+    base = gnp(200, 2 * math.log(200) / 199, seed=4)
+    weights = np.random.default_rng([4, 2]).integers(1, 65, size=base.edge_count)
+    g = Graph.build(200, np.column_stack([base.edges[:, :2], weights]))
+    pivot = int(np.argsort(graph_module.degrees(g), kind="stable")[100])
+    assert pivot == 130
+    cuts = DegreeCuts(g, hub=pivot)
+    assert proving_batches(monkeypatch, cuts) == [
+        1, 1, 1, 2, 3, 4, 6, 9, 14, 21, 31, 41, 29, 26, 9, 1, 1, 1, 1, 1, 1]
+    assert cuts.proven.all()
+
 
 def test_pairs_per_flow_fits_copies_in_the_arc_budget(monkeypatch):
     # one pair per flow once g alone has more arcs (or nodes) than the budget
