@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import math
 import random
 import sys
@@ -78,8 +79,11 @@ def _read_text(path: str) -> str:
 def _write_output(text: str, out: str | None) -> None:
     if out is None or out == "-":
         sys.stdout.write(text)
-    else:
-        Path(out).write_text(text)
+        return
+    try:
+        Path(out).write_text(text, newline="")
+    except OSError as e:
+        raise CliError(f"cannot write {out}: {e}", EXIT_PARSE)
 
 
 def _load(path: str, parse):
@@ -89,33 +93,39 @@ def _load(path: str, parse):
         raise CliError(f"{path}: {e}", EXIT_PARSE)
 
 
-def cmd_gen(args) -> int:
-    fam = args.family
+def _generate(family: str, n: int, seed: int, *, p: float | None = None, d: int | None = None,
+              scale: int = 1, blob: int | None = None) -> Graph:
+    """A graph of ``family``, one of ``generators.FAMILIES``; a size or
+    parameter its generator rejects is a usage error."""
     try:
-        if fam == "clique":
-            g = generators.clique(args.n)
-        elif fam == "clique-of-cliques":
-            g = generators.clique_of_cliques(args.n, args.blob)
-        elif fam == "alt-cycle":
-            g = generators.alt_cycle(args.n, args.scale)
-        elif fam == "gnp":
-            if args.p is None:
+        if family == "clique":
+            g = generators.clique(n)
+        elif family == "clique-of-cliques":
+            g = generators.clique_of_cliques(n, blob)
+        elif family == "alt-cycle":
+            g = generators.alt_cycle(n, scale)
+        elif family == "gnp":
+            if p is None:
                 raise ValueError("gnp needs --p")
-            g = generators.gnp(args.n, args.p, seed=args.seed)
-        elif fam == "path":
-            g = generators.path(args.n)
-        elif fam == "star":
-            g = generators.star(args.n)
-        elif fam == "dumbbell":
-            g = generators.dumbbell(args.n)
-        elif fam == "random-regular":
-            if args.d is None:
+            g = generators.gnp(n, p, seed=seed)
+        elif family == "path":
+            g = generators.path(n)
+        elif family == "star":
+            g = generators.star(n)
+        elif family == "dumbbell":
+            g = generators.dumbbell(n)
+        else:  # random-regular
+            if d is None:
                 raise ValueError("random-regular needs --d")
-            g = generators.random_regular(args.n, args.d, seed=args.seed)
-        else:
-            raise ValueError(f"unknown family {fam!r}")
+            g = generators.random_regular(n, d, seed=seed)
     except ValueError as e:
         raise CliError(str(e), EXIT_PARSE)
+    return g
+
+
+def cmd_gen(args) -> int:
+    g = _generate(args.family, args.n, args.seed, p=args.p, d=args.d, scale=args.scale,
+                  blob=args.blob)
     _write_output(serialize_graph(g), args.out)
     return EXIT_OK
 
@@ -201,7 +211,7 @@ def _verify_ghtree(g: Graph, text: str, seed: int) -> int:
                     print(f"verification failed: pair ({s},{t2}) tree value {val} "
                           f"!= min cut {lam[s, t2]}")
                     return EXIT_VERIFY
-        print(f"ok: all {g.n * (g.n - 1) // 2} pair values match")
+        print(f"ok: all {g.n * (g.n - 1) // 2} pair values match max-flow")
         return EXIT_OK
     # large input: structure was validated above, so a tree value of 0 is a
     # pair in two components of g; spot-check the other pairs by max-flow
@@ -233,16 +243,10 @@ def cmd_verify(args) -> int:
 
 
 def _bench_row(family: str, n: int, w: int, seed: int) -> dict:
-    if family == "clique-of-cliques":
-        g = generators.clique_of_cliques(n)
-    elif family == "gnp":
-        # keep the expected degree around 2 ln n so graphs stay connected
-        p = min(1.0, 2.0 * math.log(max(n, 2)) / max(n - 1, 1))
-        g = generators.gnp(n, p, seed=seed)
-    elif family == "clique":
-        g = generators.clique(n)
-    else:
+    if family not in ("clique-of-cliques", "gnp", "clique"):
         raise CliError(f"bench does not support family {family!r}", EXIT_PARSE)
+    # keep gnp's expected degree around 2 ln n so graphs stay connected
+    g = _generate(family, n, seed, p=min(1.0, 2.0 * math.log(max(n, 2)) / max(n - 1, 1)))
     cfg = SparsifyConfig(seed=seed)
     t0 = time.perf_counter()
     h = friendly_sparsify(g, w, cfg)
@@ -264,16 +268,11 @@ def _bench_row(family: str, n: int, w: int, seed: int) -> dict:
 
 def cmd_bench(args) -> int:
     rows = [_bench_row(args.family, n, w, args.seed) for n in args.sizes for w in args.w_grid]
-    out = args.csv
-    if out is None or out == "-":
-        writer = csv.DictWriter(sys.stdout, fieldnames=CSV_COLUMNS)
-        writer.writeheader()
-        writer.writerows(rows)
-    else:
-        with open(out, "w", newline="") as f:
-            writer = csv.DictWriter(f, fieldnames=CSV_COLUMNS)
-            writer.writeheader()
-            writer.writerows(rows)
+    text = io.StringIO()
+    writer = csv.DictWriter(text, fieldnames=CSV_COLUMNS)
+    writer.writeheader()
+    writer.writerows(rows)
+    _write_output(text.getvalue(), args.csv)
     return EXIT_OK
 
 

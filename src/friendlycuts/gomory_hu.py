@@ -8,11 +8,8 @@ tree, in which every subtree is a slice), the friendly minimum-cut
 sparsifier obtained by contracting unfriendly-only tree components,
 and capacitated auxiliary graphs of a partition tree and their sparsified
 variant. Nothing here runs a Gomory-Hu tree of a friendly cut sparsifier
-merged with the unfriendly-exact single-source routine. That routine's
-estimates come from a pivot-rooted degree-cut certificate and union flows
-sized by an arc budget (``maxflow.pairs_per_flow``), not from n - 1 exact
-max-flows, but no measurement yet shows such a tree beating Gusfield's
-method.
+merged with the unfriendly-exact single-source routine: no measurement yet
+shows such a tree beating Gusfield's method.
 """
 
 from __future__ import annotations
@@ -170,17 +167,12 @@ def gomory_hu(g: Graph) -> GHTree:
     t's place in the tree.
 
     Most steps' cut is s's degree cut {s}. Every step shares one
-    ``maxflow.DegreeCuts`` of g: each component's largest-degree node is a
-    hub, and a node a is proven once a batched flow shows
-    lambda(a, hub) >= deg(a). When s and t are both proven, in one
-    component, with deg(t) >= deg(s), then lambda(s, t) >=
-    min(lambda(s, hub), lambda(hub, t)) >= deg(s), so {s} is the minimal
-    minimum cut and ``max_flow`` returns it without the engine. The tree is
-    the one the engine's cuts alone would give. Cost: at most
-    3 ceil(log2 n) proving flows on n + 2 nodes (a node that fails its
-    first round is retried once), plus one flow per step that is not
-    proven. A step whose side is {s} moves no other node, so it costs O(1)
-    past its ``max_flow`` call.
+    ``maxflow.DegreeCuts`` of g, and ``max_flow`` answers a step whose pair
+    the certificate proves with {s}, the engine's own answer, without the
+    engine, so the tree is the one the engine's cuts alone would give.
+    Cost: the certificate's proving flows, bounded in maxflow's module
+    docstring, plus one flow per step that is not proven. A step whose side
+    is {s} moves no other node, so it costs O(1) past its ``max_flow`` call.
     """
     labels = component_labels(g.n, g.edges[:, 0], g.edges[:, 1])[1]
     parent = np.unique(labels, return_index=True)[1][labels]

@@ -88,16 +88,27 @@ proven a has lambda(a, p) = c(a): {a} or V - {p} is a cut of that weight.
 Without ``hub`` the cap changes nothing, as each hub has its component's
 largest degree.
 
-A first pass tries each pending node at most once, and a node that fails
-its round, most often because its batch competed for the same paths, is
-retried once in a second pass whose rounds take nodes of one capacity
-only. Proving costs at most 3 ceil(log2 n) flows on n + 2 nodes:
-2 ceil(log2 n) in the first pass and ceil(log2 n) in the second.
-``DegreeCuts.prove()`` runs them, and so does the first ``max_flow`` call
-that is given the certificate, inside that call. The certificate accepts
-only a graph the engine accepts: ``DegreeCuts(g)`` raises
-``UnsupportedInput`` where a flow on g would, so no answer bypasses the
-int32 guard.
+The pending nodes, those of positive capacity in a hub's component other
+than the hubs, wait in order of capacity descending, then id. A round
+takes up to max(1, floor(proven / 2)) of them, skipping any node adjacent
+to one it has taken. Proving runs in two passes:
+
+- the first tries each pending node at most once, in 2 ceil(log2 n)
+  rounds at most; a node left on its round's minimal source side, most
+  often because its batch competed for the same paths, waits for the
+  second pass, and a node never tried is not retried;
+- the second retries the waiting nodes, in the same order, in
+  ceil(log2 n) rounds at most, each taking nodes of one capacity only, so
+  that the sink holds every proven node of at least that capacity.
+
+A pass also ends when no node is pending or after a round that proves
+fewer than half its batch, and a round graph with a merged capacity above
+``MAX_CAPACITY`` ends proving. So proving costs at most 3 ceil(log2 n)
+flows on n + 2 nodes. ``DegreeCuts.prove()`` runs them, and so does the
+first ``max_flow`` call that is given the certificate, inside that call.
+The certificate accepts only a graph the engine accepts: ``DegreeCuts(g)``
+raises ``UnsupportedInput`` where a flow on g would, so no answer bypasses
+the int32 guard.
 """
 
 from __future__ import annotations
@@ -184,31 +195,14 @@ def max_flow(g: Graph, s: int, t: int, *, degree_cuts: DegreeCuts | None = None,
 
 class DegreeCuts:
     """A certificate, built in batched flows, that {s} is the minimal
-    minimum (s, t)-cut of g for most pairs; see the module docstring.
+    minimum (s, t)-cut of g for most pairs; its rules are in the module
+    docstring.
 
     ``prove`` runs its rounds, and ``max_flow`` runs them first when given
-    the certificate. Each round is one flow from node 0 (the super-source)
-    to node 1 (the merged sink) on a round graph, in which node v of g is
-    node v + 2. The pending nodes, those of positive capacity in a hub's
-    component other than the hubs, wait in order of capacity descending,
-    then id; a round takes up to max(1, floor(proven / 2)) of them, skipping
-    any node adjacent to one it has taken.
-
-    Proving runs in two passes. The first tries the pending nodes in that
-    order, each at most once, and a node left on its round's minimal source
-    side waits for the second; nodes it never tries are not retried. The
-    first pass ends when no node is pending, after 2 ceil(log2 n) rounds,
-    or after a round that proves fewer than half its batch; the second then
-    retries the waiting nodes, in the same order, in rounds that each take
-    nodes of one capacity only, so that the sink holds every proven node of
-    at least that capacity. It ends the same way, with a budget of
-    ceil(log2 n) rounds. A round graph with a merged capacity above
-    ``MAX_CAPACITY`` ends proving in either pass.
-
-    With ``hub``, that node is the only hub and the capacities are
-    min(deg, deg(hub)); without it, each component's largest-degree node is
-    a hub and the capacities are the degrees. Raises UnsupportedInput when
-    a capacity of g exceeds ``MAX_CAPACITY``, as a flow on g would.
+    the certificate. With ``hub``, this is the single-source form rooted
+    at that node; without it, each component's largest-degree node is a
+    hub. Raises UnsupportedInput when a capacity of g exceeds
+    ``MAX_CAPACITY``, as a flow on g would.
     """
 
     def __init__(self, g: Graph, hub: int | None = None):
@@ -234,15 +228,11 @@ class DegreeCuts:
         self.proven = self.hub.copy()
         pending = (self.capacity > 0) & ~self.hub & np.isin(self.component,
                                                             self.component[self.hub])
-        self._pending = order[pending[order]].tolist()
-        self._failed: list[int] = []  # first-pass nodes left on their round's source side
-        self._retrying = False
-        self._rounds_left = 2 * (g.n - 1).bit_length()
-        self._batch = np.zeros(0, dtype=np.int64)
+        self._pending = order[pending[order]].tolist()  # emptied once proving runs
 
     def prove(self) -> None:
-        """Run the proving rounds still pending, each as one ``max_flow`` on
-        its round graph; once proving has stopped this does nothing."""
+        """Run the proving rounds, each as one ``max_flow`` on its round
+        graph; once proving has run this does nothing."""
         def side(h: Graph) -> np.ndarray:
             seen = np.zeros(h.n, dtype=bool)
             seen[list(max_flow(h, 0, 1)[1].side)] = True
@@ -251,25 +241,38 @@ class DegreeCuts:
         self._prove(side)
 
     def _prove(self, side: Callable[[Graph], np.ndarray]) -> None:
-        """Run the pending rounds, with ``side(h)`` the minimal source side
-        of a maximum flow from 0 to 1 on round graph h, as a mask."""
-        while (h := self._next_round()) is not None:
-            self._settle(side(h))
+        """Run both passes, with ``side(h)`` the minimal source side of a
+        maximum flow from 0 to 1 on round graph h, as a mask."""
+        pending, self._pending = self._pending, []
+        if not pending:
+            return  # proving has run; every later max_flow call ends here
+        c = self.capacity
+        log_n = (self.graph.n - 1).bit_length()
+        for retry, rounds in ((False, 2 * log_n), (True, log_n)):
+            left: list[int] = []  # batch nodes left on their round's source side
+            for _ in range(rounds):
+                if not pending:
+                    break
+                taken, pending = self._pick(pending, retry)
+                batch = np.array(taken, dtype=np.int64)
+                if (h := self._round_graph(batch)) is None:
+                    return  # an int32 stop ends proving
+                on_side = side(h)[batch + 2]
+                proved = batch[~on_side]
+                self.proven[proved] = True
+                left += batch[on_side].tolist()
+                if 2 * proved.size < batch.size:
+                    break
+            pending = sorted(left, key=lambda v: (-c[v], v))  # for the retry pass
 
-    def _next_round(self) -> Graph | None:
-        """The next round's flow graph, or None once proving has stopped."""
-        g, c = self.graph, self.capacity
-        if not self._rounds_left or not self._pending:
-            if self._retrying or not self._failed:
-                return None
-            failed = np.array(self._failed)
-            self._pending = failed[np.lexsort((failed, -c[failed]))].tolist()
-            self._retrying = True
-            self._rounds_left = (g.n - 1).bit_length()
+    def _pick(self, pending: list[int], one_capacity: bool) -> tuple[list[int], list[int]]:
+        """A round's batch from ``pending`` and the nodes it leaves, each in
+        order: up to max(1, floor(proven / 2)) nodes, none adjacent to one
+        taken before it and, with ``one_capacity``, all of the first node's
+        capacity."""
         size = max(1, int(self.proven.sum()) // 2)
-        pending, capacity = self._pending, self._capacity
-        # a retry round takes nodes of its first node's capacity only
-        only = capacity[pending[0]] if self._retrying else None
+        capacity = self._capacity
+        only = capacity[pending[0]] if one_capacity else None
         taken, kept = [], []
         beside: set[int] = set()  # adjacent to a node already taken
         for i, v in enumerate(pending):
@@ -281,8 +284,12 @@ class DegreeCuts:
             else:
                 taken.append(v)
                 beside.update(self._neighbours[v])
-        self._pending = kept
-        batch = self._batch = np.array(taken, dtype=np.int64)
+        return taken, kept
+
+    def _round_graph(self, batch: np.ndarray) -> Graph | None:
+        """The round graph feeding ``batch``, or None when one of its merged
+        capacities is above ``MAX_CAPACITY``."""
+        g, c = self.graph, self.capacity
         # S = 0, the merged sink T = 1, node v of g becomes v + 2; the arcs
         # come in canonical order: S's by node, T's merged per node, then
         # g's edges away from the sink, in g's own order
@@ -297,23 +304,7 @@ class DegreeCuts:
             np.column_stack([np.zeros_like(fed), fed + 2, c[fed]]),
             np.column_stack([np.ones_like(into), into, to_t[into]]),
             np.column_stack([eu[inner] + 2, ev[inner] + 2, ew[inner]])]))
-        if h.edges[:, 2].max() > MAX_CAPACITY:
-            self._rounds_left, self._retrying = 0, True  # and no retry pass follows
-            return None
-        return h
-
-    def _settle(self, seen: np.ndarray) -> None:
-        """Take a round's minimal source side, a mask over the round graph:
-        every batch node off it is proven, and in the first pass every node
-        on it waits for the second."""
-        on_side = seen[self._batch + 2]
-        proved = self._batch[~on_side]
-        self.proven[proved] = True
-        if not self._retrying:
-            self._failed += self._batch[on_side].tolist()
-        self._rounds_left -= 1
-        if 2 * proved.size < self._batch.size:
-            self._rounds_left = 0
+        return None if h.edges[:, 2].max() > MAX_CAPACITY else h
 
     def proves(self, s: int, t: int) -> bool:
         """Whether {s} is certified as the minimal minimum (s, t)-cut."""

@@ -79,15 +79,15 @@ def approx_single_source(g: Graph, p: int, eps: Fraction = EPS_DEFAULT, *,
     against the n - 1 cuts' flows at ceil(log2 n) pairs per flow; a fixed
     rule, kept as it was when the union flows held that many pairs), a
     ``maxflow.DegreeCuts(g, hub=p)`` certificate answers most nodes first:
-    a proven v has lambda(v, p) = min(deg v, deg p). Its witness is {v},
-    the minimal side, when deg v <= deg p, and V - {p}, a minimum cut that
-    need not be the minimal side, otherwise. ``DegreeCuts.prove()`` runs
-    the proving rounds, and every node left unproven goes to
-    ``min_cuts_between_sets``, ``maxflow.pairs_per_flow(g)`` to a union
-    flow, with its minimal side as witness. So the cost is at most
-    3 ceil(log2 n) flows on n + 2 nodes and one union flow per
-    ``pairs_per_flow(g)`` unproven nodes. Either way the graph must pass
-    the int32 flow guard, else UnsupportedInput.
+    a proven v has lambda(v, p) = c(v), its capped capacity, by the rule in
+    maxflow's module docstring. Its witness is {v}, the minimal side, when
+    deg v <= deg p, and V - {p}, a minimum cut that need not be the
+    minimal side, otherwise. ``DegreeCuts.prove()`` runs the proving
+    rounds, and every node left unproven goes to ``min_cuts_between_sets``,
+    ``maxflow.pairs_per_flow(g)`` to a union flow, with its minimal side as
+    witness. So the cost is the certificate's proving flows and one union
+    flow per ``pairs_per_flow(g)`` unproven nodes. Either way the graph
+    must pass the int32 flow guard, else UnsupportedInput.
 
     A caller-supplied ``estimator(g, p, eps)`` replaces them; the table it
     returns must be for pivot p, with one estimate per node of g, else
@@ -187,15 +187,13 @@ def single_source_unfriendly(g: Graph, p: int, *, eps: Fraction = EPS_DEFAULT,
     that lowers an estimate becomes a witness.
 
     Under the default estimator c'(v) is already lambda(p, v) before the
-    levels are formed (``approx_single_source``: from n = 100 on, with
-    n = 129 aside, a degree-cut certificate rooted at p answers most nodes
-    in at most 3 ceil(log2 n) flows on n + 2 nodes, and the k nodes left
-    take ceil(k / q) union max-flows; elsewhere all n - 1 cuts go to the
-    unions). A certified v of degree above deg(p) has
-    V - {p} as its witness, which need not be its minimal side. Every cut
-    the isolating phase offers v separates v from p, so that phase cannot
-    lower any estimate. It does work only behind an ``estimator`` that
-    returns values above lambda(p, v).
+    levels are formed (``approx_single_source`` says on which graphs a
+    degree-cut certificate rooted at p answers most nodes first). A
+    certified v of degree above deg(p) has V - {p} as its witness, which
+    need not be its minimal side. Every cut the isolating phase offers v
+    separates v from p, so that phase cannot lower any estimate. It does
+    work only behind an ``estimator`` that returns values above
+    lambda(p, v).
     """
     p = node_id(g.n, p, "pivot")
     if g.edges.size and int(g.edges[:, 2].max()) > g.n ** 4:

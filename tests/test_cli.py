@@ -33,8 +33,8 @@ def test_gen_ghtree_verify_roundtrip(tmp_path, capsys):
     assert run(["gen", "--family", "dumbbell", "--n", "4", "--out", str(gpath)]) == EXIT_OK
     assert run(["ghtree", "--in", str(gpath), "--out", str(tpath)]) == EXIT_OK
     assert run(["verify", "--in", str(gpath), "--artifact", str(tpath)]) == EXIT_OK
-    out = capsys.readouterr().out
-    assert "ok" in out
+    # at n <= 20 every pair is compared against one max-flow per pair
+    assert capsys.readouterr().out == "ok: all 28 pair values match max-flow\n"
 
 
 def test_sparsify_and_verify(tmp_path, capsys):
@@ -476,6 +476,25 @@ def test_bench_csv_schema_and_determinism(tmp_path):
 def test_bench_rejects_unknown_family(tmp_path):
     assert run(["bench", "--family", "star", "--sizes", "10",
                 "--w-grid", "2"]) == EXIT_PARSE
+
+
+def test_bench_size_its_generator_rejects_exit_code(capsys):
+    assert run(["bench", "--family", "clique-of-cliques", "--sizes", "1",
+                "--w-grid", "4"]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "base clique needs at least 2 nodes\n"
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["gen", "--family", "path", "--n", "3", "--out"], "g.txt"),
+    (["bench", "--family", "clique", "--sizes", "4", "--w-grid", "2", "--csv"], "x.csv"),
+], ids=["gen", "bench"])
+def test_unwritable_output_exit_code(tmp_path, capsys, argv, name):
+    out = tmp_path / "missing" / name
+    assert run(argv + [str(out)]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"cannot write {out}: ")
+    assert not out.parent.exists()
 
 
 def test_bench_rejects_bad_lists(tmp_path, capsys):

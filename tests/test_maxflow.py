@@ -439,15 +439,19 @@ def test_retry_pass_proves_nodes_the_first_pass_left(monkeypatch):
     assert max_flow(g, 4, 3, degree_cuts=cuts) == (5, Cut(side=frozenset({4}), value=5))
     monkeypatch.undo()
 
-    first_pass = DegreeCuts._next_round
+    class RetryPass(Exception):
+        pass
 
-    def no_retry(c):
-        h = first_pass(c)
-        return None if c._retrying else h
+    def first_pass_only(c, pending, one_capacity):
+        if one_capacity:
+            raise RetryPass  # proving stops where the retry pass would start
+        return pick(c, pending, one_capacity)
 
-    monkeypatch.setattr(DegreeCuts, "_next_round", no_retry)
+    pick = DegreeCuts._pick
+    monkeypatch.setattr(DegreeCuts, "_pick", first_pass_only)
     cuts = DegreeCuts(g)
-    cuts.prove()
+    with pytest.raises(RetryPass):
+        cuts.prove()
     assert not cuts.proven[[3, 4]].any() and cuts.proven[[0, 1]].all()
     assert not cuts.proves(4, 3)
 
@@ -526,6 +530,27 @@ def test_proving_rounds_are_pinned_at_benchmark_sizes(monkeypatch):
     assert proving_batches(monkeypatch, cuts) == [
         1, 1, 1, 2, 3, 4, 6, 9, 14, 21, 31, 41, 29, 26, 9, 1, 1, 1, 1, 1, 1]
     assert cuts.proven.all()
+
+
+def test_an_int32_stop_in_the_first_pass_ends_proving(monkeypatch):
+    # on the pinned unit G(800), the 15th round leaves 22 nodes for the
+    # retry pass; refusing the 16th round's graph, as the int32 limit
+    # would, ends proving with no retry round
+    picks = []
+
+    def recording_pick(c, pending, one_capacity):
+        picks.append(one_capacity)
+        return pick(c, pending, one_capacity)
+
+    def refusing_round_graph(c, batch):
+        return None if len(picks) == 16 else round_graph(c, batch)
+
+    pick, round_graph = DegreeCuts._pick, DegreeCuts._round_graph
+    monkeypatch.setattr(DegreeCuts, "_pick", recording_pick)
+    monkeypatch.setattr(DegreeCuts, "_round_graph", refusing_round_graph)
+    cuts = DegreeCuts(gnp(800, 2 * math.log(800) / 799, seed=7))
+    cuts.prove()
+    assert picks == [False] * 16
 
 
 def test_pairs_per_flow_fits_copies_in_the_arc_budget(monkeypatch):
@@ -620,31 +645,28 @@ def test_union_graph_equals_the_sorted_construction(monkeypatch):
         assert unions == [reference_union_graph(g, region, source)], trial
 
 
-def reference_next_round(cuts):
-    """``DegreeCuts._next_round`` as it was before its round graphs came out
-    in canonical order: the batch picked over a node mask, the arcs listed
-    edge by edge, then sorted and merged by ``Graph._trusted``."""
-    g, c = cuts.graph, cuts.capacity
-    if not cuts._rounds_left or not cuts._pending:
-        if cuts._retrying or not cuts._failed:
-            return None
-        failed = np.array(cuts._failed)
-        cuts._pending = failed[np.lexsort((failed, -c[failed]))].tolist()
-        cuts._retrying = True
-        cuts._rounds_left = (g.n - 1).bit_length()
-    cap = g.capacity_matrix
+def reference_pick(cuts, pending, one_capacity):
+    """``DegreeCuts._pick`` as it was before round graphs came out in
+    canonical order: the batch picked over a node mask."""
+    c, cap = cuts.capacity, cuts.graph.capacity_matrix
     size = max(1, int(cuts.proven.sum()) // 2)
-    only = c[cuts._pending[0]] if cuts._retrying else None
+    only = c[pending[0]] if one_capacity else None
     taken, kept = [], []
-    beside = np.zeros(g.n, dtype=bool)
-    for v in cuts._pending:
+    beside = np.zeros(cuts.graph.n, dtype=bool)
+    for v in pending:
         if len(taken) < size and not beside[v] and (only is None or c[v] == only):
             taken.append(v)
             beside[cap.indices[cap.indptr[v]:cap.indptr[v + 1]]] = True
         else:
             kept.append(v)
-    cuts._pending = kept
-    batch = cuts._batch = np.array(taken, dtype=np.int64)
+    return taken, kept
+
+
+def reference_round_graph(cuts, batch):
+    """``DegreeCuts._round_graph`` as it was before its graphs came out in
+    canonical order: the arcs listed edge by edge, then sorted and merged
+    by ``Graph._trusted``."""
+    g, c = cuts.graph, cuts.capacity
     ids = np.arange(2, g.n + 2)
     ids[cuts.hub | (cuts.proven & (c >= c[batch].max()))] = 1
     u, v = ids[g.edges[:, 0]], ids[g.edges[:, 1]]
@@ -652,10 +674,41 @@ def reference_next_round(cuts):
     h = Graph._trusted(g.n + 2, np.concatenate([
         np.column_stack([u[inside], v[inside], g.edges[inside, 2]]),
         np.column_stack([np.zeros_like(batch), batch + 2, c[batch]])]))
-    if h.edges[:, 2].max() > MAX_CAPACITY:
-        cuts._rounds_left, cuts._retrying = 0, True
-        return None
-    return h
+    return None if h.edges[:, 2].max() > MAX_CAPACITY else h
+
+
+def reference_rounds(cuts):
+    """Prove ``cuts`` round by round as the certificate did before its
+    proving became one loop, with ``reference_pick`` and
+    ``reference_round_graph``: the pending and failed nodes, the pass and
+    its rounds left are state stepped between rounds. Returns each
+    round's (pending nodes, one-capacity flag, batch) and its graph, None
+    for one refused by the int32 limit."""
+    g, c = cuts.graph, cuts.capacity
+    pending, failed = list(cuts._pending), []
+    retrying, rounds_left = False, 2 * (g.n - 1).bit_length()
+    steps, graphs = [], []
+    while True:
+        if not rounds_left or not pending:
+            if retrying or not failed:
+                return steps, graphs
+            failed = np.array(failed)
+            pending = failed[np.lexsort((failed, -c[failed]))].tolist()
+            retrying, rounds_left = True, (g.n - 1).bit_length()
+        taken, kept = reference_pick(cuts, pending, retrying)
+        steps.append((pending, retrying, taken))
+        pending = kept
+        batch = np.array(taken, dtype=np.int64)
+        graphs.append(h := reference_round_graph(cuts, batch))
+        if h is None:
+            return steps, graphs
+        on_side = np.isin(batch + 2, list(max_flow(h, 0, 1)[1].side))
+        cuts.proven[batch[~on_side]] = True
+        if not retrying:
+            failed += batch[on_side].tolist()
+        rounds_left -= 1
+        if 2 * int((~on_side).sum()) < batch.size:
+            rounds_left = 0
 
 
 def test_round_graphs_equal_the_sorted_construction(monkeypatch):
@@ -664,25 +717,30 @@ def test_round_graphs_equal_the_sorted_construction(monkeypatch):
         order = np.argsort(graph_module.degrees(g), kind="stable")
         for hub in (None, int(order[0]), int(order[g.n // 2])):
             cuts, ref = DegreeCuts(g, hub=hub), DegreeCuts(g, hub=hub)
-            while True:
-                given_arcs = recording_trusted(monkeypatch)
-                h = cuts._next_round()
-                monkeypatch.undo()
-                h_ref = reference_next_round(ref)
-                assert (h is None) == (h_ref is None)
-                assert cuts._batch.tolist() == ref._batch.tolist()
-                assert (cuts._pending, cuts._retrying, cuts._rounds_left) == (
-                    ref._pending, ref._retrying, ref._rounds_left)
-                if given_arcs:
-                    assert_canonical(*given_arcs[0])
-                if h is None:
-                    stopped += bool(given_arcs)  # built, then refused by the int32 limit
-                    break
-                assert h == h_ref
-                rounds += 1
-                seen = np.zeros(h.n, dtype=bool)
-                seen[list(max_flow(h, 0, 1)[1].side)] = True
-                cuts._settle(seen)
-                ref._settle(seen)
+            steps, graphs = [], []
+
+            def recording_pick(c, pending, one_capacity):
+                taken, kept = pick(c, pending, one_capacity)
+                steps.append((list(pending), one_capacity, taken))
+                return taken, kept
+
+            def recording_round_graph(c, batch):
+                given_arcs.clear()
+                graphs.append(h := round_graph(c, batch))
+                (n, arcs), = given_arcs
+                assert_canonical(n, arcs)
+                return h
+
+            pick, round_graph = DegreeCuts._pick, DegreeCuts._round_graph
+            given_arcs = recording_trusted(monkeypatch)
+            monkeypatch.setattr(DegreeCuts, "_pick", recording_pick)
+            monkeypatch.setattr(DegreeCuts, "_round_graph", recording_round_graph)
+            cuts.prove()
+            monkeypatch.undo()
+            ref_steps, ref_graphs = reference_rounds(ref)
+            assert steps == ref_steps
+            assert graphs == ref_graphs
             assert np.array_equal(cuts.proven, ref.proven)
+            rounds += sum(h is not None for h in graphs)
+            stopped += graphs[-1:] == [None]  # built, then refused by the int32 limit
     assert rounds >= 700 and stopped >= 6, (rounds, stopped)
