@@ -332,7 +332,10 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("sscut", help="single-source minimum cut estimates")
     c.add_argument("--in", dest="infile", required=True)
     c.add_argument("--source", type=int, required=True)
-    c.add_argument("--mode", default="unfriendly", choices=["unfriendly", "exact"])
+    c.add_argument("--mode", default="unfriendly", choices=["unfriendly", "exact"],
+                   help="exact: the n - 1 exact cuts; unfriendly (default): the same "
+                        "cuts and their estimate levels, for weights at most n^4. Both "
+                        "print the same estimates")
     c.add_argument("--out", default=None)
     c.set_defaults(func=cmd_sscut)
 

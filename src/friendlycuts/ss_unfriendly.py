@@ -1,13 +1,19 @@
 """Single-source minimum cuts, exact whenever some minimum cut is unfriendly.
 
 Starting from per-node (1+eps)-approximate estimates with witness cuts, the
-algorithm forms geometric estimate levels T_i, runs isolating cuts on each
-distinct level with the pivot included (all levels in one
-``isolating_cuts_many`` call), and min-merges the resulting cut values back
-into the table, level by level. Estimates only ever decrease, and every estimate
-keeps a witness cut of exactly its value, so the table is sound by
-construction; exactness for pairs with an unfriendly minimum cut follows
-from the two case-analysis predicates exposed below.
+algorithm forms geometric estimate levels T_i. Behind a caller's estimator
+it then runs isolating cuts on each distinct level with the pivot included
+(all levels in one ``isolating_cuts_many`` call), and min-merges the
+resulting cut values back into the table, level by level. Estimates only
+ever decrease, and every estimate keeps a witness cut of exactly its value,
+so the table is sound by construction; exactness for pairs with an
+unfriendly minimum cut follows from the two case-analysis predicates
+exposed below.
+
+The built-in estimator returns lambda(p, v) itself, and every cut the
+isolating phase offers v separates v from p, so it is at least that value
+and cannot lower the estimate. So the phase runs only behind a caller's
+estimator; on the default path the levels are still formed and reported.
 """
 
 from __future__ import annotations
@@ -178,7 +184,8 @@ def single_source_unfriendly(g: Graph, p: int, *, eps: Fraction = EPS_DEFAULT,
     Weights must stay polynomially bounded (at most n^4) so the number of
     levels stays logarithmic.
 
-    The levels are fixed before any isolating cut is found, so one
+    The isolating phase runs only behind a caller's ``estimator``. Its
+    levels are fixed before any isolating cut is found, so one
     ``isolating_cuts_many`` call answers them all: ceil(B / q) global
     max-flows, B being the sum of ceil(log2 |T_i|) over the levels and q
     the ``maxflow.pairs_per_flow(g)`` copies of g that fit in one union
@@ -190,17 +197,21 @@ def single_source_unfriendly(g: Graph, p: int, *, eps: Fraction = EPS_DEFAULT,
     levels are formed (``approx_single_source`` says on which graphs a
     degree-cut certificate rooted at p answers most nodes first). A
     certified v of degree above deg(p) has V - {p} as its witness, which
-    need not be its minimal side. Every cut the isolating phase offers v
-    separates v from p, so that phase cannot lower any estimate. It does
-    work only behind an ``estimator`` that returns values above
-    lambda(p, v).
+    need not be its minimal side. Every cut the isolating phase would offer
+    v separates v from p, so its value is at least lambda(p, v), and only
+    a strictly lower value is merged: the phase could not change any
+    estimate or witness, and is skipped. The levels are still formed and
+    returned, so ``levels`` and the ``delta`` check do not depend on the
+    estimator.
     """
     p = node_id(g.n, p, "pivot")
     if g.edges.size and int(g.edges[:, 2].max()) > g.n ** 4:
         raise UnsupportedInput("edge weights must be at most n^4")
     table = approx_single_source(g, p, eps, estimator=estimator)
     levels = _level_sets(table, delta)
-    for iso in isolating_cuts_many(g, levels):
+    # the built-in estimator is exact, so no isolating cut could lower it
+    isolated = isolating_cuts_many(g, levels) if estimator is not None else []
+    for iso in isolated:
         # each terminal's own cut first, as one level at a time would merge
         terms, values = iso.terminals, iso.values
         for i in np.flatnonzero((values < table.estimates[terms]) & (terms != p)).tolist():

@@ -306,6 +306,21 @@ def test_criterion_4_adversarial_check_fails_without_isolating_phase(monkeypatch
     assert exact_misses > 0 and first[0] == "exactness"
 
 
+def test_criterion_4_default_path_equals_the_isolating_phase_on_exact_estimates():
+    """The default path skips the isolating phase; running it on the same
+    exact estimates, behind ``estimator=approx_single_source``, changes no
+    estimate, witness side or level."""
+    for i in range(0, CORPUS_SIZE, 3):
+        g = corpus_graph(i)
+        for p in range(g.n):
+            table = single_source_unfriendly(g, p)
+            ref = single_source_unfriendly(g, p, estimator=ss_unfriendly.approx_single_source)
+            assert table.levels == ref.levels, (i, p)
+            assert np.array_equal(table.estimates, ref.estimates), (i, p)
+            assert {v: w.side for v, w in table.witnesses.items()} == \
+                {v: w.side for v, w in ref.witnesses.items()}, (i, p)
+
+
 def per_level_reference(g, p, estimator, delta=ss_unfriendly.DELTA_DEFAULT):
     """single_source_unfriendly as documented, one level at a time: levels
     from the threshold walk over exact powers of (1 + delta), one

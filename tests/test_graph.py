@@ -209,6 +209,16 @@ def test_cut_primitives_match_per_edge_reference(case):
         assert is_friendly(g, members) == (not any(unfriendly))
 
 
+def test_crossing_rows_reads_one_and_many_labellings_as_fancy_indexing_does():
+    rng = np.random.default_rng(5)
+    for n, m, k in ((2, 1, 1), (9, 30, 3), (40, 200, 17)):
+        edges = np.column_stack([rng.integers(0, n, size=(m, 2)), rng.integers(1, 9, size=m)])
+        for labels in (rng.integers(0, 3, size=n), rng.random((k, n)).T < 0.5):
+            expect = labels[edges[:, 0]] != labels[edges[:, 1]]
+            got = crossing_rows(edges, labels)
+            assert got.shape == expect.shape and (got == expect).all()
+
+
 def test_cut_primitives_without_edges():
     g = Graph.build(5, [])
     labels = np.arange(5)

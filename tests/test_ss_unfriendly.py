@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from friendlycuts import maxflow
+from friendlycuts import maxflow, ss_unfriendly
 from friendlycuts.generators import gnp, random_regular
 from friendlycuts.graph import (CROSS_DEN, CROSS_NUM, Cut, Graph, UnsupportedInput,
                                crossing_weights, cut_value, degrees)
@@ -289,6 +289,45 @@ def test_certified_estimates_keep_the_int32_guard(monkeypatch):
     edges[40] = (0, 41, 2**31)
     with pytest.raises(UnsupportedInput, match="int32"):
         approx_single_source(Graph.build(128, edges), 0)
+
+
+def test_skipping_the_isolating_phase_changes_no_output():
+    # on ssu-wgnp-shaped graphs at a median-weighted-degree pivot, the default
+    # path against the phase run on the same exact estimates
+    for seed in range(3, 7):
+        g = weighted_gnp(200, seed)
+        p = int(np.lexsort((np.arange(g.n), degrees(g)))[g.n // 2])
+        table = single_source_unfriendly(g, p)
+        ref = single_source_unfriendly(g, p, estimator=approx_single_source)
+        assert len(table.levels) > 20 and table.levels == ref.levels
+        assert np.array_equal(table.estimates, ref.estimates)
+        assert {v: w.side for v, w in table.witnesses.items()} == \
+            {v: w.side for v, w in ref.witnesses.items()}
+
+
+def test_isolating_phase_runs_only_behind_an_estimator(monkeypatch):
+    def unreachable(g, levels):
+        raise AssertionError("isolating phase reached")
+
+    monkeypatch.setattr(ss_unfriendly, "isolating_cuts_many", unreachable)
+    g = dumbbell()
+    table = single_source_unfriendly(g, 0)
+    assert table.levels and [table.estimate(v) for v in (1, 5)] == [4, 1]
+    with pytest.raises(AssertionError, match="isolating phase reached"):
+        single_source_unfriendly(g, 0, estimator=approx_single_source)
+
+
+def test_int32_overflow_only_in_the_isolating_phase_is_not_reached():
+    # weights near n^4 pass the weight guard and every single-pair flow, but
+    # the isolating phase's merged terminals overflow int32
+    n = 60
+    base = gnp(n, 0.5, seed=3)
+    w = np.random.default_rng(3).integers(n**4 // 2, n**4 + 1, size=base.edge_count)
+    g = Graph.build(n, np.column_stack([base.edges[:, :2], w]))
+    table = check_soundness_at(g, single_source_unfriendly(g, 0))
+    assert all(table.estimate(v) == max_flow(g, 0, v)[0] for v in range(1, n))
+    with pytest.raises(UnsupportedInput, match="int32"):
+        single_source_unfriendly(g, 0, estimator=approx_single_source)
 
 
 def test_unfriendly_clique_all_exact():
