@@ -333,9 +333,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--in", dest="infile", required=True)
     c.add_argument("--source", type=int, required=True)
     c.add_argument("--mode", default="unfriendly", choices=["unfriendly", "exact"],
-                   help="exact: the n - 1 exact cuts; unfriendly (default): the same "
-                        "cuts and their estimate levels, for weights at most n^4. Both "
-                        "print the same estimates")
+                   help="both modes print the same exact estimates; unfriendly "
+                        "(default) also forms their levels and needs weights at most n^4")
     c.add_argument("--out", default=None)
     c.set_defaults(func=cmd_sscut)
 
