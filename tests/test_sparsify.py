@@ -239,3 +239,9 @@ def test_decomposition_is_pinned_at_a_fixed_seed():
         labels[sorted(cluster)] = i
     assert (_digest(labels), dec.outer_edges, dec.certified) == (
         "eae2412769bcd38e", 36, [False] * 9)
+
+
+def test_decomposition_outer_edges_is_pinned_at_a_fixed_seed():
+    """The one-shot decomposition's inter-cluster weight that ``bench``
+    reports, at clique_of_cliques(16), w = 4, seed 7."""
+    assert decomposition_outer_edges(clique_of_cliques(16), 4, SparsifyConfig(seed=7)) == 120
