@@ -47,7 +47,7 @@ from .sparsify import (
     terminal_sparsify,
     verify_friendly_preservation,
 )
-from .ss_unfriendly import approx_single_source, single_source_unfriendly
+from .ss_unfriendly import approx_single_source
 
 EXIT_OK = 0
 EXIT_VERIFY = 2
@@ -160,10 +160,7 @@ def cmd_ghtree(args) -> int:
 def cmd_sscut(args) -> int:
     g = _load(args.infile, parse_graph)
     p = args.source
-    if args.mode == "exact":
-        table = approx_single_source(g, p)
-    else:
-        table = single_source_unfriendly(g, p)
+    table = approx_single_source(g, p)
     _write_output("".join(f"{v} {table.estimate(v)}\n" for v in range(g.n) if v != p),
                   args.out)
     return EXIT_OK
@@ -329,12 +326,10 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--out", default=None)
     t.set_defaults(func=cmd_ghtree)
 
-    c = sub.add_parser("sscut", help="single-source minimum cut estimates")
+    c = sub.add_parser("sscut", help="exact single-source minimum cut values")
     c.add_argument("--in", dest="infile", required=True)
-    c.add_argument("--source", type=int, required=True)
-    c.add_argument("--mode", default="unfriendly", choices=["unfriendly", "exact"],
-                   help="both modes print the same exact estimates; unfriendly "
-                        "(default) also forms their levels and needs weights at most n^4")
+    c.add_argument("--source", type=int, required=True,
+                   help="print the exact minimum-cut value from this node to every other node")
     c.add_argument("--out", default=None)
     c.set_defaults(func=cmd_sscut)
 

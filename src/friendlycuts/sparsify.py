@@ -21,7 +21,7 @@ from typing import Iterable
 import numpy as np
 
 from . import oracle
-from .expander import Decomposition, decompose
+from .expander import decompose
 from .graph import (
     ContractionMap,
     Cut,
@@ -140,7 +140,7 @@ def _contract_shaved(g: Graph, labels: np.ndarray, shaved: np.ndarray) -> Contra
 
 
 def _round(g: Graph, demand, w: Fraction, phi: Fraction, seed: int,
-           sizes: np.ndarray | None = None) -> tuple[ContractionMap, Decomposition]:
+           sizes: np.ndarray | None = None) -> ContractionMap:
     """One decompose-shave-contract round at threshold w: decompose g under
     the node demands, shave each cluster (``sizes`` counts the original nodes
     behind each node of g, one each by default), and contract what survives."""
@@ -149,7 +149,7 @@ def _round(g: Graph, demand, w: Fraction, phi: Fraction, seed: int,
     if sizes is None:
         sizes = np.ones(g.n, dtype=np.int64)
     shaved = _shave_mask(g, labels, w, sizes)
-    return _contract_shaved(g, labels, shaved), dec
+    return _contract_shaved(g, labels, shaved)
 
 
 def friendly_sparsify_oneshot(g: Graph, w: int, cfg: SparsifyConfig | None = None) -> Sparsifier:
@@ -162,8 +162,7 @@ def friendly_sparsify_oneshot(g: Graph, w: int, cfg: SparsifyConfig | None = Non
     w = _threshold(w)
     phi = default_phi(g.n)
     demand = [sqrt_upper(Fraction(w)) / phi] * g.n
-    cmap, _ = _round(g, demand, Fraction(w), phi, cfg.seed)
-    return Sparsifier.of(g, cmap)
+    return Sparsifier.of(g, _round(g, demand, Fraction(w), phi, cfg.seed))
 
 
 def friendly_sparsify(g: Graph, w: int, cfg: SparsifyConfig | None = None) -> Sparsifier:
@@ -192,7 +191,7 @@ def friendly_sparsify(g: Graph, w: int, cfg: SparsifyConfig | None = None) -> Sp
         if wj < w:
             break
         loops = int(math.ceil(sqrt_upper(wj) / phi))
-        step, _ = _round(cur, degrees(cur) + loops, wj, phi, cfg.seed + j, cmap.size_of)
+        step = _round(cur, degrees(cur) + loops, wj, phi, cfg.seed + j, cmap.size_of)
         if step.n_super < cur.n:
             cur = contract(cur, step)
             cmap = cmap.compose(step)
@@ -207,8 +206,7 @@ def decomposition_outer_edges(g: Graph, w: int, cfg: SparsifyConfig | None = Non
     w = _threshold(w)
     phi = default_phi(g.n)
     demand = [sqrt_upper(Fraction(w)) / phi] * g.n
-    _, dec = _round(g, demand, Fraction(w), phi, cfg.seed)
-    return dec.outer_edges
+    return decompose(g, phi, demand, seed=cfg.seed).outer_edges
 
 
 def terminal_sparsify(g: Graph, terminals: Iterable[int], w: int,
@@ -226,8 +224,7 @@ def terminal_sparsify(g: Graph, terminals: Iterable[int], w: int,
     base = sqrt_upper(Fraction(w)) / phi
     big = Fraction(3 * w) / phi
     demand = [big if v in terms else base for v in range(g.n)]
-    cmap, _ = _round(g, demand, Fraction(w), phi, cfg.seed)
-    return Sparsifier.of(g, cmap)
+    return Sparsifier.of(g, _round(g, demand, Fraction(w), phi, cfg.seed))
 
 
 def verify_friendly_preservation(g: Graph, h: Sparsifier, w: int) -> PreservationReport:

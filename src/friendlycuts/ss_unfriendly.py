@@ -10,10 +10,12 @@ so the table is sound by construction; exactness for pairs with an
 unfriendly minimum cut follows from the two case-analysis predicates
 exposed below.
 
-The built-in estimator returns lambda(p, v) itself, and every cut the
-isolating phase offers v separates v from p, so it is at least that value
-and cannot lower the estimate. So the phase runs only behind a caller's
-estimator; on the default path the levels are still formed and reported.
+The built-in estimator, ``approx_single_source``, returns lambda(p, v)
+itself, and every cut the isolating phase offers v separates v from p, so
+it is at least that value and cannot lower the estimate. So the phase, and
+the n^4 weight bound that keeps its level count logarithmic, apply only
+behind a caller's estimator; on the default path the levels are still
+formed and reported.
 """
 
 from __future__ import annotations
@@ -74,16 +76,16 @@ class EstimateTable:
             self.witnesses[v] = witness
 
 
-def approx_single_source(g: Graph, p: int, eps: Fraction = EPS_DEFAULT, *,
-                         estimator: Callable[[Graph, int, Fraction], "EstimateTable"] | None = None,
-                         ) -> EstimateTable:
-    """(1+eps)-approximate min-cut values from p to every other node.
+def approx_single_source(g: Graph, p: int, eps: Fraction = EPS_DEFAULT) -> EstimateTable:
+    """Exact min-cut values from p to every other node, each with a witness.
 
-    By default these are the exact values, which are trivially within any
-    eps. Where 2 ceil(log2 n) < ceil((n - 1) / ceil(log2 n)), which holds
-    from n = 100 on with n = 129 aside (the first proving pass's budget
-    against the n - 1 cuts' flows at ceil(log2 n) pairs per flow; a fixed
-    rule, kept as it was when the union flows held that many pairs), a
+    Exact values are trivially within any eps, so this is also
+    ``single_source_unfriendly``'s default (1+eps)-estimator; eps is only
+    recorded in the table. Where 2 ceil(log2 n) < ceil((n - 1) / ceil(log2 n)),
+    which holds from n = 100 on with n = 129 aside (the first proving
+    pass's budget against the n - 1 cuts' flows at ceil(log2 n) pairs per
+    flow; a fixed rule, kept as it was when the union flows held that many
+    pairs), a
     ``maxflow.DegreeCuts(g, hub=p)`` certificate answers most nodes first:
     a proven v has lambda(v, p) = c(v), its capped capacity, by the rule in
     maxflow's module docstring. Its witness is {v}, the minimal side, when
@@ -94,18 +96,8 @@ def approx_single_source(g: Graph, p: int, eps: Fraction = EPS_DEFAULT, *,
     witness. So the cost is the certificate's proving flows and one union
     flow per ``pairs_per_flow(g)`` unproven nodes. Either way the graph
     must pass the int32 flow guard, else UnsupportedInput.
-
-    A caller-supplied ``estimator(g, p, eps)`` replaces them; the table it
-    returns must be for pivot p, with one estimate per node of g, else
-    ValueError. Its witness sides are not re-checked.
     """
     p = node_id(g.n, p, "pivot")
-    if estimator is not None:
-        table = estimator(g, p, eps)
-        if table.pivot != p or np.shape(table.estimates) != (g.n,):
-            raise ValueError(f"estimator must return a table for pivot {p} "
-                             "with one estimate per node")
-        return table
     others = [v for v in range(g.n) if v != p]
     estimates = np.zeros(g.n, dtype=np.int64)
     witnesses: dict[int, Cut] = {}
@@ -181,33 +173,38 @@ def single_source_unfriendly(g: Graph, p: int, *, eps: Fraction = EPS_DEFAULT,
     """Estimates c'(v) >= lambda(p, v), exact whenever some minimum p,v-cut
     is unfriendly.
 
-    Weights must stay polynomially bounded (at most n^4) so the number of
-    levels stays logarithmic.
+    By default c'(v) is ``approx_single_source``'s lambda(p, v), and its
+    witness is the one found there; a certified v of degree above deg(p)
+    has V - {p}, which need not be its minimal side. Every cut the
+    isolating phase would offer v separates v from p, so its value is at
+    least lambda(p, v), and only a strictly lower value is merged: the phase
+    could not change any estimate or witness, and is skipped. The levels are
+    still formed and returned, so ``levels`` and the ``delta`` check do not
+    depend on the estimator. They are distinct estimates, so at most n - 1.
 
-    The isolating phase runs only behind a caller's ``estimator``. Its
-    levels are fixed before any isolating cut is found, so one
-    ``isolating_cuts_many`` call answers them all: ceil(B / q) global
-    max-flows, B being the sum of ceil(log2 |T_i|) over the levels and q
-    the ``maxflow.pairs_per_flow(g)`` copies of g that fit in one union
-    flow, and one local max-flow. Its cuts are merged level by level, each
-    terminal's own cut before the pivot's complement side, and only a value
-    that lowers an estimate becomes a witness.
-
-    Under the default estimator c'(v) is already lambda(p, v) before the
-    levels are formed (``approx_single_source`` says on which graphs a
-    degree-cut certificate rooted at p answers most nodes first). A
-    certified v of degree above deg(p) has V - {p} as its witness, which
-    need not be its minimal side. Every cut the isolating phase would offer
-    v separates v from p, so its value is at least lambda(p, v), and only
-    a strictly lower value is merged: the phase could not change any
-    estimate or witness, and is skipped. The levels are still formed and
-    returned, so ``levels`` and the ``delta`` check do not depend on the
-    estimator.
+    A caller-supplied ``estimator(g, p, eps)`` replaces
+    ``approx_single_source``. The table it returns must be for pivot p, with
+    one estimate per node of g, else ValueError; its witness sides are not
+    re-checked. Behind it, weights must stay polynomially bounded (at most
+    n^4, else UnsupportedInput) so the number of levels stays logarithmic,
+    and the isolating phase runs. Its levels are fixed before any isolating
+    cut is found, so one ``isolating_cuts_many`` call answers them all:
+    ceil(B / q) global max-flows, B being the sum of ceil(log2 |T_i|) over
+    the levels and q the ``maxflow.pairs_per_flow(g)`` copies of g that fit
+    in one union flow, and one local max-flow. Its cuts are merged level by
+    level, each terminal's own cut before the pivot's complement side, and
+    only a value that lowers an estimate becomes a witness.
     """
     p = node_id(g.n, p, "pivot")
-    if g.edges.size and int(g.edges[:, 2].max()) > g.n ** 4:
-        raise UnsupportedInput("edge weights must be at most n^4")
-    table = approx_single_source(g, p, eps, estimator=estimator)
+    if estimator is None:
+        table = approx_single_source(g, p, eps)
+    else:
+        if g.edges.size and int(g.edges[:, 2].max()) > g.n ** 4:
+            raise UnsupportedInput("edge weights must be at most n^4")
+        table = estimator(g, p, eps)
+        if table.pivot != p or np.shape(table.estimates) != (g.n,):
+            raise ValueError(f"estimator must return a table for pivot {p} "
+                             "with one estimate per node")
     levels = _level_sets(table, delta)
     # the built-in estimator is exact, so no isolating cut could lower it
     isolated = isolating_cuts_many(g, levels) if estimator is not None else []

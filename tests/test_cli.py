@@ -3,6 +3,8 @@ import io
 import itertools
 import math
 import random
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -58,6 +60,21 @@ def test_verify_detects_mismatched_graph(tmp_path, capsys):
     assert "verification failed" in capsys.readouterr().out
 
 
+def test_readme_command_line_examples_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = [line for line in block.splitlines() if line.startswith("friendlycuts ")]
+    parser = cli.build_parser()
+    for line in examples:
+        try:
+            parser.parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README example does not parse: {line}")
+    # one example, at least, per subcommand
+    assert {shlex.split(line)[1] for line in examples} == {
+        "gen", "sparsify", "ghtree", "sscut", "verify", "bench"}
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("this is not a graph\n")
@@ -66,10 +83,11 @@ def test_parse_error_exit_code(tmp_path, capsys):
     # usage errors are input errors too, not verification failures
     assert run(["ghtree", "--in", str(bad), "--algo", "accelerated"]) == EXIT_PARSE
     assert run(["sscut", "--in", str(bad)]) == EXIT_PARSE
-    # on a valid graph too: sscut has one pipeline per mode and no seed
+    # on a valid graph too: sscut has one pipeline, no mode and no seed
     good = tmp_path / "good.txt"
     good.write_text(serialize_graph(clique(5)))
-    assert run(["sscut", "--in", str(good), "--source", "0", "--mode", "accelerated"]) == EXIT_PARSE
+    for mode in ("accelerated", "exact", "unfriendly"):
+        assert run(["sscut", "--in", str(good), "--source", "0", "--mode", mode]) == EXIT_PARSE
     assert run(["sscut", "--in", str(good), "--source", "0", "--seed", "1"]) == EXIT_PARSE
     assert capsys.readouterr().out == ""
     assert run(["no-such-command"]) == EXIT_PARSE
@@ -231,24 +249,23 @@ def test_guard_exit_code(tmp_path, capsys):
 def test_sscut_modes(tmp_path, capsys):
     gpath = tmp_path / "g.txt"
     gpath.write_text(serialize_graph(clique(5)))
-    for mode in ("exact", "unfriendly"):
-        assert run(["sscut", "--in", str(gpath), "--source", "0",
-                    "--mode", mode]) == EXIT_OK
-        lines = capsys.readouterr().out.strip().splitlines()
-        assert lines == [f"{v} 4" for v in range(1, 5)]
+    assert run(["sscut", "--in", str(gpath), "--source", "0"]) == EXIT_OK
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines == [f"{v} 4" for v in range(1, 5)]
 
 
 def test_sscut_and_flow_guards_exit_code(tmp_path, capsys):
     small = tmp_path / "g.txt"
-    small.write_text("3 2\n0 1 100\n1 2 100\n")
-    # weights above n^4 trip the unfriendly routine's guard
-    assert run(["sscut", "--in", str(small), "--source", "0", "--mode", "unfriendly"]) == EXIT_PARSE
-    assert "n^4" in capsys.readouterr().err
+    # weights above n^4 are answered: only the isolating phase, behind a
+    # library caller's estimator, bounds them
+    small.write_text("3 2\n0 1 200\n1 2 1\n")
+    assert run(["sscut", "--in", str(small), "--source", "0"]) == EXIT_OK
+    assert capsys.readouterr().out == "1 200\n2 1\n"
     big = tmp_path / "big.txt"
     big.write_text(f"3 2\n0 1 {2**31}\n1 2 {2**31}\n")
     tree = tmp_path / "t.txt"
     tree.write_text(f"3 1\n0 1 {2**31}\n1 2 {2**31}\n")
-    for args in (["sscut", "--in", str(big), "--source", "0", "--mode", "exact"],
+    for args in (["sscut", "--in", str(big), "--source", "0"],
                  ["ghtree", "--in", str(big)],
                  ["verify", "--in", str(big), "--artifact", str(tree)]):
         assert run(args) == EXIT_PARSE
@@ -276,7 +293,7 @@ def test_total_weight_bound_exit_code(tmp_path, capsys):
                  f"2 1\n0 1 {2**63}\n"):
         gpath.write_text(text)
         for args in (["ghtree", "--in", str(gpath)],
-                     ["sscut", "--in", str(gpath), "--source", "0", "--mode", "exact"],
+                     ["sscut", "--in", str(gpath), "--source", "0"],
                      ["verify", "--in", str(gpath), "--artifact", str(hpath), "--w", "1"]):
             assert run(args) == EXIT_PARSE
             captured = capsys.readouterr()
@@ -294,7 +311,7 @@ def test_sscut_internal_check_failure_is_not_an_input_error(tmp_path, monkeypatc
 
     monkeypatch.setattr(cli, "approx_single_source", broken)
     with pytest.raises(ValueError, match="witness"):
-        run(["sscut", "--in", str(gpath), "--source", "0", "--mode", "exact"])
+        run(["sscut", "--in", str(gpath), "--source", "0"])
 
 
 def test_ghtree_internal_check_failure_is_not_an_input_error(tmp_path, monkeypatch):
@@ -390,7 +407,7 @@ def test_sscut_exact_output_equals_the_plain_cuts(tmp_path, capsys):
     gpath = tmp_path / "g.txt"
     gpath.write_text(serialize_graph(g))
     for p in (0, 75, 149):
-        assert run(["sscut", "--in", str(gpath), "--source", str(p), "--mode", "exact"]) == EXIT_OK
+        assert run(["sscut", "--in", str(gpath), "--source", str(p)]) == EXIT_OK
         others = [v for v in range(g.n) if v != p]
         values, _ = min_cuts_between_sets(g, [([v], [p]) for v in others])
         assert capsys.readouterr().out == "".join(f"{v} {x}\n" for v, x in zip(others, values))
@@ -408,23 +425,18 @@ def test_sscut_source_range(tmp_path, capsys):
     gpath = tmp_path / "g.txt"
     gpath.write_text(serialize_graph(path(4)))
     assert run(["sscut", "--in", str(gpath), "--source", "9"]) == EXIT_PARSE
-    for mode in ("exact", "unfriendly"):
-        capsys.readouterr()
-        assert run(["sscut", "--in", str(gpath), "--source", "9", "--mode", mode]) == EXIT_PARSE
-        captured = capsys.readouterr()
-        assert captured.out == "" and "pivot 9 out of range" in captured.err
+    captured = capsys.readouterr()
+    assert captured.out == "" and "pivot 9 out of range" in captured.err
 
 
 def test_sscut_on_one_node_writes_nothing(tmp_path, capsys):
     gpath = tmp_path / "g.txt"
     opath = tmp_path / "out.txt"
     gpath.write_text("1 0\n")
-    for mode in ("exact", "unfriendly"):
-        assert run(["sscut", "--in", str(gpath), "--source", "0", "--mode", mode]) == EXIT_OK
-        assert capsys.readouterr().out == ""
-        assert run(["sscut", "--in", str(gpath), "--source", "0", "--mode", mode,
-                    "--out", str(opath)]) == EXIT_OK
-        assert opath.read_text() == ""
+    assert run(["sscut", "--in", str(gpath), "--source", "0"]) == EXIT_OK
+    assert capsys.readouterr().out == ""
+    assert run(["sscut", "--in", str(gpath), "--source", "0", "--out", str(opath)]) == EXIT_OK
+    assert opath.read_text() == ""
 
 
 def test_w_below_one_is_a_usage_error(tmp_path, capsys):

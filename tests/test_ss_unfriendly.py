@@ -76,7 +76,8 @@ def test_exact_estimates_on_dumbbell():
 def test_estimator_replaces_exact_flows():
     g = dumbbell()
     table = approx_single_source(g, 0)
-    assert approx_single_source(g, 0, estimator=lambda h, p, eps: table) is table
+    fixed = single_source_unfriendly(g, 0, estimator=lambda h, p, eps: table)
+    assert fixed.estimates is table.estimates and fixed.witnesses is table.witnesses
     calls = []
 
     def estimator(h, p, eps):
@@ -93,15 +94,13 @@ def test_estimator_table_must_fit_the_pivot_and_graph():
     # a table built for another pivot, at a pivot inside and across the bridge
     for p in (1, 7):
         with pytest.raises(ValueError, match="pivot"):
-            approx_single_source(g, p, estimator=lambda h, q, eps: table)
-        with pytest.raises(ValueError, match="pivot"):
             single_source_unfriendly(g, p, estimator=lambda h, q, eps: table)
     # one estimate per node of g, no more and no fewer
     for size in (g.n - 1, g.n + 1):
         short = EstimateTable(pivot=0, estimates=np.zeros(size, dtype=np.int64),
                               witnesses=table.witnesses, eps=table.eps)
         with pytest.raises(ValueError, match="one estimate per node"):
-            approx_single_source(g, 0, estimator=lambda h, q, eps: short)
+            single_source_unfriendly(g, 0, estimator=lambda h, q, eps: short)
 
 
 def test_equal_witness_sides_are_one_object():
@@ -353,9 +352,20 @@ def test_dumbbell_cross_pair_upper_bound_only():
 
 
 def test_weight_guard():
+    # the bound keeps the isolating phase's level count logarithmic, so
+    # only the estimator path checks it
     g = Graph.build(3, [(0, 1, 3 ** 4 * 2), (1, 2, 1)])
-    with pytest.raises(ValueError):
-        single_source_unfriendly(g, 0)
+    with pytest.raises(ValueError, match="n\\^4"):
+        single_source_unfriendly(g, 0, estimator=approx_single_source)
+
+
+def test_default_path_answers_weights_above_n4():
+    # its levels are distinct estimates, at most n - 1 of them
+    for g in (Graph.build(3, [(0, 1, 3 ** 4 * 2), (1, 2, 1)]),
+              Graph.build(3, [(0, 1, 200), (1, 2, 1)])):
+        table = single_source_unfriendly(g, 0)
+        assert [table.estimate(v) for v in (1, 2)] == [max_flow(g, 0, v)[0] for v in (1, 2)]
+        assert list(table.levels) == definition_levels(table.estimates, 0, table.delta)
 
 
 def test_level_structure():
