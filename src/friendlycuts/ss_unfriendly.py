@@ -85,15 +85,14 @@ def approx_single_source(g: Graph, p: int, eps: Fraction = EPS_DEFAULT) -> Estim
     which holds from n = 100 on with n = 129 aside (the first proving
     pass's budget against the n - 1 cuts' flows at ceil(log2 n) pairs per
     flow; a fixed rule, kept as it was when the union flows held that many
-    pairs), a
-    ``maxflow.DegreeCuts(g, hub=p)`` certificate answers most nodes first:
-    a proven v has lambda(v, p) = c(v), its capped capacity, by the rule in
-    maxflow's module docstring. Its witness is {v}, the minimal side, when
-    deg v <= deg p, and V - {p}, a minimum cut that need not be the
-    minimal side, otherwise. ``DegreeCuts.prove()`` runs the proving
-    rounds, and every node left unproven goes to ``min_cuts_between_sets``,
-    ``maxflow.pairs_per_flow(g)`` to a union flow, with its minimal side as
-    witness. So the cost is the certificate's proving flows and one union
+    pairs), a ``maxflow.DegreeCuts(g, hub=p)`` certificate answers most
+    nodes first: a proven v has lambda(v, p) = c(v), its capped capacity,
+    by the rule in maxflow's module docstring. Its witness is {v}, the
+    minimal side, when deg v <= deg p, and V - {p}, a minimum cut that
+    need not be the minimal side, otherwise. ``DegreeCuts.prove()`` runs
+    the proving rounds, and every node left unproven goes to
+    ``min_cuts_between_sets``, ``maxflow.pairs_per_flow(g)`` to a union
+    flow, with its minimal side as witness. So the cost is the certificate's proving flows and one union
     flow per ``pairs_per_flow(g)`` unproven nodes. Either way the graph
     must pass the int32 flow guard, else UnsupportedInput.
     """
