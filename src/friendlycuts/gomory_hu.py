@@ -161,29 +161,34 @@ def gomory_hu(g: Graph) -> GHTree:
     n - c ``max_flow`` calls, all in g.
 
     Every node starts hung from the first node of its connected component.
-    Each other node s, in order, takes the minimal minimum (s, t)-cut of g
-    itself against its current parent t; the nodes on s's side that hang
-    from t move to s, and when t's own parent lies on s's side too, s takes
-    t's place in the tree.
+    Each other node s, in order, takes a minimum (s, t)-cut of g itself
+    against its current parent t; the nodes on s's side that hang from t
+    move to s, and when t's own parent lies on s's side too, s takes t's
+    place in the tree. Gusfield's method needs only some minimum cut per
+    step, not the minimal one.
 
-    Most steps' cut is s's degree cut {s}. Every step shares one
+    Most steps' cut is a degree cut. Every step shares one
     ``maxflow.DegreeCuts`` of g, and ``max_flow`` answers a step whose pair
-    the certificate proves with {s}, the engine's own answer, without the
-    engine, so the tree is the one the engine's cuts alone would give.
-    Cost: the certificate's proving flows, bounded in maxflow's module
-    docstring, plus one flow per step that is not proven. A step whose side
-    is {s} moves no other node, so it costs O(1) past its ``max_flow`` call.
+    the certificate proves without the engine: with {s}, the engine's own
+    answer, or, where it proves (t, s), with s's component minus t. Where
+    minimum cuts tie, that side can differ from the engine's minimal one,
+    and so can the tree from engine-only Gusfield; it is cut-equivalent
+    all the same. Cost: the certificate's proving flows, bounded in
+    maxflow's module docstring, plus one flow per step proven in neither
+    orientation. A step whose side is {s} moves no other node, so it costs
+    O(1) past its ``max_flow`` call; any other step costs O(|side|).
     """
     labels = component_labels(g.n, g.edges[:, 0], g.edges[:, 1])[1]
-    parent = np.unique(labels, return_index=True)[1][labels]
-    fl = np.zeros(g.n, dtype=np.int64)
+    parent = np.unique(labels, return_index=True)[1][labels].tolist()
+    fl = [0] * g.n
     degree_cuts = DegreeCuts(g)
     for s in range(g.n):
-        t = int(parent[s])
+        t = parent[s]
         if t == s:
             continue  # the root of its component
         value, cut = max_flow(g, s, t, degree_cuts=degree_cuts)
-        if len(cut.side) == 1 and s in cut.side:
+        side = cut.side
+        if len(side) == 1 and s in side:
             # the side {s}: no other node moves, and s takes t's place only
             # if t hangs from s, as in the general step below
             fl[s] = value
@@ -191,18 +196,18 @@ def gomory_hu(g: Graph) -> GHTree:
                 parent[s], parent[t] = parent[t], s
                 fl[s], fl[t] = fl[t], value
             continue
-        on_side = np.zeros(g.n, dtype=bool)
-        on_side[list(cut.side)] = True
-        if not on_side[s] or on_side[t]:
+        if s not in side or t in side:
             raise RuntimeError("the flow's cut side must hold s and not t")
-        parent[on_side & (parent == t)] = s
+        for v in side:
+            if parent[v] == t:
+                parent[v] = s
         parent[s] = t
         fl[s] = value
         # a root is its own parent, so this never fires for t a root
-        if on_side[parent[t]]:
+        if parent[t] in side:
             parent[s], parent[t] = parent[t], s
             fl[s], fl[t] = fl[t], value
-    edges = tuple((s, int(parent[s]), int(fl[s])) for s in range(g.n) if parent[s] != s)
+    edges = tuple((s, parent[s], fl[s]) for s in range(g.n) if parent[s] != s)
     return GHTree(n=g.n, edges=edges)
 
 

@@ -6,7 +6,7 @@ at most 2**31 - 1, and a flow call on a graph with a larger one raises
 ``UnsupportedInput`` (a ``ValueError``). The engine reads the graph's
 capacity matrix, ``Graph.capacity_matrix``, which is built once per
 ``Graph`` and shared by every flow on it (every Gusfield step runs on one
-graph).
+graph); a degree-cut certificate's proving rounds share one matrix too.
 
 The cut side is the set of nodes reachable from the source over the arcs
 with positive residual capacity, which is the unique inclusion-minimal
@@ -64,10 +64,8 @@ engine. Each component's hub, its largest-degree node (smallest id on
 ties), counts as proven. Every node a of a hub's component has a capacity
 c(a), here deg(a), and is proven once lambda(a, hub) >= c(a) is shown. A
 round feeds a batch of pending, pairwise non-adjacent nodes a from a
-super-source by arcs of capacity c(a), into one sink merging the hubs and
-every proven node of capacity at least the batch's largest. Its flow graph
-too is built in canonical order: the batch's arcs from S, the arcs into the
-sink merged per node, then g's edges away from the sink in g's own order.
+super-source S by arcs of capacity c(a), towards a sink made of the hubs
+and every proven node of capacity at least the batch's largest.
 
 - A batch node a off the round's minimal source side had its arc
   saturated, so lambda(a, sinks) >= c(a).
@@ -80,6 +78,11 @@ sink merged per node, then g's edges away from the sink in g's own order.
   is a minimum (s, t)-cut, and as it lies in every side holding s it is
   the minimal one: exactly the engine's answer. With c = deg the condition
   reads deg(t) >= deg(s).
+- Where the rule proves (t, s) instead, {t} is the minimal minimum
+  (t, s)-cut, so ``max_flow(g, s, t)`` answers deg(t) and s's component
+  minus t: the complement, within the component, of the engine's minimal
+  t-side, which is the maximal s-side of a minimum (s, t)-cut. It need
+  not be the engine's minimal s-side where minimum cuts tie.
 
 ``DegreeCuts(g, hub=p)`` is the single-source form: p is the only hub, and
 only p's component is proven, with the capped capacity
@@ -87,6 +90,28 @@ c(a) = min(deg(a), deg(p)). The lemma above holds for any capacity, so a
 proven a has lambda(a, p) = c(a): {a} or V - {p} is a cut of that weight.
 Without ``hub`` the cap changes nothing, as each hub has its component's
 largest degree.
+
+The round matrix. Every round of one certificate runs on one int32 flow
+matrix, built once from g's capacity matrix: S = 0, a sink T = 1 and node
+v as v + 2. S's row has an entry to every node, every node's row has an S
+and a T entry before its g-neighbours, and T's row mirrors S's, so the
+matrix is structurally symmetric and the engine adds no arc to it. A
+round writes only its data: S's arcs c(a) to the batch, and an arc of
+min(deg b, C) to T from each sink node b, C being the batch's total
+capacity; every other S and T entry is 0, and the sink nodes keep their
+g-edges. This round has the flow value and the minimal side of the round
+with the sink nodes merged into T:
+
+- a cut whose source side holds no sink node has the same weight in both;
+- take a cut X holding sink nodes Z. If some b in Z has deg b >= C, X
+  weighs at least C, the weight of {S}, so where X is minimum so is {S}.
+  Otherwise each b in Z sends deg b to T, at least its edges from X - Z,
+  so X - Z weighs no more than X.
+
+So every minimum cut contains one that holds no sink node: both rounds
+have one minimum value, and the minimal side, the meet of the minimum
+cuts' source sides, is the meet over those without sink nodes, the merged
+round's.
 
 The pending nodes, those of positive capacity in a hub's component other
 than the hubs, wait in order of capacity descending, then id. A round
@@ -102,13 +127,14 @@ to one it has taken. Proving runs in two passes:
   that the sink holds every proven node of at least that capacity.
 
 A pass also ends when no node is pending or after a round that proves
-fewer than half its batch, and a round graph with a merged capacity above
-``MAX_CAPACITY`` ends proving. So proving costs at most 3 ceil(log2 n)
-flows on n + 2 nodes. ``DegreeCuts.prove()`` runs them, and so does the
-first ``max_flow`` call that is given the certificate, inside that call.
-The certificate accepts only a graph the engine accepts: ``DegreeCuts(g)``
-raises ``UnsupportedInput`` where a flow on g would, so no answer bypasses
-the int32 guard.
+fewer than half its batch. The int32 rule: a round with an S-arc c(a) or
+a T-arc min(deg b, C) above ``MAX_CAPACITY`` is not run, and ends
+proving. So proving costs at most 3 ceil(log2 n) flows on n + 2 nodes,
+all run inside the first ``max_flow`` call that is given the certificate;
+the certificate then keeps its per-node arrays as lists, which ``proves``
+reads. The certificate accepts only a graph the engine accepts:
+``DegreeCuts(g)`` raises ``UnsupportedInput`` where a flow on g would, so
+no answer bypasses the int32 guard.
 """
 
 from __future__ import annotations
@@ -166,11 +192,13 @@ def _residual_reachable(cap: csr_matrix, flow, s: int) -> np.ndarray:
 
 def max_flow(g: Graph, s: int, t: int, *, degree_cuts: DegreeCuts | None = None,
              ) -> tuple[int, Cut]:
-    """Max s,t-flow value and the inclusion-minimal source side of a min cut.
+    """Max s,t-flow value and a min cut's source side: the inclusion-minimal
+    one, except where ``degree_cuts`` answers a pair as (t, s).
 
     With ``degree_cuts``, a ``DegreeCuts`` of g, the certificate's pending
-    proving rounds run first, and a pair it proves is answered with
-    (deg s, {s}) without the engine.
+    proving rounds run first, and a pair it proves is answered without the
+    engine: (deg s, {s}), or (deg t, s's component minus t), a minimum cut
+    that need not be the minimal side, where it proves (t, s).
 
     Raises UnsupportedInput when an edge capacity exceeds ``MAX_CAPACITY``.
     """
@@ -181,11 +209,14 @@ def max_flow(g: Graph, s: int, t: int, *, degree_cuts: DegreeCuts | None = None,
         raise ValueError("degree_cuts was built for another graph")
     if degree_cuts is not None:
         # the rounds run inside this call, so a pair costs one max_flow call
-        degree_cuts._prove(lambda h: _residual_reachable(
-            h.capacity_matrix, _scipy_maximum_flow(h.capacity_matrix, 0, 1).flow, 0))
+        degree_cuts._prove(lambda m: _residual_reachable(
+            m, _scipy_maximum_flow(m, 0, 1).flow, 0))
         if degree_cuts.proves(s, t):
-            value = int(degree_cuts.degree[s])
+            value = degree_cuts.degree[s]
             return value, Cut(side=frozenset({s}), value=value)
+        if degree_cuts.proves(t, s):
+            value = degree_cuts.degree[t]
+            return value, Cut(side=degree_cuts._reverse_side(s, t), value=value)
     cap = g.capacity_matrix
     result = _scipy_maximum_flow(cap, s, t)
     seen = _residual_reachable(cap, result.flow, s)
@@ -198,11 +229,11 @@ class DegreeCuts:
     minimum (s, t)-cut of g for most pairs; its rules are in the module
     docstring.
 
-    ``prove`` runs its rounds, and ``max_flow`` runs them first when given
-    the certificate. With ``hub``, this is the single-source form rooted
-    at that node; without it, each component's largest-degree node is a
-    hub. Raises UnsupportedInput when a capacity of g exceeds
-    ``MAX_CAPACITY``, as a flow on g would.
+    The first ``max_flow`` call given the certificate runs its rounds.
+    With ``hub``, this is the single-source form rooted at that node;
+    without it, each component's largest-degree node is a hub. Raises
+    UnsupportedInput when a capacity of g exceeds ``MAX_CAPACITY``, as a
+    flow on g would.
     """
 
     def __init__(self, g: Graph, hub: int | None = None):
@@ -228,24 +259,25 @@ class DegreeCuts:
         self.proven = self.hub.copy()
         pending = (self.capacity > 0) & ~self.hub & np.isin(self.component,
                                                             self.component[self.hub])
-        self._pending = order[pending[order]].tolist()  # emptied once proving runs
+        # None once proving has run
+        self._pending: list[int] | None = order[pending[order]].tolist()
+        self._members: dict[int, frozenset[int]] = {}
 
-    def prove(self) -> None:
-        """Run the proving rounds, each as one ``max_flow`` on its round
-        graph; once proving has run this does nothing."""
-        def side(h: Graph) -> np.ndarray:
-            seen = np.zeros(h.n, dtype=bool)
-            seen[list(max_flow(h, 0, 1)[1].side)] = True
-            return seen
-
-        self._prove(side)
-
-    def _prove(self, side: Callable[[Graph], np.ndarray]) -> None:
-        """Run both passes, with ``side(h)`` the minimal source side of a
-        maximum flow from 0 to 1 on round graph h, as a mask."""
-        pending, self._pending = self._pending, []
-        if not pending:
+    def _prove(self, side: Callable[[csr_matrix], np.ndarray]) -> None:
+        """Run both passes, once per certificate, with ``side(m)`` the
+        minimal source side of a maximum flow from 0 to 1 on the round
+        matrix m, as a mask; then keep the per-node arrays as lists."""
+        if self._pending is None:
             return  # proving has run; every later max_flow call ends here
+        pending, self._pending = self._pending, None
+        if pending:
+            self._passes(pending, side)
+        # proves and max_flow read these node by node from now on
+        self.proven, self.component, self.capacity, self.degree = (
+            a.tolist() for a in (self.proven, self.component, self.capacity, self.degree))
+
+    def _passes(self, pending: list[int], side: Callable[[csr_matrix], np.ndarray]) -> None:
+        m = _round_matrix(self.graph.capacity_matrix)
         c = self.capacity
         log_n = (self.graph.n - 1).bit_length()
         for retry, rounds in ((False, 2 * log_n), (True, log_n)):
@@ -255,9 +287,9 @@ class DegreeCuts:
                     break
                 taken, pending = self._pick(pending, retry)
                 batch = np.array(taken, dtype=np.int64)
-                if (h := self._round_graph(batch)) is None:
+                if not self._write_round(m, batch):
                     return  # an int32 stop ends proving
-                on_side = side(h)[batch + 2]
+                on_side = side(m)[batch + 2]
                 proved = batch[~on_side]
                 self.proven[proved] = True
                 left += batch[on_side].tolist()
@@ -286,30 +318,64 @@ class DegreeCuts:
                 beside.update(self._neighbours[v])
         return taken, kept
 
-    def _round_graph(self, batch: np.ndarray) -> Graph | None:
-        """The round graph feeding ``batch``, or None when one of its merged
-        capacities is above ``MAX_CAPACITY``."""
-        g, c = self.graph, self.capacity
-        # S = 0, the merged sink T = 1, node v of g becomes v + 2; the arcs
-        # come in canonical order: S's by node, T's merged per node, then
-        # g's edges away from the sink, in g's own order
-        sink = self.hub | (self.proven & (c >= c[batch].max()))
-        eu, ev, ew = g.edges.T
-        inner = ~sink[eu] & ~sink[ev]
-        to_sink = sink[eu] != sink[ev]
-        to_t = np.zeros(g.n + 2, dtype=np.int64)
-        np.add.at(to_t, np.where(sink[eu], ev, eu)[to_sink] + 2, ew[to_sink])
-        fed, into = np.sort(batch), np.flatnonzero(to_t)
-        h = Graph._trusted(g.n + 2, np.concatenate([
-            np.column_stack([np.zeros_like(fed), fed + 2, c[fed]]),
-            np.column_stack([np.ones_like(into), into, to_t[into]]),
-            np.column_stack([eu[inner] + 2, ev[inner] + 2, ew[inner]])]))
-        return None if h.edges[:, 2].max() > MAX_CAPACITY else h
+    def _write_round(self, m: csr_matrix, batch: np.ndarray) -> bool:
+        """Write the round feeding ``batch`` into the S- and T-arcs of round
+        matrix m; False, writing nothing, when one of them is above
+        ``MAX_CAPACITY``."""
+        n, c = self.graph.n, self.capacity
+        sink = np.flatnonzero(self.hub | (self.proven & (c >= c[batch].max())))
+        fed = c[batch]
+        to_t = np.minimum(self.degree[sink], int(fed.sum()))
+        if max(int(fed.max()), int(to_t.max(initial=0))) > MAX_CAPACITY:
+            return False
+        # S's row holds node v's arc at v; node v's row holds its T-arc second
+        t_arcs = m.indptr[2:-1] + 1
+        m.data[:n] = 0
+        m.data[batch] = fed
+        m.data[t_arcs] = 0
+        m.data[t_arcs[sink]] = to_t
+        return True
 
     def proves(self, s: int, t: int) -> bool:
         """Whether {s} is certified as the minimal minimum (s, t)-cut."""
-        return bool(self.proven[s] and self.proven[t] and self.component[s] == self.component[t]
-                    and min(self.capacity[s], self.capacity[t]) >= self.degree[s])
+        proven, capacity = self.proven, self.capacity
+        return bool(proven[s] and proven[t] and self.component[s] == self.component[t]
+                    and min(capacity[s], capacity[t]) >= self.degree[s])
+
+    def _reverse_side(self, s: int, t: int) -> frozenset[int]:
+        """s's component minus t, the maximal s-side of a minimum (s, t)-cut
+        where the certificate proves {t} the minimal (t, s) one."""
+        label = self.component[s]
+        if label not in self._members:
+            self._members[label] = frozenset(
+                v for v, own in enumerate(self.component) if own == label)
+        return self._members[label] - {t}
+
+
+def _round_matrix(cap: csr_matrix) -> csr_matrix:
+    """The proving rounds' int32 flow matrix over g's capacity matrix
+    ``cap``: S = 0, T = 1 and node v of g as v + 2. S's row and T's row have
+    an entry to every node, and every node's row has its S and T entries
+    and then its g-neighbours', so the matrix is structurally symmetric.
+    Only g's entries have capacity until a round writes its S- and T-arcs."""
+    n = cap.shape[0]
+    indptr = np.zeros(n + 3, dtype=np.int32)
+    indptr[1:3] = n, 2 * n
+    np.cumsum(np.diff(cap.indptr) + 2, out=indptr[3:])
+    indptr[3:] += 2 * n
+    nodes = np.arange(2, n + 2, dtype=np.int32)
+    indices = np.empty(int(indptr[-1]), dtype=np.int32)
+    indices[:2 * n] = np.tile(nodes, 2)
+    starts = indptr[2:-1]
+    indices[starts], indices[starts + 1] = 0, 1
+    # g's entry k, in row v, moves past the S and T entries of rows 0..v
+    inner = 2 * n + np.arange(cap.nnz) + 2 * np.repeat(nodes - 1, np.diff(cap.indptr))
+    indices[inner] = cap.indices + 2
+    data = np.zeros(indices.size, dtype=np.int32)
+    data[inner] = cap.data
+    m = csr_matrix((data, indices, indptr), shape=(n + 2, n + 2))
+    m.has_sorted_indices = True
+    return m
 
 
 def _union_flow(g: Graph, region: np.ndarray, source: np.ndarray,

@@ -89,11 +89,14 @@ def approx_single_source(g: Graph, p: int, eps: Fraction = EPS_DEFAULT) -> Estim
     nodes first: a proven v has lambda(v, p) = c(v), its capped capacity,
     by the rule in maxflow's module docstring. Its witness is {v}, the
     minimal side, when deg v <= deg p, and V - {p}, a minimum cut that
-    need not be the minimal side, otherwise. ``DegreeCuts.prove()`` runs
-    the proving rounds, and every node left unproven goes to
+    need not be the minimal side, otherwise. The proving rounds run inside
+    ``max_flow`` for the first node, which, when proven in neither
+    orientation, takes that flow's answer, its minimal side, as the unions
+    would give it. Every other node left unproven goes to
     ``min_cuts_between_sets``, ``maxflow.pairs_per_flow(g)`` to a union
-    flow, with its minimal side as witness. So the cost is the certificate's proving flows and one union
-    flow per ``pairs_per_flow(g)`` unproven nodes. Either way the graph
+    flow, with its minimal side as witness. So the cost is the
+    certificate's proving flows, at most one flow on g and one union flow
+    per ``pairs_per_flow(g)`` other unproven nodes. Either way the graph
     must pass the int32 flow guard, else UnsupportedInput.
     """
     p = node_id(g.n, p, "pivot")
@@ -115,16 +118,21 @@ def approx_single_source(g: Graph, p: int, eps: Fraction = EPS_DEFAULT) -> Estim
     # that pass left
     if 2 * per_flow < -(-len(others) // per_flow):
         cuts = DegreeCuts(g, hub=p)
-        cuts.prove()
+        # runs the proving rounds; an unproven first node gets its minimal side
+        first_value, first_cut = max_flow(g, others[0], p, degree_cuts=cuts)
         deg, all_but_p = cuts.degree, np.arange(g.n) != p
         unproven = []
         for v in others:
             if cuts.proves(v, p):
                 estimates[v] = deg[v]
-                witnesses[v] = Cut(side=frozenset({v}), value=int(deg[v]))
+                witnesses[v] = Cut(side=frozenset({v}), value=deg[v])
             elif cuts.proves(p, v):
                 estimates[v] = deg[p]
-                witnesses[v] = witness(all_but_p, int(deg[p]))
+                witnesses[v] = witness(all_but_p, deg[p])
+            elif v == others[0]:
+                side = np.zeros(g.n, dtype=bool)
+                side[list(first_cut.side)] = True
+                estimates[v], witnesses[v] = first_value, witness(side, first_value)
             else:
                 unproven.append(v)
         others = unproven

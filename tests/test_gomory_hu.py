@@ -116,8 +116,10 @@ def test_every_flow_runs_on_the_input_graph(monkeypatch):
 
 
 def test_degree_cuts_spare_most_engine_calls_on_sparse_gnp(monkeypatch):
-    # unit G(800, 2 ln n/(n - 1)) at seed 7: 29 proving rounds and 9
-    # unproven steps, 38 engine calls in all (59 without the retry pass)
+    # unit G(800, 2 ln n/(n - 1)) at seed 7: 29 proving rounds and 2
+    # steps proven in neither orientation, 31 engine calls in all (38 when
+    # the 7 steps proven only as (t, s) went to the engine, 59 without the
+    # retry pass)
     engine_calls = []
 
     def counting_engine(*args, **kwargs):
@@ -128,12 +130,28 @@ def test_degree_cuts_spare_most_engine_calls_on_sparse_gnp(monkeypatch):
     g = gnp(800, 2 * math.log(800) / 799, seed=7)
     monkeypatch.setattr(maxflow, "_scipy_maximum_flow", counting_engine)
     tree = gomory_hu(g)
-    assert len(engine_calls) <= 40
+    assert len(engine_calls) == 31
     # Gusfield's tree with every step sent to the engine
     monkeypatch.setattr(gomory_hu_module, "max_flow", lambda g, s, t, **kwargs: max_flow(g, s, t))
     engine_calls.clear()
     assert gomory_hu(g) == tree
     assert len(engine_calls) == g.n - component_labels(g.n, g.edges[:, 0], g.edges[:, 1])[0]
+
+
+def test_a_reverse_step_takes_a_tied_maximal_side(monkeypatch):
+    # the triangle 0, 1, 3 with the leaf 2 on the hub 3. Step s = 3, t = 0
+    # is proven only as (0, 3), as deg 3 > deg 0, so its side is 3's
+    # component minus 0, {1, 2, 3}. The engine's minimal side is {2, 3}:
+    # 0's degree-2 neighbour 1 ties the two cuts at 2. So 1 moves onto 3,
+    # where engine-only Gusfield leaves it on 0, and both trees are valid.
+    g = Graph.build(4, [(0, 1, 1), (0, 3, 1), (1, 3, 1), (2, 3, 1)])
+    tree = gomory_hu(g)
+    assert tree.edges == ((1, 3, 2), (2, 3, 1), (3, 0, 2))
+    assert_valid_gh(g, tree)
+    monkeypatch.setattr(gomory_hu_module, "max_flow", lambda g, s, t, **kwargs: max_flow(g, s, t))
+    engine_only = gomory_hu(g)
+    assert engine_only.edges == ((1, 0, 2), (2, 3, 1), (3, 0, 2))
+    assert_valid_gh(g, engine_only)
 
 
 def test_a_flow_side_without_s_is_an_internal_error(monkeypatch):

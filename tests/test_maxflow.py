@@ -274,25 +274,28 @@ def test_flows_on_one_graph_match_a_fresh_graph():
 
 
 def test_one_capacity_matrix_per_graph(monkeypatch):
-    builds = []
+    builds, round_builds = [], []
 
     def counting_matrix(g):
         builds.append(g)
         return build(g)
 
-    build = graph_module._capacity_matrix
+    def counting_round_matrix(cap):
+        round_builds.append(cap)
+        return round_matrix(cap)
+
+    build, round_matrix = graph_module._capacity_matrix, maxflow._round_matrix
     monkeypatch.setattr(graph_module, "_capacity_matrix", counting_matrix)
+    monkeypatch.setattr(maxflow, "_round_matrix", counting_round_matrix)
     g = gnp(40, 0.2, seed=2)
     assert component_labels(g.n, g.edges[:, 0], g.edges[:, 1])[0] == 1
     gomory_hu(g)
-    assert sum(h is g for h in builds) == 1
-    # every other matrix is one degree-cut proving round's own graph
-    rounds = [h for h in builds if h is not g]
-    assert rounds and all(h.n == g.n + 2 for h in rounds)
-    assert len({id(h) for h in rounds}) == len(rounds)
-    built = len(builds)
+    assert len(builds) == 1 and builds[0] is g
+    # every proving round of the tree's certificate runs on one matrix,
+    # built from g's
+    assert len(round_builds) == 1 and round_builds[0] is g.capacity_matrix
     max_flow(g, 0, 1)
-    assert len(builds) == built
+    assert len(builds) == len(round_builds) == 1
 
 
 def test_capacity_over_int32_rejected():
@@ -356,16 +359,34 @@ def degree_cut_corpus():
     return graphs
 
 
+def certified_answer(g, cuts, s, t):
+    """What ``max_flow(g, s, t, degree_cuts=cuts)`` must return: the
+    engine's answer, except for a pair proven only as (t, s), which gets
+    the engine's value and s's component minus the engine's minimal
+    (t, s) side, the maximal minimum (s, t) side."""
+    if cuts.proves(s, t) or not cuts.proves(t, s):
+        return max_flow(g, s, t)
+    value, cut = max_flow(g, t, s)
+    labels = component_labels(g.n, g.edges[:, 0], g.edges[:, 1])[1]
+    component = frozenset(np.flatnonzero(labels == labels[s]).tolist())
+    return value, Cut(side=component - cut.side, value=value)
+
+
 def test_degree_cuts_answer_every_pair_as_the_engine_does():
-    proven = cross = 0
+    proven = reverse = moved = cross = 0
     for g in degree_cut_corpus():
         cuts = DegreeCuts(g)
         labels = component_labels(g.n, g.edges[:, 0], g.edges[:, 1])[1]
         for s, t in itertools.permutations(range(g.n), 2):
-            assert max_flow(g, s, t, degree_cuts=cuts) == max_flow(g, s, t), (g, s, t)
+            answer = max_flow(g, s, t, degree_cuts=cuts)
+            assert answer == certified_answer(g, cuts, s, t), (g, s, t)
             proven += cuts.proves(s, t)
+            if cuts.proves(t, s) and not cuts.proves(s, t):
+                reverse += 1
+                moved += answer != max_flow(g, s, t)  # a tied minimum cut
             cross += labels[s] != labels[t]
     assert proven >= 1800 and cross >= 1000
+    assert reverse == 1600 and moved == 48
 
 
 def test_proven_pairs_skip_the_engine(monkeypatch):
@@ -421,6 +442,27 @@ def test_each_proves_condition_is_needed(monkeypatch, dropped, g, s, t):
     assert max_flow(g, s, t, degree_cuts=cuts) != truth
 
 
+@pytest.mark.parametrize("dropped, g, s, t", [
+    # only the hub 3 is proven: 5's first round fails, which ends proving
+    ("both proven", dumbbell(4), 3, 5),
+    ("one component", Graph.build(6, [(0, 1, 1), (1, 2, 1), (0, 2, 1),
+                                      (3, 4, 1), (4, 5, 1), (3, 5, 1)]), 1, 4),
+], ids=["both-proven", "one-component"])
+def test_each_reverse_condition_is_needed(monkeypatch, dropped, g, s, t):
+    # the same rule, read as proves(t, s) for the pair (s, t): dropping a
+    # condition from that reading alone changes max_flow's answer
+    cuts = DegreeCuts(g)
+    truth = max_flow(g, s, t, degree_cuts=cuts)
+    assert truth == certified_answer(g, cuts, s, t) == max_flow(g, s, t)
+
+    def weakened(c, a, b):
+        return all(rule(c, a, b) for name, rule in PROVES_CONDITIONS.items()
+                   if name != dropped or (a, b) != (t, s))
+
+    monkeypatch.setattr(DegreeCuts, "proves", weakened)
+    assert max_flow(g, s, t, degree_cuts=cuts) != truth
+
+
 def test_retry_pass_proves_nodes_the_first_pass_left(monkeypatch):
     # hub 6; nodes 3 (capacity 6) and 4 (capacity 5) share the dead end 2,
     # so in one first-pass round each reaches the sink through 2 only at
@@ -431,12 +473,14 @@ def test_retry_pass_proves_nodes_the_first_pass_left(monkeypatch):
                         (3, 6, 3), (4, 6, 3)])
     cuts = DegreeCuts(g)
     for s, t in itertools.permutations(range(g.n), 2):
-        assert max_flow(g, s, t, degree_cuts=cuts) == max_flow(g, s, t), (s, t)
-    assert cuts.proven[[3, 4]].all() and cuts.proves(4, 3)
-    # proving has stopped: neither prove nor a proven pair reaches the engine
+        assert max_flow(g, s, t, degree_cuts=cuts) == certified_answer(g, cuts, s, t), (s, t)
+    assert cuts.proven[3] and cuts.proven[4] and cuts.proves(4, 3)
+    # proving has stopped: a pair proven either way no longer reaches the engine
     monkeypatch.setattr(maxflow, "_scipy_maximum_flow", None)
-    cuts.prove()
     assert max_flow(g, 4, 3, degree_cuts=cuts) == (5, Cut(side=frozenset({4}), value=5))
+    # node 5 is isolated, so 3's component is every other node
+    assert max_flow(g, 3, 4, degree_cuts=cuts) == (5, Cut(side=frozenset({0, 1, 2, 3, 6}),
+                                                          value=5))
     monkeypatch.undo()
 
     class RetryPass(Exception):
@@ -451,7 +495,7 @@ def test_retry_pass_proves_nodes_the_first_pass_left(monkeypatch):
     monkeypatch.setattr(DegreeCuts, "_pick", first_pass_only)
     cuts = DegreeCuts(g)
     with pytest.raises(RetryPass):
-        cuts.prove()
+        max_flow(g, 4, 3, degree_cuts=cuts)
     assert not cuts.proven[[3, 4]].any() and cuts.proven[[0, 1]].all()
     assert not cuts.proves(4, 3)
 
@@ -474,7 +518,8 @@ def test_hub_certificate_answers_every_pair_as_the_engine_does():
                     assert max_flow(g, s, t, degree_cuts=cuts) == truth[s, t], (g, hub, s, t)
                     proven += 1
             # only the hub's component is proven
-            assert not cuts.proven[cuts.component != cuts.component[hub]].any()
+            assert not any(proven for proven, label in zip(cuts.proven, cuts.component)
+                           if label != cuts.component[hub])
     assert proven >= 3000
 
 
@@ -486,7 +531,7 @@ def test_hub_proves_needs_the_capped_capacity(monkeypatch):
     truth = max_flow(g, 1, 2)
     assert truth[0] == 1
     assert max_flow(g, 1, 2, degree_cuts=cuts) == truth
-    assert cuts.proven.all() and not cuts.proves(1, 2)
+    assert all(cuts.proven) and not cuts.proves(1, 2)
     # the global rule alone (both proven, one component, deg(t) >= deg(s))
     monkeypatch.setattr(DegreeCuts, "proves", lambda c, a, b: all(
         rule(c, a, b) for rule in PROVES_CONDITIONS.values()))
@@ -494,17 +539,19 @@ def test_hub_proves_needs_the_capped_capacity(monkeypatch):
 
 
 def proving_batches(monkeypatch, cuts):
-    """The batch size of each round ``cuts.prove()`` runs, read from outside
-    the class as the round graph's arcs out of the super-source 0."""
-    batches = []
+    """The batch size of each proving round of ``cuts``, read from outside
+    the class as the round matrix's arcs of positive capacity out of the
+    super-source 0, when a first ``max_flow`` call runs the rounds."""
+    g, batches = cuts.graph, []
 
-    def counting_max_flow(h, s, t):
-        batches.append(int((h.edges[:, 0] == 0).sum()))
-        return flow(h, s, t)
+    def counting_engine(m, s, t):
+        if m.shape[0] == g.n + 2:  # a round, not the pair's own flow on g
+            batches.append(int((m.data[m.indptr[0]:m.indptr[1]] > 0).sum()))
+        return engine(m, s, t)
 
-    flow = maxflow.max_flow
-    monkeypatch.setattr(maxflow, "max_flow", counting_max_flow)
-    cuts.prove()
+    engine = maxflow._scipy_maximum_flow
+    monkeypatch.setattr(maxflow, "_scipy_maximum_flow", counting_engine)
+    max_flow(g, 0, 1, degree_cuts=cuts)
     monkeypatch.undo()
     return batches
 
@@ -518,7 +565,7 @@ def test_proving_rounds_are_pinned_at_benchmark_sizes(monkeypatch):
     assert proving_batches(monkeypatch, cuts) == [
         1, 1, 1, 2, 3, 4, 6, 9, 14, 21, 31, 47, 70, 105, 150, 146, 117, 60, 11,
         1, 3, 3, 2, 12, 1, 5, 2, 1, 1]
-    assert int(cuts.proven.sum()) == 798
+    assert sum(cuts.proven) == 798
     # the ssu-wgnp graph shape: weighted G(200) at seed 4, weights in
     # [1, 64], from its median-degree pivot
     base = gnp(200, 2 * math.log(200) / 199, seed=4)
@@ -529,12 +576,12 @@ def test_proving_rounds_are_pinned_at_benchmark_sizes(monkeypatch):
     cuts = DegreeCuts(g, hub=pivot)
     assert proving_batches(monkeypatch, cuts) == [
         1, 1, 1, 2, 3, 4, 6, 9, 14, 21, 31, 41, 29, 26, 9, 1, 1, 1, 1, 1, 1]
-    assert cuts.proven.all()
+    assert all(cuts.proven)
 
 
 def test_an_int32_stop_in_the_first_pass_ends_proving(monkeypatch):
     # on the pinned unit G(800), the 15th round leaves 22 nodes for the
-    # retry pass; refusing the 16th round's graph, as the int32 limit
+    # retry pass; refusing to write the 16th round, as the int32 limit
     # would, ends proving with no retry round
     picks = []
 
@@ -542,14 +589,15 @@ def test_an_int32_stop_in_the_first_pass_ends_proving(monkeypatch):
         picks.append(one_capacity)
         return pick(c, pending, one_capacity)
 
-    def refusing_round_graph(c, batch):
-        return None if len(picks) == 16 else round_graph(c, batch)
+    def refusing_write_round(c, m, batch):
+        return len(picks) != 16 and write_round(c, m, batch)
 
-    pick, round_graph = DegreeCuts._pick, DegreeCuts._round_graph
+    pick, write_round = DegreeCuts._pick, DegreeCuts._write_round
     monkeypatch.setattr(DegreeCuts, "_pick", recording_pick)
-    monkeypatch.setattr(DegreeCuts, "_round_graph", refusing_round_graph)
-    cuts = DegreeCuts(gnp(800, 2 * math.log(800) / 799, seed=7))
-    cuts.prove()
+    monkeypatch.setattr(DegreeCuts, "_write_round", refusing_write_round)
+    g = gnp(800, 2 * math.log(800) / 799, seed=7)
+    cuts = DegreeCuts(g)
+    max_flow(g, 0, 1, degree_cuts=cuts)
     assert picks == [False] * 16
 
 
@@ -663,18 +711,29 @@ def reference_pick(cuts, pending, one_capacity):
 
 
 def reference_round_graph(cuts, batch):
-    """``DegreeCuts._round_graph`` as it was before its graphs came out in
-    canonical order: the arcs listed edge by edge, then sorted and merged
-    by ``Graph._trusted``."""
+    """A proving round's graph as ``DegreeCuts`` built it before its rounds
+    shared one matrix: the sink nodes merged into T = 1, the arcs listed
+    edge by edge, then sorted and merged by ``Graph._trusted``; None where
+    the round matrix's int32 rule stops proving, a batch arc c(a) or a
+    sink node's arc min(deg b, C) to T above ``MAX_CAPACITY``, C being the
+    batch's total capacity. A merged arc to T is cut to C, which moves no
+    minimal side: a node behind an arc of C or more sits on a minimum
+    cut's source side only when {S}, of value C, is a minimum cut too."""
     g, c = cuts.graph, cuts.capacity
+    sink = cuts.hub | (cuts.proven & (c >= c[batch].max()))
+    total = int(c[batch].sum())
+    if max(c[batch].max(), np.minimum(cuts.degree[sink], total).max(initial=0)) > MAX_CAPACITY:
+        return None
     ids = np.arange(2, g.n + 2)
-    ids[cuts.hub | (cuts.proven & (c >= c[batch].max()))] = 1
+    ids[sink] = 1
     u, v = ids[g.edges[:, 0]], ids[g.edges[:, 1]]
     inside = u != v
     h = Graph._trusted(g.n + 2, np.concatenate([
         np.column_stack([u[inside], v[inside], g.edges[inside, 2]]),
         np.column_stack([np.zeros_like(batch), batch + 2, c[batch]])]))
-    return None if h.edges[:, 2].max() > MAX_CAPACITY else h
+    arcs = h.edges.copy()
+    arcs[arcs[:, 0] == 1, 2] = np.minimum(arcs[arcs[:, 0] == 1, 2], total)
+    return Graph._trusted(g.n + 2, arcs)
 
 
 def reference_rounds(cuts):
@@ -682,16 +741,16 @@ def reference_rounds(cuts):
     proving became one loop, with ``reference_pick`` and
     ``reference_round_graph``: the pending and failed nodes, the pass and
     its rounds left are state stepped between rounds. Returns each
-    round's (pending nodes, one-capacity flag, batch) and its graph, None
-    for one refused by the int32 limit."""
+    round's (pending nodes, one-capacity flag, batch) and its minimal
+    source side, None for a round the int32 rule stops."""
     g, c = cuts.graph, cuts.capacity
     pending, failed = list(cuts._pending), []
     retrying, rounds_left = False, 2 * (g.n - 1).bit_length()
-    steps, graphs = [], []
+    steps, sides = [], []
     while True:
         if not rounds_left or not pending:
             if retrying or not failed:
-                return steps, graphs
+                return steps, sides
             failed = np.array(failed)
             pending = failed[np.lexsort((failed, -c[failed]))].tolist()
             retrying, rounds_left = True, (g.n - 1).bit_length()
@@ -699,10 +758,12 @@ def reference_rounds(cuts):
         steps.append((pending, retrying, taken))
         pending = kept
         batch = np.array(taken, dtype=np.int64)
-        graphs.append(h := reference_round_graph(cuts, batch))
+        h = reference_round_graph(cuts, batch)
         if h is None:
-            return steps, graphs
-        on_side = np.isin(batch + 2, list(max_flow(h, 0, 1)[1].side))
+            sides.append(None)
+            return steps, sides
+        sides.append(max_flow(h, 0, 1)[1].side)
+        on_side = np.isin(batch + 2, list(sides[-1]))
         cuts.proven[batch[~on_side]] = True
         if not retrying:
             failed += batch[on_side].tolist()
@@ -711,36 +772,46 @@ def reference_rounds(cuts):
             rounds_left = 0
 
 
-def test_round_graphs_equal_the_sorted_construction(monkeypatch):
+def test_rounds_equal_the_merged_sink_construction(monkeypatch):
+    # every round's minimal side on the one round matrix, sink nodes kept
+    # apart behind their arcs to T, is the side of the same round with the
+    # sink nodes merged into T
     rounds = stopped = 0
     for g in degree_cut_corpus():
         order = np.argsort(graph_module.degrees(g), kind="stable")
         for hub in (None, int(order[0]), int(order[g.n // 2])):
             cuts, ref = DegreeCuts(g, hub=hub), DegreeCuts(g, hub=hub)
-            steps, graphs = [], []
+            steps, sides = [], []
 
             def recording_pick(c, pending, one_capacity):
                 taken, kept = pick(c, pending, one_capacity)
                 steps.append((list(pending), one_capacity, taken))
                 return taken, kept
 
-            def recording_round_graph(c, batch):
-                given_arcs.clear()
-                graphs.append(h := round_graph(c, batch))
-                (n, arcs), = given_arcs
-                assert_canonical(n, arcs)
-                return h
+            def recording_write_round(c, m, batch):
+                if not (written := write_round(c, m, batch)):
+                    sides.append(None)
+                return written
 
-            pick, round_graph = DegreeCuts._pick, DegreeCuts._round_graph
-            given_arcs = recording_trusted(monkeypatch)
+            def recording_reachable(cap, flow, s):
+                seen = reachable(cap, flow, s)
+                if cap.shape[0] == g.n + 2:  # a round, not the pair's own flow on g
+                    sides.append(frozenset(np.flatnonzero(seen).tolist()))
+                return seen
+
+            pick, write_round = DegreeCuts._pick, DegreeCuts._write_round
+            reachable = maxflow._residual_reachable
             monkeypatch.setattr(DegreeCuts, "_pick", recording_pick)
-            monkeypatch.setattr(DegreeCuts, "_round_graph", recording_round_graph)
-            cuts.prove()
+            monkeypatch.setattr(DegreeCuts, "_write_round", recording_write_round)
+            monkeypatch.setattr(maxflow, "_residual_reachable", recording_reachable)
+            max_flow(g, 0, 1, degree_cuts=cuts)
             monkeypatch.undo()
-            ref_steps, ref_graphs = reference_rounds(ref)
+            ref_steps, ref_sides = reference_rounds(ref)
             assert steps == ref_steps
-            assert graphs == ref_graphs
+            assert sides == ref_sides
             assert np.array_equal(cuts.proven, ref.proven)
-            rounds += sum(h is not None for h in graphs)
-            stopped += graphs[-1:] == [None]  # built, then refused by the int32 limit
-    assert rounds >= 700 and stopped >= 6, (rounds, stopped)
+            rounds += sum(side is not None for side in sides)
+            stopped += sides[-1:] == [None]  # refused by the int32 rule
+    # 5 certificates stop at the int32 rule; a sixth, on 2**30 weights,
+    # stopped when a merged arc to the sink counted, and now proves a node
+    assert rounds >= 700 and stopped == 5, (rounds, stopped)

@@ -194,20 +194,25 @@ def certified_corpus():
 
 
 def test_certified_estimates_equal_the_plain_cuts():
-    certified = ties = 0
+    certified = ties = first_unproven = 0
     for g, pivots in certified_corpus():
         deg = degrees(g)
         for p in pivots:
             table = check_soundness_at(g, approx_single_source(g, p))
             others = [v for v in range(g.n) if v != p]
-            values, _ = min_cuts_between_sets(g, [([v], [p]) for v in others])
+            values, sides = min_cuts_between_sets(g, [([v], [p]) for v in others])
             assert table.estimates[others].tolist() == values.tolist(), (g.n, p)
             cuts = DegreeCuts(g, hub=p)
             max_flow(g, others[0], p, degree_cuts=cuts)  # runs the proving rounds
             proven = [v for v in others if cuts.proves(v, p) or cuts.proves(p, v)]
             certified += len(proven)
             ties += sum(deg[v] == deg[p] for v in proven)
-    assert certified >= 2000 and ties >= 150
+            # an unproven node, the first one included, has its minimal side
+            for v, side in zip(others, sides):
+                if v not in proven:
+                    assert table.witnesses[v].side == frozenset(np.flatnonzero(side).tolist())
+            first_unproven += others[0] not in proven
+    assert certified >= 2000 and ties >= 150 and first_unproven >= 3
 
 
 def test_certified_witness_above_the_pivot_degree_is_all_but_the_pivot():
@@ -244,10 +249,10 @@ def test_hub_capacity_is_capped_at_the_hubs_degree():
 
 
 def test_certified_estimates_run_no_flow_on_g(monkeypatch):
-    # the proving rounds run without a pair. From this low-degree pivot the
-    # first node, 0, is certified only as proves(p, 0) (its degree is
-    # above deg(p)), which max_flow(g, 0, p) cannot use, so sending it to
-    # max_flow to run the rounds cost one flow on g itself.
+    # the proving rounds run inside max_flow(g, 0, p). From this low-degree
+    # pivot the first node, 0, is certified only as proves(p, 0) (its
+    # degree is above deg(p)), which max_flow answers in the reverse
+    # orientation, so running the rounds costs no flow on g itself.
     g, p = weighted_gnp(200, 2), 75
     on_g = []
 
@@ -264,7 +269,7 @@ def test_certified_estimates_run_no_flow_on_g(monkeypatch):
     values, _ = min_cuts_between_sets(g, [([v], [p]) for v in others])
     assert table.estimates[others].tolist() == values.tolist()
     cuts = DegreeCuts(g, hub=p)
-    cuts.prove()
+    max_flow(g, 0, p, degree_cuts=cuts)  # runs the proving rounds
     assert cuts.proves(p, 0) and not cuts.proves(0, p)
     assert table.witnesses[0].side == frozenset(others)
 
