@@ -772,6 +772,47 @@ def reference_rounds(cuts):
             rounds_left = 0
 
 
+def assert_round_matrix(cuts, m, batch):
+    """The reused round matrix holds this round's arcs and no other: g's
+    own arcs among nodes 2.., S-arcs c(a) to the batch, and T-arcs
+    min(deg b, C) from the sink nodes, C being the batch's total capacity;
+    in particular no arc is left from an earlier round."""
+    g, c = cuts.graph, cuts.capacity
+    sink = cuts.hub | (cuts.proven & (c >= c[batch].max()))
+    s_arcs = np.zeros(g.n, dtype=np.int64)
+    s_arcs[batch] = c[batch]
+    t_arcs = np.where(sink, np.minimum(cuts.degree, c[batch].sum()), 0)
+    assert (m[2:, 2:] != g.capacity_matrix).nnz == 0
+    assert m[0, 2:].toarray().ravel().tolist() == s_arcs.tolist()
+    assert m[2:, 1].toarray().ravel().tolist() == t_arcs.tolist()
+    assert m[:, 0].nnz == m[1].nnz == g.n and not m[:, 0].sum() and not m[1].sum()
+    assert m[0, 1] == m[1, 0] == 0
+
+
+def test_a_round_after_the_sink_set_shrinks_has_no_stale_arc(monkeypatch):
+    # hub 6 of {2, 4, 5, 6, 7}. The first pass proves 5 against the hub,
+    # then 4 with 5 a sink and 2 with 4 and 5 sinks; 7 (capacity 5) fails
+    # its round. Retried, 7 has the hub alone for a sink, as 4 and 5 have
+    # capacity below 5. lambda(7, 6) = 4 < deg 7, but the T-arcs that 4
+    # and 5 had in the round before would carry 7's fifth unit to T.
+    g = Graph.build(8, [(2, 4, 1), (2, 6, 1), (4, 7, 2), (5, 6, 4), (6, 7, 3)])
+    batches = []
+
+    def checking_write_round(c, m, batch):
+        written = write_round(c, m, batch)
+        batches.append(batch.tolist())
+        assert_round_matrix(c, m, batch)
+        return written
+
+    write_round = DegreeCuts._write_round
+    monkeypatch.setattr(DegreeCuts, "_write_round", checking_write_round)
+    cuts = DegreeCuts(g)
+    assert max_flow(g, 7, 6, degree_cuts=cuts) == max_flow(g, 7, 6) == (
+        4, Cut(side=frozenset({4, 7}), value=4))
+    assert batches == [[7, 5], [4], [2], [7]]
+    assert not cuts.proven[7] and all(cuts.proven[v] for v in (2, 4, 5))
+
+
 def test_rounds_equal_the_merged_sink_construction(monkeypatch):
     # every round's minimal side on the one round matrix, sink nodes kept
     # apart behind their arcs to T, is the side of the same round with the
@@ -791,6 +832,8 @@ def test_rounds_equal_the_merged_sink_construction(monkeypatch):
             def recording_write_round(c, m, batch):
                 if not (written := write_round(c, m, batch)):
                     sides.append(None)
+                else:
+                    assert_round_matrix(c, m, batch)
                 return written
 
             def recording_reachable(cap, flow, s):
