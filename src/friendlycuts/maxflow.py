@@ -277,6 +277,7 @@ class DegreeCuts:
             a.tolist() for a in (self.proven, self.component, self.capacity, self.degree))
 
     def _passes(self, pending: list[int], side: Callable[[csr_matrix], np.ndarray]) -> None:
+        """Both passes over ``pending``, every round on one round matrix."""
         m = _round_matrix(self.graph.capacity_matrix)
         c = self.capacity
         log_n = (self.graph.n - 1).bit_length()
